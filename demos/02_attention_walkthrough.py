@@ -11,10 +11,9 @@ Run: python3 demos/02_attention_walkthrough.py
 
 import numpy as np
 
-from ahmca import SynthSpec, generate_synthetic
+from ahmca import Model, SynthSpec, generate_synthetic
 from ahmca.attention import attention_forward, splice_level, token_weights
-from ahmca.embedding import build_label_matrices, embed_sequence
-from ahmca.encoder import bilstm_encode, init_lstm_params
+from ahmca.encoder import bilstm_encode
 
 spec = SynthSpec(level_sizes=(2, 4), docs_per_leaf=5, doc_length=10,
                  keywords_per_doc=2, leaf_vocab_size=8, noise_rate=0.0,
@@ -23,15 +22,17 @@ tax, corpus, table = generate_synthetic(spec)
 doc = corpus.documents[0]
 print(f"document {doc.id}, leaf = {doc.leaf_labels[0]}")
 
+# an untrained model owns the embedding lookup and the encoder weights
+model = Model(tax, table, k=table.dim, g=16, d_local=16, dtype=np.float64)
+
 # embed and encode
-X = embed_sequence(doc.tokens, table)
-params = init_lstm_params(table.dim, np.random.default_rng(0), dtype=np.float64)
-H_fwd, H_bwd = bilstm_encode(X, params)
+X = model.embed(doc.tokens)
+H_fwd, H_bwd = bilstm_encode(X, model.params)
 print(f"{len(doc.tokens)} tokens -> hidden states {H_fwd.shape} per direction")
 
 # per-level contexts: label-text matrix spliced with the keyword vectors
-label_mats = build_label_matrices(tax, table)
-Ke = embed_sequence(doc.keywords, table)
+label_mats = model.label_matrices()
+Ke = model.embed(doc.keywords)
 contexts = [splice_level(T, Ke) for T in label_mats]
 for i, ctx in enumerate(contexts, start=1):
     print(f"level {i} context: {label_mats[i-1].shape[0]} labels "

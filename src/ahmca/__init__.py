@@ -4,8 +4,6 @@ attention over a BiLSTM encoder and a global/local prediction head."""
 from . import errors
 from .attention import (
     attention_forward,
-    build_all_levels,
-    level_embedding,
     splice_level,
     token_weights,
 )
@@ -21,14 +19,12 @@ from .corpus import (
 )
 from .embedding import (
     EmbeddingTable,
-    build_label_matrices,
-    embed_sequence,
     load_embeddings,
     random_table,
     save_embeddings,
 )
 from .encoder import bilstm_encode, lstm_step
-from .hmcn import Prediction, fuse, global_predict, global_step, local_predict, loss
+from .hmcn import Prediction, fuse
 from .metrics import (
     MetricsReport,
     hierarchy_violation_rate,
@@ -37,7 +33,7 @@ from .metrics import (
     precision_at_k,
 )
 from .model import Model
-from .numerics import GradReport, activate, grad_check, matmul
+from .numerics import GradReport, grad_check
 from .taxonomy import Taxonomy, load_taxonomy
 from .training import (
     Checkpoint,
@@ -53,18 +49,16 @@ from .training import (
 
 __all__ = [
     "errors",
-    "attention_forward", "build_all_levels", "level_embedding",
-    "splice_level", "token_weights",
+    "attention_forward", "splice_level", "token_weights",
     "Corpus", "Document", "SynthSpec", "generate_synthetic", "load_corpus",
     "save_corpus", "split", "tokenize",
-    "EmbeddingTable", "build_label_matrices", "embed_sequence",
-    "load_embeddings", "random_table", "save_embeddings",
+    "EmbeddingTable", "load_embeddings", "random_table", "save_embeddings",
     "bilstm_encode", "lstm_step",
-    "Prediction", "fuse", "global_predict", "global_step", "local_predict", "loss",
+    "Prediction", "fuse",
     "MetricsReport", "hierarchy_violation_rate", "macro_f1",
     "macro_precision_recall", "precision_at_k",
     "Model",
-    "GradReport", "activate", "grad_check", "matmul",
+    "GradReport", "grad_check",
     "Taxonomy", "load_taxonomy",
     "Checkpoint", "History", "TrainConfig", "evaluate_model",
     "load_checkpoint", "load_config", "predict", "save_checkpoint", "train",

@@ -91,16 +91,6 @@ def _normalize_backward(dw, raw, weights, cache):
     return w * (dw - np.dot(dw, w))
 
 
-def level_embedding(H_fwd, H_bwd, w_fwd_raw, w_bwd_raw, mode="sum_normalized"):
-    """Combine hidden rows with normalized weights per direction and
-    concatenate forward then backward halves into a 2k vector."""
-    wf, _ = normalize_weights(np.asarray(w_fwd_raw), mode)
-    wb, _ = normalize_weights(np.asarray(w_bwd_raw), mode)
-    if wf.shape[0] != H_fwd.shape[0] or wb.shape[0] != H_bwd.shape[0]:
-        raise DimMismatchError("weight length differs from sequence length")
-    return np.concatenate([wf @ H_fwd, wb @ H_bwd])
-
-
 def attention_forward(H_fwd, H_bwd, contexts, mode="sum_normalized", similarity="dot"):
     """Compute x^0..x^H and a cache for the backward pass.
 
@@ -135,26 +125,18 @@ def attention_forward(H_fwd, H_bwd, contexts, mode="sum_normalized", similarity=
 def _similarity_backward(da, H_dir, ctx, arg, similarity, dH, dctx):
     """Scatter gradient of raw max-similarity weights into hidden states
     and context rows (winner row takes all)."""
+    nz = np.nonzero(da)[0]
+    l = arg[nz]
+    d, h, t = da[nz, None], H_dir[nz], ctx[l]
     if similarity == "dot":
-        for j in np.nonzero(da)[0]:
-            l = arg[j]
-            dH[j] += da[j] * ctx[l]
-            dctx[l] += da[j] * H_dir[j]
+        dH[nz] += d * t
+        np.add.at(dctx, l, d * h)
         return
-    hn = np.maximum(np.linalg.norm(H_dir, axis=1), _NORM_EPS)
-    tn = np.maximum(np.linalg.norm(ctx, axis=1), _NORM_EPS)
-    for j in np.nonzero(da)[0]:
-        l = arg[j]
-        h, t = H_dir[j], ctx[l]
-        s = np.dot(h, t) / (hn[j] * tn[l])
-        dH[j] += da[j] * (t / (hn[j] * tn[l]) - s * h / (hn[j] ** 2))
-        dctx[l] += da[j] * (h / (hn[j] * tn[l]) - s * t / (tn[l] ** 2))
-
-
-def build_all_levels(H_fwd, H_bwd, contexts, mode="sum_normalized", similarity="dot"):
-    """All document embeddings [x^0, x^1, ..., x^H], one 2k vector each."""
-    xs, _ = attention_forward(H_fwd, H_bwd, contexts, mode=mode, similarity=similarity)
-    return xs
+    hn = np.maximum(np.linalg.norm(h, axis=1, keepdims=True), _NORM_EPS)
+    tn = np.maximum(np.linalg.norm(t, axis=1, keepdims=True), _NORM_EPS)
+    s = np.sum(h * t, axis=1, keepdims=True) / (hn * tn)
+    dH[nz] += d * (t / (hn * tn) - s * h / hn ** 2)
+    np.add.at(dctx, l, d * (h / (hn * tn) - s * t / tn ** 2))
 
 
 def attention_backward(dxs, cache):

@@ -8,7 +8,6 @@ always derived by ancestor closure against the bound taxonomy.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,19 +19,7 @@ from .errors import (
     TooFewDocumentsError,
     UnknownLabelError,
 )
-from .taxonomy import Taxonomy
-
-_EDGE_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace tokens with punctuation stripped at token edges."""
-    out = []
-    for raw in text.lower().split():
-        tok = _EDGE_PUNCT.sub("", raw)
-        if tok:
-            out.append(tok)
-    return out
+from .taxonomy import Taxonomy, tokenize
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Word-vector table, word2vec-text loading, and the label / keyword
-matrices the attention layer consumes.
+"""Word-vector table and word2vec-text loading and saving.
 
 Lookup is total: out-of-vocabulary tokens map to a single shared unk
 vector (the mean of the vocabulary), so downstream code never deals with
@@ -12,16 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import tokenize
 from .errors import (
     CountMismatchError,
     DuplicateTokenError,
-    EmptyInputError,
-    EmptyLabelTextError,
     MalformedHeaderError,
     RowArityError,
 )
-from .taxonomy import Taxonomy
 
 
 @dataclass
@@ -53,10 +48,6 @@ class EmbeddingTable:
     def lookup(self, token):
         i = self.index.get(token)
         return self.vectors[i] if i is not None else self.unk_vector
-
-    def row_of(self, token):
-        """Row index for gradient scatter; -1 means the unk vector."""
-        return self.index.get(token, -1)
 
     def astype(self, dtype):
         out = EmbeddingTable(
@@ -120,24 +111,3 @@ def random_table(tokens, dim, seed, frozen=True) -> EmbeddingTable:
     return EmbeddingTable.from_pairs(dim, list(zip(tokens, vecs.astype(np.float32))),
                                      frozen=frozen)
 
-
-def embed_sequence(tokens, table: EmbeddingTable) -> np.ndarray:
-    """N x k matrix, one row per token (unk row for OOV)."""
-    if not tokens:
-        raise EmptyInputError("cannot embed an empty token sequence")
-    return np.stack([table.lookup(t) for t in tokens])
-
-
-def build_label_matrices(tax: Taxonomy, table: EmbeddingTable) -> list[np.ndarray]:
-    """One |C^i| x k matrix per level; each label row is the mean of the
-    word vectors of its tokenized label text."""
-    mats = []
-    for i in range(1, tax.depth + 1):
-        rows = []
-        for lid in tax.labels_at_level(i):
-            words = tokenize(tax.label(lid).text)
-            if not words:
-                raise EmptyLabelTextError(f"label {lid!r} has empty text")
-            rows.append(np.mean([table.lookup(w) for w in words], axis=0))
-        mats.append(np.stack(rows))
-    return mats

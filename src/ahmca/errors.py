@@ -35,6 +35,10 @@ class UnknownLabelError(TaxonomyError):
     pass
 
 
+class EmptyLabelTextError(TaxonomyError):
+    pass
+
+
 # --- corpus ---
 
 class CorpusError(AhmcaError):
@@ -86,10 +90,6 @@ class DuplicateTokenError(EmbeddingError):
 
 
 class CountMismatchError(EmbeddingError):
-    pass
-
-
-class EmptyLabelTextError(EmbeddingError):
     pass
 
 

@@ -59,25 +59,6 @@ def _affine(W, b, x):
     return W @ x + b
 
 
-def global_step(A_prev, x_h, W, b):
-    """One global-flow layer: relu(W [A_prev; x_h] + b); A_prev is None at
-    level 1, where the input is x_1 alone."""
-    inp = x_h if A_prev is None else np.concatenate([A_prev, x_h])
-    return relu(_affine(W, b, inp))
-
-
-def global_predict(A_last, x0, W, b):
-    """Final global classifier; x0 is spliced in when given (None disables)."""
-    inp = A_last if x0 is None else np.concatenate([A_last, x0])
-    return sigmoid(_affine(W, b, inp))
-
-
-def local_predict(A_g, Wt, bt, Wc, bc):
-    """Per-level local flow: relu transition then sigmoid classifier."""
-    A_l = relu(_affine(Wt, bt, A_g))
-    return sigmoid(_affine(Wc, bc, A_l))
-
-
 def fuse(local_scores, global_scores, beta):
     """Convex combination beta * concat(locals) + (1 - beta) * globals."""
     pl = np.concatenate([np.asarray(p) for p in local_scores])
@@ -103,34 +84,11 @@ def violation_penalty(global_scores, pairs, lam):
     return lam * v
 
 
-def _bce(p, y):
-    p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1 - 1e-12)
-    y = np.asarray(y)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
-
-
-def loss(pred: Prediction, targets, tax: Taxonomy, lam=0.1):
-    """BCE on the global flow + per-level BCE on the local flows + the
-    hierarchy violation penalty on the global scores."""
-    sizes = tax.level_sizes()
-    for h, (t, n) in enumerate(zip(targets, sizes), start=1):
-        if len(t) != n:
-            raise DimMismatchError(f"level {h} target length {len(t)} != {n}")
-    y_global = np.concatenate([np.asarray(t, dtype=np.float64) for t in targets])
-    total = _bce(pred.global_scores, y_global)
-    for p_l, t in zip(pred.local_scores, targets):
-        total += _bce(p_l, np.asarray(t, dtype=np.float64))
-    total += violation_penalty(pred.global_scores, child_parent_index_pairs(tax), lam)
-    return total
-
-
-# --- cached forward / backward used by training -------------------------
-
 def head_forward(xs, params, level_sizes, use_x0=True):
     """Forward through both flows from document embeddings xs = [x0..xH].
 
-    Returns (Prediction-parts dict, cache).  Scores are returned with
-    their pre-sigmoid logits so the loss can be computed stably.
+    Returns the cache: scores together with their pre-sigmoid logits, so
+    the loss can be computed stably.
     """
     H = len(level_sizes)
     A = [None]
@@ -160,7 +118,12 @@ def head_forward(xs, params, level_sizes, use_x0=True):
 
 
 def head_loss(cache, targets, pairs, lam):
-    """Loss from a head_forward cache, via logits for stability."""
+    """BCE on the global flow + per-level BCE on the local flows + the
+    hierarchy violation penalty on the global scores, from a head_forward
+    cache via logits for stability."""
+    got = [len(t) for t in targets]
+    if got != list(cache["level_sizes"]):
+        raise DimMismatchError(f"target lengths {got} != level sizes {cache['level_sizes']}")
     y_global = np.concatenate([np.asarray(t) for t in targets])
     z = cache["z_out"]
     total = float(np.mean(np.maximum(z, 0) - z * y_global + np.log1p(np.exp(-np.abs(z)))))

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import attention_backward, attention_forward, splice_level
-from .corpus import Document, tokenize
+from .corpus import Document
 from .embedding import EmbeddingTable
 from .encoder import bilstm_backward, bilstm_encode, init_lstm_params
-from .errors import EmptyTextError
+from .errors import DimMismatchError, EmptyInputError, EmptyTextError
 from .hmcn import (
     Prediction,
     fuse,
@@ -24,7 +24,7 @@ from .hmcn import (
     head_loss,
     init_head_params,
 )
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, tokenize
 
 
 class Model:
@@ -33,7 +33,8 @@ class Model:
                  attention_mode="sum_normalized", similarity="dot",
                  freeze_embeddings=True, use_x0=True,
                  seed=0, dtype=np.float32, params=None):
-        assert table.dim == k, "embedding dim must equal k"
+        if table.dim != k:
+            raise DimMismatchError(f"embedding dim {table.dim} != k {k}")
         self.tax = tax
         self.table = table.astype(dtype)
         self.k, self.g, self.d_local = k, g, d_local
@@ -56,18 +57,18 @@ class Model:
                 params["embedding.unk"] = self.table.unk_vector.copy()
         self.params = params
 
-        # token-row recipe for each label's text (mean of word rows)
-        self._label_rows = []
+        # label text in row-index form: each level's label words flattened
+        # into rows of [vectors; unk], a run of counts[i] words per label
+        self._label_text = []
         for i in range(1, tax.depth + 1):
-            level_rows = []
-            for lid in tax.labels_at_level(i):
-                words = tokenize(tax.label(lid).text)
-                level_rows.append([self.table.row_of(w) for w in words])
-            self._label_rows.append(level_rows)
+            words = [tokenize(tax.label(lid).text) for lid in tax.labels_at_level(i)]
+            counts = np.array([len(w) for w in words])
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            flat = self._rows([w for ws in words for w in ws])
+            self._label_text.append((flat, starts, counts.astype(dtype)[:, None]))
         self._static_label_mats = None
         if freeze_embeddings:
-            self._static_label_mats = self._build_label_mats(
-                self.table.vectors, self.table.unk_vector)
+            self._static_label_mats = self._build_label_mats()
 
     # --- embedding access -------------------------------------------------
 
@@ -77,24 +78,33 @@ class Model:
         return self.params["embedding.vectors"], self.params["embedding.unk"]
 
     def _rows(self, tokens):
-        return [self.table.row_of(t) for t in tokens]
+        """Rows of the extended table [vectors; unk]; out-of-vocabulary
+        words map to row V = len(table)."""
+        V = len(self.table)
+        return np.array([self.table.index.get(t, V) for t in tokens], dtype=np.intp)
 
-    def _gather(self, rows, vectors, unk):
-        return np.stack([vectors[r] if r >= 0 else unk for r in rows])
+    def _gather(self, rows):
+        vectors, unk = self._vectors()
+        known = rows < len(vectors)
+        out = np.tile(unk, (len(rows), 1))
+        out[known] = vectors[rows[known]]
+        return out
 
-    def _build_label_mats(self, vectors, unk):
-        mats = []
-        for level_rows in self._label_rows:
-            mats.append(np.stack([
-                np.mean([vectors[r] if r >= 0 else unk for r in rows], axis=0)
-                for rows in level_rows
-            ]))
-        return mats
+    def _build_label_mats(self):
+        return [np.add.reduceat(self._gather(flat), starts, axis=0) / counts
+                for flat, starts, counts in self._label_text]
 
     def label_matrices(self):
         if self._static_label_mats is not None:
             return self._static_label_mats
-        return self._build_label_mats(*self._vectors())
+        return self._build_label_mats()
+
+    def embed(self, tokens):
+        """N x k matrix of word vectors, the unk vector for out-of-vocabulary
+        words."""
+        if not tokens:
+            raise EmptyInputError("cannot embed an empty token sequence")
+        return self._gather(self._rows(tokens))
 
     # --- forward ----------------------------------------------------------
 
@@ -102,11 +112,10 @@ class Model:
         tokens = doc.tokens
         if not tokens:
             raise EmptyTextError(f"document {doc.id!r} has no tokens")
-        vectors, unk = self._vectors()
         rows = self._rows(tokens)
-        X = self._gather(rows, vectors, unk)
+        X = self._gather(rows)
         kw_rows = self._rows(doc.keywords)
-        Ke = self._gather(kw_rows, vectors, unk) if kw_rows else None
+        Ke = self._gather(kw_rows) if len(kw_rows) else None
 
         label_mats = self.label_matrices()
         contexts = [splice_level(T, Ke) for T in label_mats]
@@ -152,28 +161,20 @@ class Model:
         grads.update(lstm_grads)
 
         if not self.freeze_embeddings:
-            vectors, unk = self._vectors()
-            dvec = np.zeros_like(vectors)
-            dunk = np.zeros_like(unk)
-
-            def scatter(row, g):
-                if row >= 0:
-                    dvec[row] += g
-                else:
-                    dunk[...] += g
-
-            for row, g in zip(extra["rows"], dX):
-                scatter(row, g)
-            n_kw = len(extra["kw_rows"])
-            for li, dctx in enumerate(dcontexts):
-                n_labels = self.level_sizes[li]
-                for pos, rows in enumerate(self._label_rows[li]):
-                    share = dctx[pos] / len(rows)
-                    for r in rows:
-                        scatter(r, share)
-                if n_kw:
-                    for j, r in enumerate(extra["kw_rows"]):
-                        scatter(r, dctx[n_labels + j])
-            grads["embedding.vectors"] = dvec
-            grads["embedding.unk"] = dunk
+            # one scatter into [vectors; unk]: token rows, then per level the
+            # label-word shares and the keyword rows
+            idx, vals = [extra["rows"]], [dX]
+            for (flat, starts, counts), dctx, n in zip(self._label_text, dcontexts,
+                                                       self.level_sizes):
+                idx.append(flat)
+                vals.append(np.repeat(dctx[:n] / counts,
+                                      np.diff(starts, append=len(flat)), axis=0))
+                idx.append(extra["kw_rows"])
+                vals.append(dctx[n:])
+            vectors, _ = self._vectors()
+            V = len(vectors)
+            dext = np.zeros((V + 1, self.k), dtype=vectors.dtype)
+            np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
+            grads["embedding.vectors"] = dext[:V]
+            grads["embedding.unk"] = dext[V]
         return loss, grads

@@ -1,4 +1,4 @@
-"""Dense-matrix helpers and a central-difference gradient checker.
+"""Activations, a finiteness check and a central-difference gradient checker.
 
 Arrays are plain numpy ndarrays: float32 during training, float64 inside
 gradient checks (central differences are unreliable at single precision).
@@ -21,16 +21,6 @@ def check_finite(x, what="array"):
     return x
 
 
-def matmul(a, b):
-    a = check_finite(a, "matmul lhs")
-    b = check_finite(b, "matmul rhs")
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimMismatchError("matmul expects 2-d arrays")
-    if a.shape[1] != b.shape[0]:
-        raise DimMismatchError(f"inner dims differ: {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul result")
-
-
 def sigmoid(x):
     x = np.asarray(x)
     out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
@@ -43,17 +33,6 @@ def sigmoid(x):
 
 def relu(x):
     return np.maximum(np.asarray(x), 0)
-
-
-def activate(kind, x):
-    x = check_finite(x, "activate input")
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "relu":
-        return relu(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ValueError(f"unknown activation {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,30 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
     CycleError,
     DuplicateIdError,
+    EmptyLabelTextError,
     LevelGapError,
     LevelOutOfRangeError,
     OrphanParentError,
     UnknownLabelError,
 )
+
+_EDGE_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased whitespace tokens with punctuation stripped at token edges."""
+    out = []
+    for raw in text.lower().split():
+        tok = _EDGE_PUNCT.sub("", raw)
+        if tok:
+            out.append(tok)
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,9 @@ def load_taxonomy(source) -> Taxonomy:
     """Parse and validate a taxonomy from a JSON string or a parsed dict.
 
     Raises DuplicateIdError, OrphanParentError, CycleError or LevelGapError
-    on any structural violation; never repairs the input silently.
+    on any structural violation, and EmptyLabelTextError when a label's
+    text is not a string with at least one word; never repairs the input
+    silently.
     """
     if isinstance(source, (str, bytes)):
         obj = json.loads(source)
@@ -115,6 +131,8 @@ def load_taxonomy(source) -> Taxonomy:
             raise LevelGapError(f"malformed label record: {rec!r}")
         if parent is not None and not isinstance(parent, str):
             raise LevelGapError(f"malformed parent in record: {rec!r}")
+        if not isinstance(text, str) or not tokenize(text):
+            raise EmptyLabelTextError(f"label {lid!r} has no words in its text {text!r}")
         labels.append(Label(id=lid, text=text, level=level, parent=parent))
 
     by_id = {}

@@ -13,11 +13,13 @@ import json
 import struct
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
 from . import metrics as M
+from .attention import MODES, SIMILARITIES
 from .corpus import Corpus, Document
 from .embedding import EmbeddingTable
 from .errors import (
@@ -38,8 +40,8 @@ from .taxonomy import Taxonomy, load_taxonomy
 CHECKPOINT_MAGIC = b"AHMCAMDL"
 CHECKPOINT_VERSION = 1
 
-_MODES = ("sum_normalized", "none", "softmax")
-_SIMS = ("dot", "cosine")
+# JSON type each TrainConfig annotation accepts (bool is not an int here)
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,10 @@ class TrainConfig:
             raise ConfigRangeError("learning_rate must be positive")
         if self.early_stop_patience < 1:
             raise ConfigRangeError("early_stop_patience must be >= 1")
-        if self.attention_mode not in _MODES:
-            raise ConfigRangeError(f"attention_mode must be one of {_MODES}")
-        if self.similarity not in _SIMS:
-            raise ConfigRangeError(f"similarity must be one of {_SIMS}")
+        if self.attention_mode not in MODES:
+            raise ConfigRangeError(f"attention_mode must be one of {MODES}")
+        if self.similarity not in SIMILARITIES:
+            raise ConfigRangeError(f"similarity must be one of {SIMILARITIES}")
 
     def to_dict(self):
         d = asdict(self)
@@ -90,23 +92,15 @@ def load_config(source) -> TrainConfig:
         raise ConfigTypeError("config must be a JSON object")
     if "lambda" in obj:
         obj["lambda_"] = obj.pop("lambda")
-    known = {f.name: f.type for f in fields(TrainConfig)}
+    known = get_type_hints(TrainConfig)
     extra = set(obj) - set(known)
     if extra:
         raise UnknownConfigKeyError(f"unknown config keys: {sorted(extra)}")
     for name, val in obj.items():
-        want_bool = name in ("freeze_embeddings", "use_x0_in_global")
-        want_str = name in ("attention_mode", "similarity")
-        want_int = name in ("k", "g", "d_L", "epochs", "batch_size", "seed",
-                            "early_stop_patience")
-        if want_bool and not isinstance(val, bool):
-            raise ConfigTypeError(f"{name} must be a boolean")
-        if want_str and not isinstance(val, str):
-            raise ConfigTypeError(f"{name} must be a string")
-        if want_int and (isinstance(val, bool) or not isinstance(val, int)):
-            raise ConfigTypeError(f"{name} must be an integer")
-        if not (want_bool or want_str or want_int) and not isinstance(val, (int, float)):
-            raise ConfigTypeError(f"{name} must be a number")
+        want = known[name]
+        if (isinstance(val, bool) and want is not bool) \
+                or not isinstance(val, _JSON_TYPES[want]):
+            raise ConfigTypeError(f"{name} must be of type {want.__name__}")
     cfg = TrainConfig(**obj)
     cfg.validate()
     return cfg

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ahmca.attention import level_embedding, token_weights
+from ahmca.attention import attention_forward, token_weights
 from ahmca.corpus import SynthSpec, generate_synthetic, split
 from ahmca.hmcn import fuse
 from ahmca.metrics import macro_f1, macro_precision_recall, precision_at_k
@@ -128,7 +128,7 @@ def test_criterion_3_attention_oracle():
                 eb = np.exp(ref_b - ref_b.max())
                 nf, nb = ef / ef.sum(), eb / eb.sum()
             ref_x = np.concatenate([nf @ H_fwd, nb @ H_bwd])
-            x = level_embedding(H_fwd, H_bwd, wf, wb, mode=mode)
+            x = attention_forward(H_fwd, H_bwd, [T], mode=mode)[0][1]
             worst = max(worst, float(np.abs(x - ref_x).max()))
     assert worst <= 1e-9, f"worst oracle deviation {worst:.2e}"
     _ok(3, f"100 random instances x 3 modes, worst deviation {worst:.2e}")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from oracles import similarity_backward
 
 from ahmca.attention import (
+    _similarity_backward,
     attention_backward,
     attention_forward,
-    build_all_levels,
-    level_embedding,
     normalize_weights,
     splice_level,
     token_weights,
@@ -96,21 +96,24 @@ def test_token_weights_empty_context():
 
 
 def test_level_embedding_hand_example():
+    # raw weights [2, 3]: each token's best match against diag(2, 3)
     H = np.array([[1.0, 0.0], [0.0, 1.0]])
-    x = level_embedding(H, H, [2.0, 3.0], [2.0, 3.0], mode="sum_normalized")
+    T = np.array([[2.0, 0.0], [0.0, 3.0]])
+    x = attention_forward(H, H, [T], mode="sum_normalized")[0][1]
     assert np.allclose(x[:2], [0.4, 0.6])
 
 
 def test_level_embedding_uniform_is_mean():
     rng = np.random.default_rng(2)
     H = rng.standard_normal((5, 3))
-    x = level_embedding(H, H, np.ones(5), np.ones(5), mode="sum_normalized")
+    x = attention_forward(H, H, [np.ones((1, 3))], mode="sum_normalized")[0][0]
     assert np.allclose(x[:3], H.mean(axis=0), atol=1e-12)
 
 
 def test_level_embedding_literal_mode():
     H = np.array([[1.0, 0.0], [0.0, 1.0]])
-    x = level_embedding(H, H, [2.0, 3.0], [2.0, 3.0], mode="none")
+    T = np.array([[2.0, 0.0], [0.0, 3.0]])
+    x = attention_forward(H, H, [T], mode="none")[0][1]
     assert np.allclose(x[:2], [2.0, 3.0])
 
 
@@ -127,7 +130,7 @@ def test_build_all_levels_shapes():
     H_fwd = rng.standard_normal((6, 4))
     H_bwd = rng.standard_normal((6, 4))
     ctxs = [rng.standard_normal((3, 4)), rng.standard_normal((5, 4))]
-    xs = build_all_levels(H_fwd, H_bwd, ctxs)
+    xs, _ = attention_forward(H_fwd, H_bwd, ctxs)
     assert len(xs) == 3
     assert all(x.shape == (8,) for x in xs)
 
@@ -139,8 +142,8 @@ def test_row_permutation_invariance():
     ctx = rng.standard_normal((4, 3))
     perm = ctx[[2, 0, 3, 1]]
     for mode in ("sum_normalized", "none", "softmax"):
-        a = build_all_levels(H_fwd, H_bwd, [ctx], mode=mode)
-        b = build_all_levels(H_fwd, H_bwd, [perm], mode=mode)
+        a, _ = attention_forward(H_fwd, H_bwd, [ctx], mode=mode)
+        b, _ = attention_forward(H_fwd, H_bwd, [perm], mode=mode)
         for x, y in zip(a, b):
             assert np.allclose(x, y, atol=1e-12)
 
@@ -150,8 +153,8 @@ def test_positive_scale_invariance():
     H_fwd = np.abs(rng.standard_normal((5, 3)))
     H_bwd = np.abs(rng.standard_normal((5, 3)))
     ctx = np.abs(rng.standard_normal((4, 3)))  # positive raw weights guaranteed
-    a = build_all_levels(H_fwd, H_bwd, [ctx], mode="sum_normalized")
-    b = build_all_levels(H_fwd, H_bwd, [3.7 * ctx], mode="sum_normalized")
+    a, _ = attention_forward(H_fwd, H_bwd, [ctx], mode="sum_normalized")
+    b, _ = attention_forward(H_fwd, H_bwd, [3.7 * ctx], mode="sum_normalized")
     assert np.allclose(a[1], b[1], atol=1e-9)
 
 
@@ -162,7 +165,7 @@ def test_convex_hull_property():
     ctx = np.abs(rng.standard_normal((3, 2)))
     H_pos_f = np.abs(H_fwd)
     H_pos_b = np.abs(H_bwd)
-    xs = build_all_levels(H_pos_f, H_pos_b, [ctx], mode="sum_normalized")
+    xs, _ = attention_forward(H_pos_f, H_pos_b, [ctx], mode="sum_normalized")
     x = xs[1]
     # each coordinate of each half lies within [min, max] of hidden rows
     for half, H in ((x[:2], H_pos_f), (x[2:], H_pos_b)):
@@ -175,8 +178,8 @@ def test_x0_equals_uniform_embedding():
     H_fwd = rng.standard_normal((4, 3))
     H_bwd = rng.standard_normal((4, 3))
     ctx = rng.standard_normal((2, 3))
-    xs = build_all_levels(H_fwd, H_bwd, [ctx], mode="sum_normalized")
-    ref = level_embedding(H_fwd, H_bwd, np.ones(4), np.ones(4), mode="sum_normalized")
+    xs, _ = attention_forward(H_fwd, H_bwd, [ctx], mode="sum_normalized")
+    ref = brute_force_embedding(H_fwd, H_bwd, np.ones(4), np.ones(4), "sum_normalized")
     assert np.allclose(xs[0], ref, atol=1e-12)
 
 
@@ -194,7 +197,7 @@ def test_oracle_equivalence(mode, similarity):
         wf = token_weights(H_fwd, ctx, similarity)
         wb = token_weights(H_bwd, ctx, similarity)
         assert np.allclose(wf, brute_force_weights(H_fwd, ctx, similarity), atol=1e-9)
-        x = level_embedding(H_fwd, H_bwd, wf, wb, mode=mode)
+        x = attention_forward(H_fwd, H_bwd, [ctx], mode=mode, similarity=similarity)[0][1]
         ref = brute_force_embedding(H_fwd, H_bwd, wf, wb, mode)
         assert np.allclose(x, ref, atol=1e-9)
 
@@ -229,3 +232,24 @@ def test_attention_gradients(mode):
             arr[idx] = orig
             num = (lp - lm) / (2 * h)
             assert abs(num - grad[idx]) <= 1e-4 * max(1.0, abs(num)), (idx, num, grad[idx])
+
+
+@pytest.mark.parametrize("similarity", ["dot", "cosine"])
+def test_similarity_backward_matches_token_loop(similarity):
+    # 9 tokens over 3 rows: winners repeat, so rows accumulate several tokens
+    rng = np.random.default_rng(10)
+    H = rng.standard_normal((9, 4)).astype(np.float32)
+    ctx = rng.standard_normal((3, 4)).astype(np.float32)
+    _, arg = token_weights(H, ctx, similarity, with_argmax=True)
+    da = rng.standard_normal(9).astype(np.float32)
+    da[[1, 5]] = 0.0
+    dH, dctx = np.zeros_like(H), np.zeros_like(ctx)
+    _similarity_backward(da, H, ctx, arg, similarity, dH, dctx)
+    ref_dH, ref_dctx = similarity_backward(da, H, ctx, arg, similarity)
+    assert len(set(arg.tolist())) < len(arg)
+    if similarity == "dot":      # same float32 operations in the same order
+        assert np.array_equal(dH, ref_dH)
+        assert np.array_equal(dctx, ref_dctx)
+    else:                        # dot products summed in another order
+        assert np.allclose(dH, ref_dH, rtol=1e-5, atol=1e-6)
+        assert np.allclose(dctx, ref_dctx, rtol=1e-5, atol=1e-6)

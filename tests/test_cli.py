@@ -123,17 +123,22 @@ def test_bad_config_exit_2(workspace, tmp_path, capsys):
 
 def test_bad_taxonomy_exit_3(workspace, tmp_path, capsys):
     tax = tmp_path / "tax.json"
-    tax.write_text(json.dumps({"labels": [
-        {"id": "X", "text": "x", "level": 1, "parent": None},
+    for second in (
         {"id": "Y", "text": "y", "level": 2, "parent": "MISSING"},
-    ]}))
-    rc = main(["train", "--config", str(workspace / "config.json"),
-               "--train", str(workspace / "train.jsonl"),
-               "--val", str(workspace / "val.jsonl"),
-               "--taxonomy", str(tax),
-               "--out", str(tmp_path / "m.bin"),
-               "--history", str(tmp_path / "h.csv")])
-    assert rc == 3
+        {"id": "Y", "text": "!!!", "level": 2, "parent": "X"},
+        {"id": "Y", "text": 123, "level": 2, "parent": "X"},
+    ):
+        tax.write_text(json.dumps({"labels": [
+            {"id": "X", "text": "x", "level": 1, "parent": None},
+            second,
+        ]}))
+        rc = main(["train", "--config", str(workspace / "config.json"),
+                   "--train", str(workspace / "train.jsonl"),
+                   "--val", str(workspace / "val.jsonl"),
+                   "--taxonomy", str(tax),
+                   "--out", str(tmp_path / "m.bin"),
+                   "--history", str(tmp_path / "h.csv")])
+        assert rc == 3, second
 
 
 def test_mismatched_data_exit_3(workspace, tmp_path, capsys):

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from ahmca.embedding import (
-    build_label_matrices,
-    embed_sequence,
     load_embeddings,
     random_table,
     save_embeddings,
@@ -11,11 +9,13 @@ from ahmca.embedding import (
 )
 from ahmca.errors import (
     CountMismatchError,
+    DimMismatchError,
     DuplicateTokenError,
     EmptyInputError,
     MalformedHeaderError,
     RowArityError,
 )
+from ahmca.model import Model
 from ahmca.taxonomy import load_taxonomy
 
 W2V = """3 4
@@ -66,23 +66,32 @@ def test_row_permutation_irrelevant():
         assert np.allclose(a.lookup(tok), b.lookup(tok))
 
 
-def test_embed_sequence():
+def _model(tax, table, **kw):
+    return Model(tax, table, k=table.dim, g=2, d_local=2, **kw)
+
+
+def test_embed_sequence(two_level_tax):
     t = load_embeddings(W2V)
-    m = embed_sequence(["cat", "dog"], t)
+    m = _model(two_level_tax, t).embed(["cat", "dog"])
     assert m.shape == (2, 4)
     assert np.array_equal(m[0], [1, 0, 0, 0])
 
 
-def test_embed_sequence_oov_total():
+def test_embed_sequence_oov_total(two_level_tax):
     t = load_embeddings(W2V)
-    m = embed_sequence(["qqq", "cat", "zzz"], t)
+    m = _model(two_level_tax, t, freeze_embeddings=False).embed(["qqq", "cat", "zzz"])
     assert np.array_equal(m[0], t.unk_vector)
     assert np.array_equal(m[2], t.unk_vector)
 
 
-def test_embed_sequence_empty():
+def test_embed_sequence_empty(two_level_tax):
     with pytest.raises(EmptyInputError):
-        embed_sequence([], load_embeddings(W2V))
+        _model(two_level_tax, load_embeddings(W2V)).embed([])
+
+
+def test_model_embedding_dim_mismatch(two_level_tax):
+    with pytest.raises(DimMismatchError):
+        Model(two_level_tax, load_embeddings(W2V), k=3, g=2, d_local=2)
 
 
 def test_save_roundtrip():
@@ -100,14 +109,14 @@ def test_label_matrices_mean():
         ("machine", np.array([1.0, 0.0])),
         ("learning", np.array([0.0, 1.0])),
     ])
-    (T1,) = build_label_matrices(tax, table)
+    (T1,) = _model(tax, table).label_matrices()
     assert np.allclose(T1[0], [0.5, 0.5])     # multi-word mean
     assert np.allclose(T1[1], [0.0, 1.0])     # single word used directly
 
 
 def test_label_matrices_level_order(two_level_tax):
     table = random_table(["alpha", "beta", "topic", "one", "two"], 3, seed=0)
-    mats = build_label_matrices(two_level_tax, table)
+    mats = _model(two_level_tax, table).label_matrices()
     assert mats[0].shape == (2, 3)
     assert mats[1].shape == (3, 3)
     expect = np.mean([table.lookup("alpha"), table.lookup("one")], axis=0)

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
+from oracles import global_predict, global_step, local_predict, loss
 
+from ahmca.corpus import make_document
+from ahmca.embedding import random_table
 from ahmca.errors import DimMismatchError
 from ahmca.hmcn import (
     Prediction,
     child_parent_index_pairs,
     fuse,
-    global_predict,
-    global_step,
     head_backward,
     head_forward,
     head_loss,
     init_head_params,
-    local_predict,
-    loss,
     violation_penalty,
 )
+from ahmca.model import Model
 from ahmca.numerics import grad_check
 
 
@@ -96,10 +96,12 @@ def test_loss_at_half_scores(two_level_tax):
 
 
 def test_loss_target_length_mismatch(two_level_tax):
-    pred = Prediction(np.full(5, 0.5), [np.full(2, 0.5), np.full(3, 0.5)],
-                      np.full(5, 0.5))
+    table = random_table(["alpha", "beta", "topic", "one", "two"], 3, seed=0)
+    model = Model(two_level_tax, table, k=3, g=4, d_local=4)
+    doc = make_document({"id": "d", "title": "alpha one", "labels": ["A1"]},
+                        two_level_tax)
     with pytest.raises(DimMismatchError):
-        loss(pred, [np.zeros(3), np.zeros(3)], two_level_tax)
+        model.loss_and_grads(doc, [np.zeros(3), np.zeros(3)])
 
 
 def _head_setup(seed=0, use_x0=True):

@@ -4,53 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ahmca.errors import DimMismatchError, NonFiniteError
-from ahmca.numerics import activate, grad_check, matmul, sigmoid
+from ahmca.errors import NonFiniteError
+from ahmca.numerics import check_finite, grad_check, sigmoid
 
 
-def test_matmul_basic():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    assert np.array_equal(matmul(a, b), [[3.0], [7.0]])
-
-
-def test_matmul_identity():
-    x = np.random.default_rng(0).standard_normal((3, 4))
-    assert np.allclose(matmul(np.eye(3), x), x)
-
-
-def test_matmul_dim_mismatch():
-    a = np.zeros((2, 3))
-    with pytest.raises(DimMismatchError):
-        matmul(a, a)
-
-
-def test_matmul_rejects_nan():
-    a = np.array([[np.nan, 0.0]])
+def test_check_finite_rejects_nan():
     with pytest.raises(NonFiniteError):
-        matmul(a, np.zeros((2, 1)))
-
-
-def test_activations():
-    z = np.array([[0.0]])
-    assert activate("sigmoid", z)[0, 0] == 0.5
-    assert activate("relu", np.array([[-2.0]]))[0, 0] == 0.0
-    assert activate("tanh", z)[0, 0] == 0.0
+        check_finite(np.array([[np.nan, 0.0]]))
+    with pytest.raises(NonFiniteError):
+        check_finite(np.array([np.inf]))
+    x = np.array([1.0, -2.0])
+    assert check_finite(x) is x
 
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, (2, 3), elements=st.floats(-30, 30)))
 def test_sigmoid_symmetry(x):
-    s = activate("sigmoid", x) + activate("sigmoid", -x)
+    s = sigmoid(x) + sigmoid(-x)
     assert np.allclose(s, 1.0, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_matmul_associativity(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (rng.standard_normal((3, 3)) for _ in range(3))
-    assert np.allclose(matmul(matmul(a, b), c), matmul(a, matmul(b, c)), atol=1e-9)
 
 
 def test_grad_check_square():

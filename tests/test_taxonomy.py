@@ -114,7 +114,8 @@ def _valid_labels():
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["dup", "orphan", "gap", "cycle", "self"]),
+@given(kind=st.sampled_from(["dup", "orphan", "gap", "cycle", "self",
+                             "punct_text", "int_text"]),
        pos=st.integers(min_value=0, max_value=4))
 def test_random_corruptions_rejected(kind, pos):
     labels = _valid_labels()
@@ -133,5 +134,9 @@ def test_random_corruptions_rejected(kind, pos):
     elif kind == "self":
         victim["parent"] = victim["id"]
         victim["level"] = max(victim["level"], 2)
+    elif kind == "punct_text":
+        victim["text"] = "!!!"
+    elif kind == "int_text":
+        victim["text"] = 123
     with pytest.raises(TaxonomyError):
         load_taxonomy({"labels": labels})

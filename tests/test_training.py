@@ -78,6 +78,10 @@ def test_config_type_errors():
         load_config('{"freeze_embeddings": 1}')
     with pytest.raises(ConfigTypeError):
         load_config('[1, 2]')
+    with pytest.raises(ConfigTypeError):
+        load_config('{"beta": true}')
+    with pytest.raises(ConfigTypeError):
+        load_config('{"learning_rate": true}')
 
 
 def test_config_roundtrip_dict():
