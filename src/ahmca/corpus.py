@@ -8,7 +8,7 @@ always derived by ancestor closure against the bound taxonomy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,9 @@ def _field_tokens(rec, key):
     raise MalformedRecordError(f"field {key!r} must be a string or token list: {val!r}")
 
 
-def make_document(rec: dict, tax: Taxonomy) -> Document:
-    if not isinstance(rec, dict) or "id" not in rec or "labels" not in rec:
-        raise MalformedRecordError(f"record missing id/labels: {rec!r}")
-    if not isinstance(rec["labels"], list) or not rec["labels"]:
-        raise MalformedRecordError(f"record {rec.get('id')!r} has no labels")
+def _document(rec, leaves, level_labels) -> Document:
+    """Document from a record's text fields, the one parser for labelled and
+    unlabelled records."""
     title = _field_tokens(rec, "title")
     abstract = _field_tokens(rec, "abstract")
     kw_field = rec.get("keywords", [])
@@ -82,49 +80,42 @@ def make_document(rec: dict, tax: Taxonomy) -> Document:
         if not isinstance(kw, str):
             raise MalformedRecordError(f"keyword must be a string: {kw!r}")
         keywords.extend(tokenize(kw))
+    doc_id = rec.get("id", "")
+    if not (title or abstract or keywords):
+        raise EmptyTextError(f"record {doc_id!r} has no text")
+    return Document(
+        id=str(doc_id),
+        title_tokens=tuple(title),
+        abstract_tokens=tuple(abstract),
+        keywords=tuple(keywords),
+        leaf_labels=tuple(leaves),
+        level_labels=level_labels,
+    )
 
+
+def make_document(rec: dict, tax: Taxonomy) -> Document:
+    if not isinstance(rec, dict) or "id" not in rec or "labels" not in rec:
+        raise MalformedRecordError(f"record missing id/labels: {rec!r}")
+    labels = rec["labels"]
+    if not isinstance(labels, list) or not labels \
+            or not all(isinstance(lab, str) for lab in labels):
+        raise MalformedRecordError(f"record {rec.get('id')!r} needs a non-empty list of "
+                                   f"label ids: {labels!r}")
     leaves = []
-    for lab in rec["labels"]:
+    for lab in labels:
         info = tax.label(lab)  # raises UnknownLabelError
         if info.level != tax.depth:
             raise UnknownLabelError(f"label {lab!r} is not a leaf (level {info.level})")
         if lab not in leaves:
             leaves.append(lab)
-
-    if not (title or abstract or keywords):
-        raise EmptyTextError(f"record {rec['id']!r} has no text")
-
-    return Document(
-        id=str(rec["id"]),
-        title_tokens=tuple(title),
-        abstract_tokens=tuple(abstract),
-        keywords=tuple(keywords),
-        leaf_labels=tuple(leaves),
-        level_labels=_level_closure(leaves, tax),
-    )
+    return _document(rec, leaves, _level_closure(leaves, tax))
 
 
 def make_unlabeled_document(rec: dict, tax: Taxonomy) -> Document:
     """Document for prediction: labels are ignored and may be absent."""
-    rec = dict(rec)
-    rec.setdefault("id", "")
-    title = _field_tokens(rec, "title")
-    abstract = _field_tokens(rec, "abstract")
-    keywords = []
-    for kw in rec.get("keywords", []):
-        if not isinstance(kw, str):
-            raise MalformedRecordError(f"keyword must be a string: {kw!r}")
-        keywords.extend(tokenize(kw))
-    if not (title or abstract or keywords):
-        raise EmptyTextError(f"record {rec['id']!r} has no text")
-    return Document(
-        id=str(rec["id"]),
-        title_tokens=tuple(title),
-        abstract_tokens=tuple(abstract),
-        keywords=tuple(keywords),
-        leaf_labels=(),
-        level_labels=tuple(frozenset() for _ in range(tax.depth)),
-    )
+    if not isinstance(rec, dict):
+        raise MalformedRecordError(f"record must be a JSON object: {rec!r}")
+    return _document(rec, (), tuple(frozenset() for _ in range(tax.depth)))
 
 
 def load_corpus(source: str, tax: Taxonomy) -> Corpus:

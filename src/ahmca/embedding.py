@@ -25,17 +25,16 @@ class EmbeddingTable:
     tokens: tuple[str, ...]           # stable row order
     vectors: np.ndarray               # (V, dim)
     unk_vector: np.ndarray            # (dim,)
-    frozen: bool = True
     index: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def from_pairs(cls, dim, pairs, unk=None, frozen=True):
+    def from_pairs(cls, dim, pairs, unk=None):
         tokens = tuple(t for t, _ in pairs)
         vectors = np.asarray([v for _, v in pairs], dtype=np.float32).reshape(len(pairs), dim)
         if unk is None:
             unk = vectors.mean(axis=0) if len(pairs) else np.zeros(dim, dtype=np.float32)
         table = cls(dim=dim, tokens=tokens, vectors=vectors,
-                    unk_vector=np.asarray(unk, dtype=np.float32), frozen=frozen)
+                    unk_vector=np.asarray(unk, dtype=np.float32))
         table.index = {t: i for i, t in enumerate(tokens)}
         return table
 
@@ -48,16 +47,6 @@ class EmbeddingTable:
     def lookup(self, token):
         i = self.index.get(token)
         return self.vectors[i] if i is not None else self.unk_vector
-
-    def astype(self, dtype):
-        out = EmbeddingTable(
-            dim=self.dim, tokens=self.tokens,
-            vectors=self.vectors.astype(dtype),
-            unk_vector=self.unk_vector.astype(dtype),
-            frozen=self.frozen,
-        )
-        out.index = self.index
-        return out
 
 
 def load_embeddings(source: str) -> EmbeddingTable:
@@ -103,11 +92,10 @@ def save_embeddings(table: EmbeddingTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_table(tokens, dim, seed, frozen=True) -> EmbeddingTable:
+def random_table(tokens, dim, seed) -> EmbeddingTable:
     """Seeded random unit-vector table (synthetic / no-pretrained-file mode)."""
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((len(tokens), dim))
     vecs /= np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-    return EmbeddingTable.from_pairs(dim, list(zip(tokens, vecs.astype(np.float32))),
-                                     frozen=frozen)
+    return EmbeddingTable.from_pairs(dim, list(zip(tokens, vecs.astype(np.float32))))
 

@@ -29,27 +29,32 @@ class Prediction:
     fused_scores: np.ndarray
 
 
+def head_param_shapes(k, g, d_local, level_sizes, use_x0=True):
+    """Name -> shape of every head parameter, in initialisation order."""
+    total = sum(level_sizes)
+    shapes = {}
+    for h in range(1, len(level_sizes) + 1):
+        shapes[f"global.W{h}"] = (g, 2 * k if h == 1 else g + 2 * k)
+        shapes[f"global.b{h}"] = (g,)
+    shapes["global.Wout"] = (total, g + (2 * k if use_x0 else 0))
+    shapes["global.bout"] = (total,)
+    for h, n in enumerate(level_sizes, start=1):
+        shapes[f"local.Wt{h}"] = (d_local, g)
+        shapes[f"local.bt{h}"] = (d_local,)
+        shapes[f"local.Wc{h}"] = (n, d_local)
+        shapes[f"local.bc{h}"] = (n,)
+    return shapes
+
+
 def init_head_params(k, g, d_local, level_sizes, rng, use_x0=True, dtype=np.float32):
     """Fan-in-scaled uniform weights, zero biases."""
-    def mat(out_dim, in_dim):
-        s = 1.0 / np.sqrt(in_dim)
-        return rng.uniform(-s, s, (out_dim, in_dim)).astype(dtype)
-
-    H = len(level_sizes)
-    total = sum(level_sizes)
     params = {}
-    for h in range(1, H + 1):
-        in_dim = 2 * k if h == 1 else g + 2 * k
-        params[f"global.W{h}"] = mat(g, in_dim)
-        params[f"global.b{h}"] = np.zeros(g, dtype=dtype)
-    out_in = g + (2 * k if use_x0 else 0)
-    params["global.Wout"] = mat(total, out_in)
-    params["global.bout"] = np.zeros(total, dtype=dtype)
-    for h in range(1, H + 1):
-        params[f"local.Wt{h}"] = mat(d_local, g)
-        params[f"local.bt{h}"] = np.zeros(d_local, dtype=dtype)
-        params[f"local.Wc{h}"] = mat(level_sizes[h - 1], d_local)
-        params[f"local.bc{h}"] = np.zeros(level_sizes[h - 1], dtype=dtype)
+    for name, shape in head_param_shapes(k, g, d_local, level_sizes, use_x0).items():
+        if len(shape) == 2:
+            s = 1.0 / np.sqrt(shape[1])
+            params[name] = rng.uniform(-s, s, shape).astype(dtype)
+        else:
+            params[name] = np.zeros(shape, dtype=dtype)
     return params
 
 

@@ -1,9 +1,9 @@
 """Full pipeline: embeddings -> BiLSTM -> level attention -> global/local
 head, with reverse-mode gradients for every trainable parameter group.
 
-One Model instance owns the taxonomy binding, the embedding table and the
-parameter dict; forward and backward run per document (variable-length
-sequences, no padding).
+One Model instance owns the taxonomy binding, the embedding vocabulary and
+the parameter dict, which always holds the embedding vectors; forward and
+backward run per document (variable-length sequences, no padding).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .attention import attention_backward, attention_forward, splice_level
 from .corpus import Document
 from .embedding import EmbeddingTable
-from .encoder import bilstm_backward, bilstm_encode, init_lstm_params
+from .encoder import bilstm_backward, bilstm_encode, init_lstm_params, lstm_param_shapes
 from .errors import DimMismatchError, EmptyInputError, EmptyTextError
 from .hmcn import (
     Prediction,
@@ -22,9 +22,17 @@ from .hmcn import (
     head_backward,
     head_forward,
     head_loss,
+    head_param_shapes,
     init_head_params,
 )
 from .taxonomy import Taxonomy, tokenize
+
+
+def param_shapes(level_sizes, vocab_size, k, g, d_local, use_x0=True):
+    """Name -> shape of every entry of Model.params."""
+    return {**lstm_param_shapes(k),
+            **head_param_shapes(k, g, d_local, level_sizes, use_x0),
+            "embedding.vectors": (vocab_size, k), "embedding.unk": (k,)}
 
 
 class Model:
@@ -36,7 +44,7 @@ class Model:
         if table.dim != k:
             raise DimMismatchError(f"embedding dim {table.dim} != k {k}")
         self.tax = tax
-        self.table = table.astype(dtype)
+        self.table = table
         self.k, self.g, self.d_local = k, g, d_local
         self.beta, self.lam = beta, lam
         self.attention_mode = attention_mode
@@ -52,9 +60,8 @@ class Model:
             params = init_lstm_params(k, rng, dtype)
             params.update(init_head_params(k, g, d_local, self.level_sizes, rng,
                                            use_x0=use_x0, dtype=dtype))
-            if not freeze_embeddings:
-                params["embedding.vectors"] = self.table.vectors.copy()
-                params["embedding.unk"] = self.table.unk_vector.copy()
+            params["embedding.vectors"] = table.vectors.astype(dtype)
+            params["embedding.unk"] = table.unk_vector.astype(dtype)
         self.params = params
 
         # label text in row-index form: each level's label words flattened
@@ -72,11 +79,6 @@ class Model:
 
     # --- embedding access -------------------------------------------------
 
-    def _vectors(self):
-        if self.freeze_embeddings:
-            return self.table.vectors, self.table.unk_vector
-        return self.params["embedding.vectors"], self.params["embedding.unk"]
-
     def _rows(self, tokens):
         """Rows of the extended table [vectors; unk]; out-of-vocabulary
         words map to row V = len(table)."""
@@ -84,9 +86,9 @@ class Model:
         return np.array([self.table.index.get(t, V) for t in tokens], dtype=np.intp)
 
     def _gather(self, rows):
-        vectors, unk = self._vectors()
+        vectors = self.params["embedding.vectors"]
         known = rows < len(vectors)
-        out = np.tile(unk, (len(rows), 1))
+        out = np.tile(self.params["embedding.unk"], (len(rows), 1))
         out[known] = vectors[rows[known]]
         return out
 
@@ -171,9 +173,8 @@ class Model:
                                       np.diff(starts, append=len(flat)), axis=0))
                 idx.append(extra["kw_rows"])
                 vals.append(dctx[n:])
-            vectors, _ = self._vectors()
-            V = len(vectors)
-            dext = np.zeros((V + 1, self.k), dtype=vectors.dtype)
+            V = len(self.table)
+            dext = np.zeros((V + 1, self.k), dtype=self.params["embedding.vectors"].dtype)
             np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
             grads["embedding.vectors"] = dext[:V]
             grads["embedding.unk"] = dext[V]

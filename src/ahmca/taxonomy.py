@@ -51,6 +51,8 @@ class Taxonomy:
     by_id: dict = field(repr=False)
     levels: tuple = field(repr=False)   # tuple of tuples of label ids, levels[0] = level 1
     level_index: dict = field(repr=False)  # label id -> position within its level
+    order: tuple = field(repr=False)    # label ids, levels 1..H concatenated
+    position: dict = field(repr=False)  # label id -> index in order
 
     @property
     def depth(self) -> int:
@@ -89,9 +91,8 @@ class Taxonomy:
 
     def global_index(self, label_id: str) -> int:
         """Position of a label in the level-1..H concatenated ordering."""
-        lab = self.label(label_id)
-        offset = sum(len(self.levels[i]) for i in range(lab.level - 1))
-        return offset + self.level_index[label_id]
+        self.label(label_id)
+        return self.position[label_id]
 
     def serialize(self) -> str:
         recs = [
@@ -176,14 +177,13 @@ def load_taxonomy(source) -> Taxonomy:
             raise LevelGapError(f"no labels at level {i} but deeper levels exist")
         levels.append(tuple(ids))
 
-    level_index = {}
-    for ids in levels:
-        for pos, lid in enumerate(ids):
-            level_index[lid] = pos
-
+    level_index = {lid: pos for ids in levels for pos, lid in enumerate(ids)}
+    order = tuple(lid for ids in levels for lid in ids)
     return Taxonomy(
         labels=tuple(labels),
         by_id=by_id,
         levels=tuple(levels),
         level_index=level_index,
+        order=order,
+        position={lid: i for i, lid in enumerate(order)},
     )

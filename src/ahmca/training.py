@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import time
 import warnings
@@ -34,11 +35,14 @@ from .errors import (
     VersionMismatchError,
 )
 from .metrics import MetricsReport
-from .model import Model
+from .model import Model, param_shapes
 from .taxonomy import Taxonomy, load_taxonomy
 
 CHECKPOINT_MAGIC = b"AHMCAMDL"
 CHECKPOINT_VERSION = 1
+# the metadata object's keys and the JSON type of each value
+_META_TYPES = {"config": dict, "taxonomy": str, "taxonomy_hash": str,
+               "label_order": list, "embedding_tokens": list, "arrays": list}
 
 # JSON type each TrainConfig annotation accepts (bool is not an int here)
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
@@ -121,14 +125,19 @@ class Checkpoint:
         if tax.content_hash() != self.taxonomy_hash:
             raise TaxonomyMismatchError("embedded taxonomy does not match its hash")
         cfg = self.config
+        want = param_shapes(tax.level_sizes(), len(self.embedding_tokens),
+                            cfg.k, cfg.g, cfg.d_L, cfg.use_x0_in_global)
+        got = {name: arr.shape for name, arr in self.arrays.items()}
+        bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+        if bad:
+            raise CorruptPayloadError(f"arrays missing, unexpected or misshapen for "
+                                      f"this config and taxonomy: {bad}")
         table = EmbeddingTable.from_pairs(
             cfg.k,
             list(zip(self.embedding_tokens, self.arrays["embedding.vectors"])),
             unk=self.arrays["embedding.unk"],
-            frozen=cfg.freeze_embeddings,
         )
-        params = {k: v.copy() for k, v in self.arrays.items()
-                  if not k.startswith("embedding.") or not cfg.freeze_embeddings}
+        params = {k: v.copy() for k, v in self.arrays.items()}
         model = Model(tax, table, k=cfg.k, g=cfg.g, d_local=cfg.d_L,
                       beta=cfg.beta, lam=cfg.lambda_,
                       attention_mode=cfg.attention_mode, similarity=cfg.similarity,
@@ -181,16 +190,28 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         meta = json.loads(data[20:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptPayloadError(f"bad metadata: {e}") from None
+    if not isinstance(meta, dict) \
+            or any(not isinstance(meta.get(k), t) for k, t in _META_TYPES.items()):
+        raise CorruptPayloadError("metadata must be an object with " + ", ".join(
+            f"{k} ({t.__name__})" for k, t in _META_TYPES.items()))
+    # the manifest lists the arrays back to back: they fill the payload exactly
     arrays = {}
     payload = data[meta_end:]
+    offset = 0
     for ent in meta["arrays"]:
-        n = int(np.prod(ent["shape"])) if ent["shape"] else 1
-        start = ent["offset"]
-        end = start + 4 * n
+        if not isinstance(ent, dict) or not isinstance(ent.get("name"), str) \
+                or ent["name"] in arrays or not isinstance(ent.get("shape"), list) \
+                or not all(type(n) is int and n >= 0 for n in ent["shape"]) \
+                or type(ent.get("offset")) is not int or ent["offset"] != offset:
+            raise CorruptPayloadError(f"bad manifest entry at offset {offset}: {ent!r}")
+        end = offset + 4 * math.prod(ent["shape"])
         if end > len(payload):
             raise CorruptPayloadError(f"array {ent['name']} truncated")
         arrays[ent["name"]] = np.frombuffer(
-            payload[start:end], dtype="<f4").reshape(ent["shape"]).copy()
+            payload[offset:end], dtype="<f4").reshape(ent["shape"]).copy()
+        offset = end
+    if offset != len(payload):
+        raise CorruptPayloadError(f"{len(payload) - offset} bytes after the last array")
     cfg = load_config(meta["config"])
     return Checkpoint(
         version=version, config=cfg,
@@ -203,14 +224,10 @@ def load_checkpoint(data: bytes) -> Checkpoint:
 
 def _checkpoint_from_model(model: Model, cfg: TrainConfig, tax: Taxonomy) -> Checkpoint:
     arrays = {k: np.asarray(v, dtype=np.float32) for k, v in model.params.items()}
-    if cfg.freeze_embeddings:
-        arrays["embedding.vectors"] = model.table.vectors.astype(np.float32)
-        arrays["embedding.unk"] = model.table.unk_vector.astype(np.float32)
-    order = [lid for i in range(1, tax.depth + 1) for lid in tax.labels_at_level(i)]
     return Checkpoint(
         version=CHECKPOINT_VERSION, config=cfg,
         taxonomy_json=tax.serialize(), taxonomy_hash=tax.content_hash(),
-        label_order=tuple(order),
+        label_order=tax.order,
         embedding_tokens=model.table.tokens,
         arrays=arrays,
     )
@@ -261,7 +278,7 @@ class Adam:
         self.t += 1
         b1t = 1 - self.b1 ** self.t
         b2t = 1 - self.b2 ** self.t
-        for name in params:
+        for name in grads:
             g = grads[name].astype(params[name].dtype, copy=False)
             self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
             self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
@@ -272,30 +289,21 @@ class Adam:
 
 # --- evaluation / prediction -------------------------------------------
 
-def _leaf_slice(model):
-    start = sum(model.level_sizes[:-1])
-    return start, start + model.level_sizes[-1]
-
-
 def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
                    threshold=0.5) -> MetricsReport:
     tax = model.tax
     if data.taxonomy_hash != tax.content_hash():
         raise TaxonomyMismatchError("corpus bound to a different taxonomy")
     leaf_classes = tax.labels_at_level(tax.depth)
-    all_order = [lid for i in range(1, tax.depth + 1)
-                 for lid in tax.labels_at_level(i)]
-    lo, hi = _leaf_slice(model)
 
     leaf_scores, leaf_truth, top1_sets, thresh_sets = [], [], [], []
     for doc in data:
-        pred = model.predict_scores(doc)
-        scores = pred.fused_scores[lo:hi]
-        leaf_scores.append(scores)
+        out = predict(model, doc, top_n=1, threshold=threshold,
+                      enforce_consistency=False)
+        leaf_scores.append(out["fused_scores"][-len(leaf_classes):])
         leaf_truth.append(set(doc.leaf_labels))
-        top1_sets.append({leaf_classes[int(np.argsort(-scores, kind='stable')[0])]})
-        thresh_sets.append({all_order[j]
-                            for j in np.nonzero(pred.fused_scores >= threshold)[0]})
+        top1_sets.append({out["top_leaves"][0][0]})
+        thresh_sets.append({lid for level in out["level_sets"] for lid in level})
 
     p_at_k = {}
     n_leaves = len(leaf_classes)
@@ -324,23 +332,18 @@ def predict(model: Model, doc: Document, top_n=5, threshold=0.5,
         raise EmptyTextError("cannot predict on an empty document")
     tax = model.tax
     pred = model.predict_scores(doc)
-    lo, hi = _leaf_slice(model)
     leaf_classes = tax.labels_at_level(tax.depth)
-    scores = pred.fused_scores[lo:hi]
+    scores = pred.fused_scores[-len(leaf_classes):]   # leaves come last
     order = np.argsort(-scores, kind="stable")[:top_n]
     top = [(leaf_classes[int(i)], float(scores[int(i)])) for i in order]
 
-    all_order = [lid for i in range(1, tax.depth + 1)
-                 for lid in tax.labels_at_level(i)]
-    picked = {all_order[j] for j in np.nonzero(pred.fused_scores >= threshold)[0]}
+    picked = [tax.order[j] for j in np.nonzero(pred.fused_scores >= threshold)[0]]
     if enforce_consistency:
         kept = set()
-        for i in range(1, tax.depth + 1):
-            for lid in tax.labels_at_level(i):
-                if lid in picked:
-                    parent = tax.label(lid).parent
-                    if parent is None or parent in kept:
-                        kept.add(lid)
+        for lid in picked:      # class order puts every parent before its children
+            parent = tax.label(lid).parent
+            if parent is None or parent in kept:
+                kept.add(lid)
         picked = kept
     per_level = [sorted(l for l in picked if tax.label(l).level == i)
                  for i in range(1, tax.depth + 1)]

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from checkpoint_cases import BUILD_CASES, LOAD_CASES
 
 from ahmca.cli import main
 
@@ -103,10 +104,18 @@ def test_missing_file_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_bad_checkpoint_exit_2(tmp_path, capsys):
+def test_bad_checkpoint_exit_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"garbage garbage garbage")
     assert main(["inspect", "--model", str(bad)]) == 2
+    good = (workspace / "model.bin").read_bytes()
+    for case, corrupt in LOAD_CASES.items():
+        bad.write_bytes(corrupt(good))
+        assert main(["inspect", "--model", str(bad)]) == 2, case
+    for case, corrupt in BUILD_CASES.items():
+        bad.write_bytes(corrupt(good))
+        rc = main(["eval", "--model", str(bad), "--data", str(workspace / "val.jsonl")])
+        assert rc == 2, case
 
 
 def test_bad_config_exit_2(workspace, tmp_path, capsys):
@@ -148,3 +157,11 @@ def test_mismatched_data_exit_3(workspace, tmp_path, capsys):
     rc = main(["eval", "--model", str(workspace / "model.bin"),
                "--data", str(bad)])
     assert rc == 3
+
+
+def test_malformed_query_exit_3(workspace, tmp_path, capsys):
+    q = tmp_path / "query.jsonl"
+    for rec in ({"title": "x", "keywords": 5}, [1, 2], {"title": "x", "keywords": "ab cd"}):
+        q.write_text(json.dumps(rec) + "\n")
+        rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
+        assert rc == 3, rec

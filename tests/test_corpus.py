@@ -57,8 +57,9 @@ def test_non_leaf_label_rejected(two_level_tax):
 
 
 def test_malformed_record(two_level_tax):
-    with pytest.raises(MalformedRecordError):
-        load_corpus('{"id": "x"}', two_level_tax)
+    for line in ('{"id": "x"}', '{"id": "x", "title": "t", "labels": [["A1"]]}'):
+        with pytest.raises(MalformedRecordError):
+            load_corpus(line, two_level_tax)
 
 
 def test_empty_text(two_level_tax):

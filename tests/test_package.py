@@ -1,6 +1,7 @@
-"""The public surface: every exported name resolves, and a demo that uses
-the package API runs to completion."""
+"""The public surface: every exported name resolves, a demo that uses the
+package API runs to completion, and no module imports a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +25,24 @@ def test_exports_and_attention_demo():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "level embeddings x^0..x^2" in proc.stdout
+
+
+def test_no_unused_module_imports():
+    """Every module-level import in src/ahmca/*.py is used in its module.
+    __future__ imports and the __init__.py re-exports are exempt."""
+    unused = []
+    for path in sorted(Path(ahmca.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"unused imports: {unused}"

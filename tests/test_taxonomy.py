@@ -107,6 +107,7 @@ def test_global_index_ordering(two_level_tax):
     t = two_level_tax
     order = [lid for i in (1, 2) for lid in t.labels_at_level(i)]
     assert [t.global_index(lid) for lid in order] == list(range(5))
+    assert t.order == tuple(order) and t.position == {lid: i for i, lid in enumerate(order)}
 
 
 def _valid_labels():

@@ -1,15 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from checkpoint_cases import BUILD_CASES, LOAD_CASES
 
-from ahmca.corpus import make_unlabeled_document, split
+from ahmca.corpus import Corpus, make_unlabeled_document, split
 from ahmca.errors import (
     BadMagicError,
     ConfigRangeError,
     ConfigTypeError,
     CorruptPayloadError,
     EmptyTextError,
+    MalformedRecordError,
     TaxonomyMismatchError,
     UnknownConfigKeyError,
     VersionMismatchError,
@@ -132,6 +135,23 @@ def test_training_deterministic(tiny_synth):
     assert a[1].to_csv() == b[1].to_csv()
 
 
+def test_training_frozen_embeddings(tiny_synth):
+    tax, corpus, table = tiny_synth
+    tr, va, _ = split(corpus, (2, 1, 1), seed=0)
+    frozen, _ = train(_tiny_cfg(epochs=2, freeze_embeddings=True), tr, va, tax, table)
+    vectors, unk = frozen.arrays["embedding.vectors"], frozen.arrays["embedding.unk"]
+    assert vectors.dtype == table.vectors.dtype and unk.dtype == table.unk_vector.dtype
+    assert vectors.tobytes() == table.vectors.tobytes()
+    assert unk.tobytes() == table.unk_vector.tobytes()
+    m1, _ = frozen.build_model()
+    m2, _ = load_checkpoint(save_checkpoint(frozen)).build_model()
+    for doc in corpus:
+        assert np.array_equal(m1.predict_scores(doc).fused_scores,
+                              m2.predict_scores(doc).fused_scores)
+    tuned, _ = train(_tiny_cfg(epochs=2), tr, va, tax, table)
+    assert not np.array_equal(tuned.arrays["embedding.vectors"], table.vectors)
+
+
 def test_training_taxonomy_mismatch(tiny_synth, small_synth):
     tax, corpus, table = tiny_synth
     other_tax = small_synth[0]
@@ -191,6 +211,21 @@ def test_checkpoint_truncated(tiny_run):
         load_checkpoint(blob[:len(blob) - 50])
 
 
+@pytest.mark.parametrize("case", sorted(LOAD_CASES))
+def test_checkpoint_corrupt_manifest(tiny_run, case):
+    *_, ckpt, hist = tiny_run
+    with pytest.raises(CorruptPayloadError):
+        load_checkpoint(LOAD_CASES[case](save_checkpoint(ckpt)))
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_checkpoint_arrays_must_fit_model(tiny_run, case):
+    *_, ckpt, hist = tiny_run
+    loaded = load_checkpoint(BUILD_CASES[case](save_checkpoint(ckpt)))
+    with pytest.raises(CorruptPayloadError):
+        loaded.build_model()
+
+
 # --- evaluation / prediction -------------------------------------------
 
 def test_evaluate_schema(tiny_run):
@@ -220,6 +255,20 @@ def test_evaluate_k_clamp_warns(tiny_run):
     with pytest.warns(UserWarning):
         rep = evaluate_model(model, te, ks=(100,))
     assert 100 in rep.p_at_k
+
+
+def test_evaluate_top1_is_predict_top_leaf(tiny_run):
+    tax, corpus, table, tr, va, te, cfg, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    # relabel each document with predict's top leaf: evaluate_model's top-1
+    # must then hit on every document, so each predicted leaf has precision
+    # and recall 1 and every other leaf 0
+    docs = tuple(replace(d, leaf_labels=(predict(model, d)["top_leaves"][0][0],))
+                 for d in corpus)
+    rep = evaluate_model(model, Corpus(docs, corpus.taxonomy_hash), ks=(1,))
+    hit = len({d.leaf_labels[0] for d in docs}) / len(tax.labels_at_level(tax.depth))
+    assert rep.p_at_k[1] == 1.0
+    assert rep.macro_p == rep.macro_r == hit
 
 
 def test_evaluate_taxonomy_mismatch(tiny_run, small_synth):
@@ -270,3 +319,13 @@ def test_unlabeled_document_empty_text(tiny_run):
     tax = tiny_run[0]
     with pytest.raises(EmptyTextError):
         make_unlabeled_document({"id": "q2", "title": "", "abstract": ""}, tax)
+
+
+@pytest.mark.parametrize("rec", [
+    {"title": "x", "keywords": 5},
+    [1, 2],
+    {"title": "x", "keywords": "ab cd"},
+])
+def test_unlabeled_document_malformed(tiny_run, rec):
+    with pytest.raises(MalformedRecordError):
+        make_unlabeled_document(rec, tiny_run[0])
