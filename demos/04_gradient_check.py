@@ -21,8 +21,7 @@ tax, corpus, table = generate_synthetic(spec)
 doc = corpus.documents[0]
 print(f"checking gradients on document {doc.id} ({len(doc.tokens)} tokens)")
 
-model = Model(tax, table, k=4, g=8, d_local=8, freeze_embeddings=False,
-              seed=0, dtype=np.float64)
+model = Model(tax, table, k=4, g=8, d_local=8, seed=0, dtype=np.float64)
 # nudge every parameter off its init so no relu sits exactly on its kink
 rng = np.random.default_rng(1)
 point = {k: v + rng.normal(0, 0.01, v.shape) for k, v in model.params.items()}
@@ -30,7 +29,8 @@ point = {k: v + rng.normal(0, 0.01, v.shape) for k, v in model.params.items()}
 
 def f(params):
     model.params = params
-    return model.loss_and_grads(doc)
+    (loss,), grads = model.loss_and_grads([doc])
+    return loss, grads
 
 
 report = grad_check(f, point, tolerance=1e-3)

@@ -40,6 +40,19 @@ from .training import (
 )
 
 
+def _positive_int(text):
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _positive_ints(text):
+    return tuple(_positive_int(x) for x in text.split(","))
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="ahmca", description="Hierarchical multi-label "
                                 "text classifier with label-splicing attention")
@@ -57,13 +70,14 @@ def _build_parser():
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--model", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--k", default="1,3,5", help="comma-separated k values")
+    e.add_argument("--k", type=_positive_ints, default=(1, 3, 5),
+                   help="comma-separated k values")
     e.add_argument("--out", help="write the metrics JSON here as well")
 
     pr = sub.add_parser("predict", help="classify documents from a JSONL file")
     pr.add_argument("--model", required=True)
     pr.add_argument("--input", required=True, help="JSONL documents (labels optional)")
-    pr.add_argument("--top", type=int, default=5)
+    pr.add_argument("--top", type=_positive_int, default=5)
     pr.add_argument("--threshold", type=float, default=0.5)
 
     gs = sub.add_parser("gen-synth", help="generate a synthetic benchmark")
@@ -114,8 +128,7 @@ def _cmd_eval(args):
     ckpt = load_checkpoint(_read_bytes(args.model))
     model, tax = ckpt.build_model()
     data = load_corpus(_read(args.data), tax)
-    ks = tuple(int(x) for x in args.k.split(",") if x)
-    report = evaluate_model(model, data, ks=ks)
+    report = evaluate_model(model, data, ks=args.k)
     text = report.to_json()
     print(text)
     if args.out:

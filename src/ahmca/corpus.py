@@ -8,7 +8,8 @@ always derived by ancestor closure against the bound taxonomy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -202,6 +203,40 @@ def split(c: Corpus, ratios, seed: int):
     return mk(train), mk(val), mk(test)
 
 
+# JSON types each annotation accepts (bool is not a number here)
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _fits(val, want):
+    if get_origin(want) is tuple:       # tuple[T, ...] from a JSON array
+        return isinstance(val, list) and all(_fits(v, get_args(want)[0]) for v in val)
+    return isinstance(val, _JSON_TYPES[want]) and (want is bool or not isinstance(val, bool))
+
+
+def fields_from_json(cls, obj, type_error, unknown_error):
+    """Keyword arguments for dataclass cls from a decoded JSON object, type
+    checked against the field annotations; JSON arrays become tuples.
+
+    Unknown keys raise unknown_error; a non-object, a missing required key
+    or a value of the wrong JSON type raises type_error."""
+    if not isinstance(obj, dict):
+        raise type_error(f"{cls.__name__} must be a JSON object")
+    hints = get_type_hints(cls)
+    extra = set(obj) - set(hints)
+    if extra:
+        raise unknown_error(f"unknown {cls.__name__} keys: {sorted(extra)}")
+    missing = [f.name for f in fields(cls) if f.name not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise type_error(f"missing {cls.__name__} keys: {missing}")
+    for name, val in obj.items():
+        want = hints[name]
+        if not _fits(val, want):
+            raise type_error(f"{name} must be of type "
+                             f"{want.__name__ if get_origin(want) is None else want}")
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in obj.items()}
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     level_sizes: tuple[int, ...]
@@ -229,13 +264,7 @@ class SynthSpec:
     @classmethod
     def from_json(cls, source: str) -> "SynthSpec":
         obj = json.loads(source)
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
-        if extra:
-            raise SpecInvalidError(f"unknown SynthSpec keys: {sorted(extra)}")
-        if "level_sizes" in obj:
-            obj["level_sizes"] = tuple(obj["level_sizes"])
-        spec = cls(**obj)
+        spec = cls(**fields_from_json(cls, obj, SpecInvalidError, SpecInvalidError))
         spec.validate()
         return spec
 

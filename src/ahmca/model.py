@@ -2,8 +2,8 @@
 head, with reverse-mode gradients for every trainable parameter group.
 
 One Model instance owns the taxonomy binding, the embedding vocabulary and
-the parameter dict, which always holds the embedding vectors; forward and
-backward run per document (variable-length sequences, no padding).
+the parameter dict (embedding vectors included); forward and backward run per
+document, without padding, and one loss_and_grads call serves a mini-batch.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ class Model:
     def __init__(self, tax: Taxonomy, table: EmbeddingTable, *,
                  k, g, d_local, beta=0.5, lam=0.1,
                  attention_mode="sum_normalized", similarity="dot",
-                 freeze_embeddings=True, use_x0=True,
-                 seed=0, dtype=np.float32, params=None):
+                 use_x0=True, seed=0, dtype=np.float32, params=None):
         if table.dim != k:
             raise DimMismatchError(f"embedding dim {table.dim} != k {k}")
         self.tax = tax
@@ -49,7 +48,6 @@ class Model:
         self.beta, self.lam = beta, lam
         self.attention_mode = attention_mode
         self.similarity = similarity
-        self.freeze_embeddings = freeze_embeddings
         self.use_x0 = use_x0
         self.dtype = dtype
         self.level_sizes = tax.level_sizes()
@@ -73,9 +71,6 @@ class Model:
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
             flat = self._rows([w for ws in words for w in ws])
             self._label_text.append((flat, starts, counts.astype(dtype)[:, None]))
-        self._static_label_mats = None
-        if freeze_embeddings:
-            self._static_label_mats = self._build_label_mats()
 
     # --- embedding access -------------------------------------------------
 
@@ -92,14 +87,10 @@ class Model:
         out[known] = vectors[rows[known]]
         return out
 
-    def _build_label_mats(self):
+    def label_matrices(self):
+        """Per level, the mean word vector of each label's text."""
         return [np.add.reduceat(self._gather(flat), starts, axis=0) / counts
                 for flat, starts, counts in self._label_text]
-
-    def label_matrices(self):
-        if self._static_label_mats is not None:
-            return self._static_label_mats
-        return self._build_label_mats()
 
     def embed(self, tokens):
         """N x k matrix of word vectors, the unk vector for out-of-vocabulary
@@ -110,7 +101,8 @@ class Model:
 
     # --- forward ----------------------------------------------------------
 
-    def forward(self, doc: Document, with_cache=False):
+    def forward(self, doc: Document, label_mats):
+        """Head cache and backward caches of one document under label_mats."""
         tokens = doc.tokens
         if not tokens:
             raise EmptyTextError(f"document {doc.id!r} has no tokens")
@@ -118,8 +110,6 @@ class Model:
         X = self._gather(rows)
         kw_rows = self._rows(doc.keywords)
         Ke = self._gather(kw_rows) if len(kw_rows) else None
-
-        label_mats = self.label_matrices()
         contexts = [splice_level(T, Ke) for T in label_mats]
 
         (H_fwd, H_bwd), enc_cache = bilstm_encode(X, self.params, with_cache=True)
@@ -128,13 +118,11 @@ class Model:
                                           similarity=self.similarity)
         head_cache = head_forward(xs, self.params, self.level_sizes,
                                   use_x0=self.use_x0)
-        if with_cache:
-            return head_cache, {"enc": enc_cache, "att": att_cache,
-                                "rows": rows, "kw_rows": kw_rows}
-        return head_cache
+        return head_cache, {"enc": enc_cache, "att": att_cache,
+                            "rows": rows, "kw_rows": kw_rows}
 
     def predict_scores(self, doc: Document) -> Prediction:
-        cache = self.forward(doc)
+        cache, _ = self.forward(doc, self.label_matrices())
         p_g = cache["p_g"]
         locals_ = [lv["p"] for lv in cache["local"]]
         return Prediction(global_scores=p_g, local_scores=locals_,
@@ -151,21 +139,29 @@ class Model:
 
     # --- backward ---------------------------------------------------------
 
-    def loss_and_grads(self, doc: Document, targets=None):
-        if targets is None:
+    def loss_and_grads(self, docs):
+        """Per-document losses of a mini-batch and the gradient of their mean
+        for every group in params; the label matrices are built once and the
+        batch's embedding gradients go into [vectors; unk] in one scatter."""
+        label_mats = self.label_matrices()
+        losses, grads = [], {}
+        # scatter rows and values: per document its token rows, then per
+        # level the label-word shares and the keyword rows
+        idx, vals = [], []
+        for doc in docs:
             targets = self.targets_for(doc)
-        head_cache, extra = self.forward(doc, with_cache=True)
-        loss = head_loss(head_cache, targets, self.pairs, self.lam)
-        grads, dxs = head_backward(head_cache, targets, self.pairs, self.lam,
-                                   self.params)
-        dH_fwd, dH_bwd, dcontexts = attention_backward(dxs, extra["att"])
-        dX, lstm_grads = bilstm_backward(dH_fwd, dH_bwd, extra["enc"], self.params)
-        grads.update(lstm_grads)
+            head_cache, extra = self.forward(doc, label_mats)
+            losses.append(head_loss(head_cache, targets, self.pairs, self.lam))
+            doc_grads, dxs = head_backward(head_cache, targets, self.pairs, self.lam,
+                                           self.params)
+            dH_fwd, dH_bwd, dcontexts = attention_backward(dxs, extra["att"])
+            dX, lstm_grads = bilstm_backward(dH_fwd, dH_bwd, extra["enc"], self.params)
+            doc_grads.update(lstm_grads)
+            for name, g in doc_grads.items():
+                grads[name] = grads[name] + g if name in grads else g
 
-        if not self.freeze_embeddings:
-            # one scatter into [vectors; unk]: token rows, then per level the
-            # label-word shares and the keyword rows
-            idx, vals = [extra["rows"]], [dX]
+            idx.append(extra["rows"])
+            vals.append(dX)
             for (flat, starts, counts), dctx, n in zip(self._label_text, dcontexts,
                                                        self.level_sizes):
                 idx.append(flat)
@@ -173,9 +169,11 @@ class Model:
                                       np.diff(starts, append=len(flat)), axis=0))
                 idx.append(extra["kw_rows"])
                 vals.append(dctx[n:])
-            V = len(self.table)
-            dext = np.zeros((V + 1, self.k), dtype=self.params["embedding.vectors"].dtype)
-            np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
-            grads["embedding.vectors"] = dext[:V]
-            grads["embedding.unk"] = dext[V]
-        return loss, grads
+        V = len(self.table)
+        dext = np.zeros((V + 1, self.k), dtype=self.params["embedding.vectors"].dtype)
+        np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
+        grads["embedding.vectors"] = dext[:V]
+        grads["embedding.unk"] = dext[V]
+
+        scale = 1.0 / len(docs)
+        return losses, {name: g * scale for name, g in grads.items()}

@@ -1,5 +1,5 @@
-"""Training loop (per-document Adam with batch accumulation), evaluation,
-prediction decoding, and the binary checkpoint container.
+"""Training loop (mini-batch Adam), evaluation, prediction decoding, and
+the binary checkpoint container.
 
 Runs are fully deterministic given the config seed: shuffling uses one
 seeded generator, gradients are reduced in example order, and history /
@@ -15,13 +15,12 @@ import struct
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import get_type_hints
 
 import numpy as np
 
 from . import metrics as M
 from .attention import MODES, SIMILARITIES
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, fields_from_json
 from .embedding import EmbeddingTable
 from .errors import (
     BadMagicError,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .metrics import MetricsReport
 from .model import Model, param_shapes
+from .numerics import check_finite
 from .taxonomy import Taxonomy, load_taxonomy
 
 CHECKPOINT_MAGIC = b"AHMCAMDL"
@@ -43,9 +43,6 @@ CHECKPOINT_VERSION = 1
 # the metadata object's keys and the JSON type of each value
 _META_TYPES = {"config": dict, "taxonomy": str, "taxonomy_hash": str,
                "label_order": list, "embedding_tokens": list, "arrays": list}
-
-# JSON type each TrainConfig annotation accepts (bool is not an int here)
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 @dataclass(frozen=True)
@@ -92,20 +89,10 @@ def load_config(source) -> TrainConfig:
     """Build a TrainConfig from a JSON object; unknown keys are rejected,
     missing keys take their defaults."""
     obj = json.loads(source) if isinstance(source, (str, bytes)) else dict(source)
-    if not isinstance(obj, dict):
-        raise ConfigTypeError("config must be a JSON object")
-    if "lambda" in obj:
+    if isinstance(obj, dict) and "lambda" in obj:
         obj["lambda_"] = obj.pop("lambda")
-    known = get_type_hints(TrainConfig)
-    extra = set(obj) - set(known)
-    if extra:
-        raise UnknownConfigKeyError(f"unknown config keys: {sorted(extra)}")
-    for name, val in obj.items():
-        want = known[name]
-        if (isinstance(val, bool) and want is not bool) \
-                or not isinstance(val, _JSON_TYPES[want]):
-            raise ConfigTypeError(f"{name} must be of type {want.__name__}")
-    cfg = TrainConfig(**obj)
+    cfg = TrainConfig(**fields_from_json(TrainConfig, obj, ConfigTypeError,
+                                         UnknownConfigKeyError))
     cfg.validate()
     return cfg
 
@@ -141,7 +128,6 @@ class Checkpoint:
         model = Model(tax, table, k=cfg.k, g=cfg.g, d_local=cfg.d_L,
                       beta=cfg.beta, lam=cfg.lambda_,
                       attention_mode=cfg.attention_mode, similarity=cfg.similarity,
-                      freeze_embeddings=cfg.freeze_embeddings,
                       use_x0=cfg.use_x0_in_global, params=params)
         return model, tax
 
@@ -334,8 +320,8 @@ def predict(model: Model, doc: Document, top_n=5, threshold=0.5,
     pred = model.predict_scores(doc)
     leaf_classes = tax.labels_at_level(tax.depth)
     scores = pred.fused_scores[-len(leaf_classes):]   # leaves come last
-    order = np.argsort(-scores, kind="stable")[:top_n]
-    top = [(leaf_classes[int(i)], float(scores[int(i)])) for i in order]
+    top = [(leaf_classes[int(i)], float(scores[int(i)]))
+           for i in M.top_k_indices(scores, top_n)]
 
     picked = [tax.order[j] for j in np.nonzero(pred.fused_scores >= threshold)[0]]
     if enforce_consistency:
@@ -359,7 +345,9 @@ def predict(model: Model, doc: Document, top_n=5, threshold=0.5,
 def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
           table: EmbeddingTable, log=None):
     """Mini-batch Adam over the whole pipeline; returns the
-    best-validation checkpoint and the per-epoch history."""
+    best-validation checkpoint and the per-epoch history.  With
+    cfg.freeze_embeddings the embedding gradients are dropped before each
+    step, so the table stays as given."""
     cfg.validate()
     if table.dim != cfg.k:
         raise ConfigRangeError(f"embedding dim {table.dim} != config k {cfg.k}")
@@ -370,7 +358,6 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
     model = Model(tax, table, k=cfg.k, g=cfg.g, d_local=cfg.d_L,
                   beta=cfg.beta, lam=cfg.lambda_,
                   attention_mode=cfg.attention_mode, similarity=cfg.similarity,
-                  freeze_embeddings=cfg.freeze_embeddings,
                   use_x0=cfg.use_x0_in_global, seed=cfg.seed)
     opt = Adam(model.params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
@@ -385,22 +372,16 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
         perm = rng.permutation(len(docs))
         losses = []
         for start in range(0, len(perm), cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
-            acc = None
-            for idx in batch:
-                loss, grads = model.loss_and_grads(docs[idx])
-                if not np.isfinite(loss):
-                    raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
-                losses.append(loss)
-                if acc is None:
-                    acc = grads
-                else:
-                    for name in acc:
-                        acc[name] = acc[name] + grads[name]
-            scale = 1.0 / len(batch)
-            for name in acc:
-                acc[name] = acc[name] * scale
-            opt.step(model.params, acc)
+            batch = [docs[i] for i in perm[start:start + cfg.batch_size]]
+            batch_losses, grads = model.loss_and_grads(batch)
+            if not np.all(np.isfinite(batch_losses)):
+                raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
+            losses.extend(batch_losses)
+            if cfg.freeze_embeddings:
+                grads = {n: g for n, g in grads.items() if not n.startswith("embedding.")}
+            for name, g in grads.items():
+                check_finite(g, f"gradient {name} at epoch {epoch}")
+            opt.step(model.params, grads)
 
         report = evaluate_model(model, val_c, ks=(1,))
         train_loss = float(np.mean(losses))

@@ -78,15 +78,15 @@ def test_criterion_2_gradient_correctness(tiny_synth):
     tax, corpus, table = tiny_synth
     doc = next(d for d in corpus if len(d.tokens) >= 5)
     t0 = time.time()
-    model = Model(tax, table, k=4, g=8, d_local=8, freeze_embeddings=False,
-                  seed=0, dtype=np.float64)
+    model = Model(tax, table, k=4, g=8, d_local=8, seed=0, dtype=np.float64)
     rng = np.random.default_rng(1)
     # move biases off their zero init so no relu sits exactly on its kink
     point = {k: v + rng.normal(0, 0.01, v.shape) for k, v in model.params.items()}
 
     def f(params):
         model.params = params
-        return model.loss_and_grads(doc)
+        (loss,), grads = model.loss_and_grads([doc])
+        return loss, grads
 
     rep = grad_check(f, point, tolerance=1e-3)
     elapsed = time.time() - t0

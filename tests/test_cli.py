@@ -97,6 +97,10 @@ def test_inspect(workspace, capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["eval"]) == 2               # missing required flags
     assert main(["no-such-command"]) == 2
+    for k in ("0", "abc", "1,,-2"):
+        assert main(["eval", "--model", "m.bin", "--data", "d.jsonl", "--k", k]) == 2, k
+    for top in ("-1", "0", "x"):
+        assert main(["predict", "--model", "m.bin", "--input", "q.jsonl", "--top", top]) == 2, top
 
 
 def test_missing_file_exit_2(tmp_path, capsys):

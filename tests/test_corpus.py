@@ -198,8 +198,17 @@ def test_synthspec_invalid():
         SynthSpec(level_sizes=(2, 4), docs_per_leaf=1, doc_length=5,
                   keywords_per_doc=1, leaf_vocab_size=5, noise_rate=1.5,
                   seed=0).validate()
+    good = {"level_sizes": [2, 2], "docs_per_leaf": 1, "doc_length": 5,
+            "keywords_per_doc": 1, "leaf_vocab_size": 5, "noise_rate": 0, "seed": 0}
+    assert SynthSpec.from_json(json.dumps(good)).level_sizes == (2, 2)
+    bad = [{"bogus": 1}, {"level_sizes": 5}, {"level_sizes": [2.5]},
+           {"level_sizes": [True, 2]}, {"docs_per_leaf": "3"}, {"seed": "x"},
+           {"noise_rate": True}]
+    for change in bad:
+        with pytest.raises(SpecInvalidError):
+            SynthSpec.from_json(json.dumps({**good, **change}))
+    for missing in ("level_sizes", "seed"):
+        with pytest.raises(SpecInvalidError):
+            SynthSpec.from_json(json.dumps({k: v for k, v in good.items() if k != missing}))
     with pytest.raises(SpecInvalidError):
-        SynthSpec.from_json('{"level_sizes": [2, 2], "docs_per_leaf": 1, '
-                            '"doc_length": 5, "keywords_per_doc": 1, '
-                            '"leaf_vocab_size": 5, "noise_rate": 0.0, '
-                            '"seed": 0, "bogus": 1}')
+        SynthSpec.from_json("5")

@@ -79,7 +79,7 @@ def test_embed_sequence(two_level_tax):
 
 def test_embed_sequence_oov_total(two_level_tax):
     t = load_embeddings(W2V)
-    m = _model(two_level_tax, t, freeze_embeddings=False).embed(["qqq", "cat", "zzz"])
+    m = _model(two_level_tax, t).embed(["qqq", "cat", "zzz"])
     assert np.array_equal(m[0], t.unk_vector)
     assert np.array_equal(m[2], t.unk_vector)
 

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from oracles import global_predict, global_step, local_predict, loss
 
-from ahmca.corpus import make_document
-from ahmca.embedding import random_table
 from ahmca.errors import DimMismatchError
 from ahmca.hmcn import (
     Prediction,
@@ -15,7 +13,6 @@ from ahmca.hmcn import (
     init_head_params,
     violation_penalty,
 )
-from ahmca.model import Model
 from ahmca.numerics import grad_check
 
 
@@ -96,12 +93,11 @@ def test_loss_at_half_scores(two_level_tax):
 
 
 def test_loss_target_length_mismatch(two_level_tax):
-    table = random_table(["alpha", "beta", "topic", "one", "two"], 3, seed=0)
-    model = Model(two_level_tax, table, k=3, g=4, d_local=4)
-    doc = make_document({"id": "d", "title": "alpha one", "labels": ["A1"]},
-                        two_level_tax)
+    params, xs, _, level_sizes = _head_setup()
+    cache = head_forward(xs, params, level_sizes, use_x0=True)
+    pairs = child_parent_index_pairs(two_level_tax)
     with pytest.raises(DimMismatchError):
-        model.loss_and_grads(doc, [np.zeros(3), np.zeros(3)])
+        head_loss(cache, [np.zeros(3), np.zeros(3)], pairs, lam=0.1)
 
 
 def _head_setup(seed=0, use_x0=True):

@@ -1,5 +1,5 @@
-"""The public surface: every exported name resolves, a demo that uses the
-package API runs to completion, and no module imports a name it never uses."""
+"""The public surface: every exported name resolves, the demos that use the
+package API run to completion, and no module imports a name it never uses."""
 
 import ast
 import os
@@ -12,19 +12,26 @@ import ahmca
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_demo(name):
+    src = str(Path(ahmca.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_exports_and_attention_demo():
     ns = {}
     exec("from ahmca import *", ns)
     missing = [name for name in ahmca.__all__ if name not in ns]
     assert not missing, f"exported but not importable: {missing}"
+    assert "level embeddings x^0..x^2" in _run_demo("02_attention_walkthrough.py")
 
-    src = str(Path(ahmca.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "02_attention_walkthrough.py")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "level embeddings x^0..x^2" in proc.stdout
+
+def test_gradient_check_demo():
+    assert "->  PASS" in _run_demo("04_gradient_check.py")
 
 
 def test_no_unused_module_imports():

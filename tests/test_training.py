@@ -13,11 +13,13 @@ from ahmca.errors import (
     CorruptPayloadError,
     EmptyTextError,
     MalformedRecordError,
+    NonFiniteError,
     TaxonomyMismatchError,
     UnknownConfigKeyError,
     VersionMismatchError,
 )
 from ahmca.metrics import MetricsReport
+from ahmca.model import Model
 from ahmca.training import (
     CHECKPOINT_MAGIC,
     History,
@@ -150,6 +152,44 @@ def test_training_frozen_embeddings(tiny_synth):
                               m2.predict_scores(doc).fused_scores)
     tuned, _ = train(_tiny_cfg(epochs=2), tr, va, tax, table)
     assert not np.array_equal(tuned.arrays["embedding.vectors"], table.vectors)
+
+
+def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
+    tax, corpus, table = tiny_synth
+    model = Model(tax, table, k=4, g=8, d_local=8, seed=0, dtype=np.float64)
+    docs = corpus.documents[:3]
+    builds = []
+    label_matrices = Model.label_matrices
+    monkeypatch.setattr(Model, "label_matrices",
+                        lambda self: builds.append(1) or label_matrices(self))
+    losses, grads = model.loss_and_grads(docs)
+    assert len(builds) == 1
+    singles = [model.loss_and_grads([doc]) for doc in docs]
+    assert losses == [loss for (loss,), _ in singles]
+    assert grads.keys() == model.params.keys()
+    for name, g in grads.items():
+        mean = sum(single[name] for _, single in singles) / len(docs)
+        np.testing.assert_allclose(g, mean, rtol=1e-10, atol=1e-14, err_msg=name)
+
+
+def test_training_nonfinite_gradient(tiny_synth, monkeypatch):
+    tax, corpus, table = tiny_synth
+    tr, va, _ = split(corpus, (2, 1, 1), seed=0)
+    seen = []
+    loss_and_grads = Model.loss_and_grads
+
+    def poisoned(self, docs):
+        seen.append((self, {k: v.copy() for k, v in self.params.items()}))
+        losses, grads = loss_and_grads(self, docs)
+        grads["local.Wc2"][0, 0] = np.nan
+        return losses, grads
+
+    monkeypatch.setattr(Model, "loss_and_grads", poisoned)
+    with pytest.raises(NonFiniteError, match="local.Wc2 at epoch 1"):
+        train(_tiny_cfg(), tr, va, tax, table)
+    (model, before), = seen
+    assert model.params.keys() == before.keys()
+    assert all(np.array_equal(model.params[k], v) for k, v in before.items())
 
 
 def test_training_taxonomy_mismatch(tiny_synth, small_synth):
