@@ -11,7 +11,7 @@ Run: python3 demos/02_attention_walkthrough.py
 
 import numpy as np
 
-from ahmca import Model, SynthSpec, generate_synthetic
+from ahmca import Model, SynthSpec, TrainConfig, generate_synthetic
 from ahmca.attention import attention_forward, splice_level, token_weights
 from ahmca.encoder import bilstm_encode
 
@@ -23,7 +23,7 @@ doc = corpus.documents[0]
 print(f"document {doc.id}, leaf = {doc.leaf_labels[0]}")
 
 # an untrained model owns the embedding lookup and the encoder weights
-model = Model(tax, table, k=table.dim, g=16, d_local=16, dtype=np.float64)
+model = Model(tax, table, TrainConfig(k=table.dim, g=16, d_L=16), dtype=np.float64)
 
 # embed and encode
 X = model.embed(doc.tokens)

@@ -13,6 +13,7 @@ import numpy as np
 from ahmca import SynthSpec, generate_synthetic
 from ahmca.model import Model
 from ahmca.numerics import grad_check
+from ahmca.training import TrainConfig
 
 spec = SynthSpec(level_sizes=(2, 2), docs_per_leaf=2, doc_length=5,
                  keywords_per_doc=1, leaf_vocab_size=5, noise_rate=0.0,
@@ -21,7 +22,7 @@ tax, corpus, table = generate_synthetic(spec)
 doc = corpus.documents[0]
 print(f"checking gradients on document {doc.id} ({len(doc.tokens)} tokens)")
 
-model = Model(tax, table, k=4, g=8, d_local=8, seed=0, dtype=np.float64)
+model = Model(tax, table, TrainConfig(k=4, g=8, d_L=8, seed=0), dtype=np.float64)
 # nudge every parameter off its init so no relu sits exactly on its kink
 rng = np.random.default_rng(1)
 point = {k: v + rng.normal(0, 0.01, v.shape) for k, v in model.params.items()}

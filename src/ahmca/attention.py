@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyContextError
+from .errors import ConfigRangeError, DimMismatchError, EmptyContextError
 
 MODES = ("sum_normalized", "none", "softmax")
 SIMILARITIES = ("dot", "cosine")
@@ -49,7 +49,8 @@ def token_weights(H_dir, ctx, similarity="dot", with_argmax=False):
         tn = np.maximum(np.linalg.norm(ctx, axis=1, keepdims=True), _NORM_EPS)
         S = (H_dir / hn) @ (ctx / tn).T
     else:
-        raise ValueError(f"unknown similarity {similarity!r}")
+        raise ConfigRangeError(f"similarity must be one of {SIMILARITIES}, "
+                               f"got {similarity!r}")
     arg = S.argmax(axis=1)
     w = S[np.arange(S.shape[0]), arg]
     return (w, arg) if with_argmax else w
@@ -74,7 +75,7 @@ def normalize_weights(raw, mode):
         e = np.exp(z)
         w = e / e.sum()
         return w, ("softmax", w)
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    raise ConfigRangeError(f"attention mode must be one of {MODES}, got {mode!r}")
 
 
 def _normalize_backward(dw, raw, weights, cache):

@@ -248,7 +248,7 @@ class SynthSpec:
     seed: int
     embedding_dim: int = 32
 
-    def validate(self):
+    def __post_init__(self):
         if not self.level_sizes or any(n < 1 for n in self.level_sizes):
             raise SpecInvalidError("level_sizes must be non-empty positive counts")
         for i in range(1, len(self.level_sizes)):
@@ -264,9 +264,7 @@ class SynthSpec:
     @classmethod
     def from_json(cls, source: str) -> "SynthSpec":
         obj = json.loads(source)
-        spec = cls(**fields_from_json(cls, obj, SpecInvalidError, SpecInvalidError))
-        spec.validate()
-        return spec
+        return cls(**fields_from_json(cls, obj, SpecInvalidError, SpecInvalidError))
 
 
 def generate_synthetic(spec: SynthSpec):
@@ -282,7 +280,6 @@ def generate_synthetic(spec: SynthSpec):
     from .embedding import EmbeddingTable
     from .taxonomy import load_taxonomy
 
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
 
     # taxonomy: children spread round-robin over the previous level

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTruthError, UnknownLabelError
+from .errors import ConfigRangeError, EmptyTruthError, UnknownLabelError
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ def macro_f1(p, r):
 
 def top_k_indices(scores, k):
     """Indices of the k highest scores, ties broken by lower index."""
+    if k < 1:
+        raise ConfigRangeError(f"k must be >= 1, got {k}")
     scores = np.asarray(scores)
     order = np.argsort(-scores, kind="stable")
     return order[:k]
@@ -78,8 +80,6 @@ def top_k_indices(scores, k):
 
 def precision_at_k(score_vectors, truth_sets, k, classes):
     """Mean over documents of |top-k predicted| intersected with truth| / k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     total = 0.0
     n = 0
     for scores, true in zip(score_vectors, truth_sets):

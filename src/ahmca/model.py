@@ -2,11 +2,16 @@
 head, with reverse-mode gradients for every trainable parameter group.
 
 One Model instance owns the taxonomy binding, the embedding vocabulary and
-the parameter dict (embedding vectors included); forward and backward run per
-document, without padding, and one loss_and_grads call serves a mini-batch.
+the parameter dict (embedding vectors included).  Its hyperparameters (k, g,
+d_L, beta, lambda_, attention mode, similarity, x^0 in the global path and
+the init seed) are read from the TrainConfig it was built with, model.cfg,
+which has checked their ranges.  Forward and backward run per document,
+without padding, and one loss_and_grads call serves a mini-batch.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -14,7 +19,7 @@ from .attention import attention_backward, attention_forward, splice_level
 from .corpus import Document
 from .embedding import EmbeddingTable
 from .encoder import bilstm_backward, bilstm_encode, init_lstm_params, lstm_param_shapes
-from .errors import DimMismatchError, EmptyInputError, EmptyTextError
+from .errors import ConfigRangeError, EmptyInputError, EmptyTextError
 from .hmcn import (
     Prediction,
     fuse,
@@ -27,37 +32,34 @@ from .hmcn import (
 )
 from .taxonomy import Taxonomy, tokenize
 
+if TYPE_CHECKING:           # training imports model; annotation only
+    from .training import TrainConfig
 
-def param_shapes(level_sizes, vocab_size, k, g, d_local, use_x0=True):
+
+def param_shapes(level_sizes, vocab_size, cfg: TrainConfig):
     """Name -> shape of every entry of Model.params."""
-    return {**lstm_param_shapes(k),
-            **head_param_shapes(k, g, d_local, level_sizes, use_x0),
-            "embedding.vectors": (vocab_size, k), "embedding.unk": (k,)}
+    return {**lstm_param_shapes(cfg.k),
+            **head_param_shapes(cfg.k, cfg.g, cfg.d_L, level_sizes, cfg.use_x0_in_global),
+            "embedding.vectors": (vocab_size, cfg.k), "embedding.unk": (cfg.k,)}
 
 
 class Model:
-    def __init__(self, tax: Taxonomy, table: EmbeddingTable, *,
-                 k, g, d_local, beta=0.5, lam=0.1,
-                 attention_mode="sum_normalized", similarity="dot",
-                 use_x0=True, seed=0, dtype=np.float32, params=None):
-        if table.dim != k:
-            raise DimMismatchError(f"embedding dim {table.dim} != k {k}")
+    def __init__(self, tax: Taxonomy, table: EmbeddingTable, cfg: TrainConfig, *,
+                 dtype=np.float32, params=None):
+        if table.dim != cfg.k:
+            raise ConfigRangeError(f"embedding dim {table.dim} != config k {cfg.k}")
         self.tax = tax
         self.table = table
-        self.k, self.g, self.d_local = k, g, d_local
-        self.beta, self.lam = beta, lam
-        self.attention_mode = attention_mode
-        self.similarity = similarity
-        self.use_x0 = use_x0
+        self.cfg = cfg
         self.dtype = dtype
         self.level_sizes = tax.level_sizes()
         self.pairs = child_parent_index_pairs(tax)
 
         if params is None:
-            rng = np.random.default_rng(seed)
-            params = init_lstm_params(k, rng, dtype)
-            params.update(init_head_params(k, g, d_local, self.level_sizes, rng,
-                                           use_x0=use_x0, dtype=dtype))
+            rng = np.random.default_rng(cfg.seed)
+            params = init_lstm_params(cfg.k, rng, dtype)
+            params.update(init_head_params(cfg.k, cfg.g, cfg.d_L, self.level_sizes, rng,
+                                           use_x0=cfg.use_x0_in_global, dtype=dtype))
             params["embedding.vectors"] = table.vectors.astype(dtype)
             params["embedding.unk"] = table.unk_vector.astype(dtype)
         self.params = params
@@ -114,10 +116,10 @@ class Model:
 
         (H_fwd, H_bwd), enc_cache = bilstm_encode(X, self.params, with_cache=True)
         xs, att_cache = attention_forward(H_fwd, H_bwd, contexts,
-                                          mode=self.attention_mode,
-                                          similarity=self.similarity)
+                                          mode=self.cfg.attention_mode,
+                                          similarity=self.cfg.similarity)
         head_cache = head_forward(xs, self.params, self.level_sizes,
-                                  use_x0=self.use_x0)
+                                  use_x0=self.cfg.use_x0_in_global)
         return head_cache, {"enc": enc_cache, "att": att_cache,
                             "rows": rows, "kw_rows": kw_rows}
 
@@ -126,7 +128,7 @@ class Model:
         p_g = cache["p_g"]
         locals_ = [lv["p"] for lv in cache["local"]]
         return Prediction(global_scores=p_g, local_scores=locals_,
-                          fused_scores=fuse(locals_, p_g, self.beta))
+                          fused_scores=fuse(locals_, p_g, self.cfg.beta))
 
     def targets_for(self, doc: Document):
         out = []
@@ -151,9 +153,9 @@ class Model:
         for doc in docs:
             targets = self.targets_for(doc)
             head_cache, extra = self.forward(doc, label_mats)
-            losses.append(head_loss(head_cache, targets, self.pairs, self.lam))
-            doc_grads, dxs = head_backward(head_cache, targets, self.pairs, self.lam,
-                                           self.params)
+            losses.append(head_loss(head_cache, targets, self.pairs, self.cfg.lambda_))
+            doc_grads, dxs = head_backward(head_cache, targets, self.pairs,
+                                           self.cfg.lambda_, self.params)
             dH_fwd, dH_bwd, dcontexts = attention_backward(dxs, extra["att"])
             dX, lstm_grads = bilstm_backward(dH_fwd, dH_bwd, extra["enc"], self.params)
             doc_grads.update(lstm_grads)
@@ -170,7 +172,7 @@ class Model:
                 idx.append(extra["kw_rows"])
                 vals.append(dctx[n:])
         V = len(self.table)
-        dext = np.zeros((V + 1, self.k), dtype=self.params["embedding.vectors"].dtype)
+        dext = np.zeros((V + 1, self.cfg.k), dtype=self.params["embedding.vectors"].dtype)
         np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
         grads["embedding.vectors"] = dext[:V]
         grads["embedding.unk"] = dext[V]

@@ -85,10 +85,6 @@ class Taxonomy:
             lab = self.by_id[lab.parent]
         return chain
 
-    def children_of(self, label_id: str) -> list[str]:
-        self.label(label_id)
-        return [l.id for l in self.labels if l.parent == label_id]
-
     def global_index(self, label_id: str) -> int:
         """Position of a label in the level-1..H concatenated ordering."""
         self.label(label_id)

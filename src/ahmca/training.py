@@ -62,15 +62,16 @@ class TrainConfig:
     use_x0_in_global: bool = True
     early_stop_patience: int = 5
 
-    def validate(self):
+    def __post_init__(self):
+        """Range checks: every way of building a config runs them."""
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigRangeError(f"beta must be in [0, 1], got {self.beta}")
-        if self.lambda_ < 0:
+        if not self.lambda_ >= 0:            # NaN fails too
             raise ConfigRangeError(f"lambda must be >= 0, got {self.lambda_}")
         for name in ("k", "g", "d_L", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigRangeError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigRangeError("learning_rate must be positive")
         if self.early_stop_patience < 1:
             raise ConfigRangeError("early_stop_patience must be >= 1")
@@ -87,14 +88,15 @@ class TrainConfig:
 
 def load_config(source) -> TrainConfig:
     """Build a TrainConfig from a JSON object; unknown keys are rejected,
-    missing keys take their defaults."""
+    missing keys take their defaults.  lambda_ may be spelled "lambda"."""
     obj = json.loads(source) if isinstance(source, (str, bytes)) else dict(source)
     if isinstance(obj, dict) and "lambda" in obj:
+        if "lambda_" in obj:
+            raise UnknownConfigKeyError("give one of the TrainConfig keys "
+                                        "'lambda' and 'lambda_', not both")
         obj["lambda_"] = obj.pop("lambda")
-    cfg = TrainConfig(**fields_from_json(TrainConfig, obj, ConfigTypeError,
-                                         UnknownConfigKeyError))
-    cfg.validate()
-    return cfg
+    return TrainConfig(**fields_from_json(TrainConfig, obj, ConfigTypeError,
+                                          UnknownConfigKeyError))
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,7 @@ class Checkpoint:
         if tax.content_hash() != self.taxonomy_hash:
             raise TaxonomyMismatchError("embedded taxonomy does not match its hash")
         cfg = self.config
-        want = param_shapes(tax.level_sizes(), len(self.embedding_tokens),
-                            cfg.k, cfg.g, cfg.d_L, cfg.use_x0_in_global)
+        want = param_shapes(tax.level_sizes(), len(self.embedding_tokens), cfg)
         got = {name: arr.shape for name, arr in self.arrays.items()}
         bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
         if bad:
@@ -125,11 +126,7 @@ class Checkpoint:
             unk=self.arrays["embedding.unk"],
         )
         params = {k: v.copy() for k, v in self.arrays.items()}
-        model = Model(tax, table, k=cfg.k, g=cfg.g, d_local=cfg.d_L,
-                      beta=cfg.beta, lam=cfg.lambda_,
-                      attention_mode=cfg.attention_mode, similarity=cfg.similarity,
-                      use_x0=cfg.use_x0_in_global, params=params)
-        return model, tax
+        return Model(tax, table, cfg, params=params), tax
 
 
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
@@ -208,10 +205,11 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     )
 
 
-def _checkpoint_from_model(model: Model, cfg: TrainConfig, tax: Taxonomy) -> Checkpoint:
+def _checkpoint_from_model(model: Model) -> Checkpoint:
+    tax = model.tax
     arrays = {k: np.asarray(v, dtype=np.float32) for k, v in model.params.items()}
     return Checkpoint(
-        version=CHECKPOINT_VERSION, config=cfg,
+        version=CHECKPOINT_VERSION, config=model.cfg,
         taxonomy_json=tax.serialize(), taxonomy_hash=tax.content_hash(),
         label_order=tax.order,
         embedding_tokens=model.table.tokens,
@@ -348,17 +346,11 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
     best-validation checkpoint and the per-epoch history.  With
     cfg.freeze_embeddings the embedding gradients are dropped before each
     step, so the table stays as given."""
-    cfg.validate()
-    if table.dim != cfg.k:
-        raise ConfigRangeError(f"embedding dim {table.dim} != config k {cfg.k}")
     for c in (train_c, val_c):
         if c.taxonomy_hash != tax.content_hash():
             raise TaxonomyMismatchError("corpus bound to a different taxonomy")
 
-    model = Model(tax, table, k=cfg.k, g=cfg.g, d_local=cfg.d_L,
-                  beta=cfg.beta, lam=cfg.lambda_,
-                  attention_mode=cfg.attention_mode, similarity=cfg.similarity,
-                  use_x0=cfg.use_x0_in_global, seed=cfg.seed)
+    model = Model(tax, table, cfg)
     opt = Adam(model.params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     docs = list(train_c.documents)
@@ -401,4 +393,4 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
                 break
 
     model.params = best_params
-    return _checkpoint_from_model(model, cfg, tax), history
+    return _checkpoint_from_model(model), history

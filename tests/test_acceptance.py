@@ -78,7 +78,7 @@ def test_criterion_2_gradient_correctness(tiny_synth):
     tax, corpus, table = tiny_synth
     doc = next(d for d in corpus if len(d.tokens) >= 5)
     t0 = time.time()
-    model = Model(tax, table, k=4, g=8, d_local=8, seed=0, dtype=np.float64)
+    model = Model(tax, table, TrainConfig(k=4, g=8, d_L=8, seed=0), dtype=np.float64)
     rng = np.random.default_rng(1)
     # move biases off their zero init so no relu sits exactly on its kink
     point = {k: v + rng.normal(0, 0.01, v.shape) for k, v in model.params.items()}

@@ -10,7 +10,7 @@ from ahmca.attention import (
     splice_level,
     token_weights,
 )
-from ahmca.errors import DimMismatchError, EmptyContextError
+from ahmca.errors import ConfigRangeError, DimMismatchError, EmptyContextError
 
 
 def brute_force_weights(H, T, similarity="dot"):
@@ -93,6 +93,17 @@ def test_token_weights_duplicate_rows():
 def test_token_weights_empty_context():
     with pytest.raises(EmptyContextError):
         token_weights(np.ones((2, 3)), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda H: token_weights(H, H, similarity="bogus"),
+    lambda H: normalize_weights(np.ones(3), mode="bogus"),
+    lambda H: attention_forward(H, H, [H], mode="bogus"),
+    lambda H: attention_forward(H, H, [H], similarity="bogus"),
+], ids=["token_weights", "normalize_weights", "forward_mode", "forward_similarity"])
+def test_unknown_mode_or_similarity(call):
+    with pytest.raises(ConfigRangeError, match="bogus"):
+        call(np.ones((3, 2)))
 
 
 def test_level_embedding_hand_example():

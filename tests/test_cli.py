@@ -124,14 +124,20 @@ def test_bad_checkpoint_exit_2(workspace, tmp_path, capsys):
 
 def test_bad_config_exit_2(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"betta": 0.5}')
-    rc = main(["train", "--config", str(cfg),
-               "--train", str(workspace / "train.jsonl"),
-               "--val", str(workspace / "val.jsonl"),
-               "--taxonomy", str(workspace / "data" / "taxonomy.json"),
-               "--out", str(tmp_path / "m.bin"),
-               "--history", str(tmp_path / "h.csv")])
-    assert rc == 2
+    for text, extra in (
+        ('{"betta": 0.5}', []),
+        # embeddings of width 4 against k=8: Model's width check
+        ('{"k": 8}', ["--embeddings", str(workspace / "data" / "embeddings.txt")]),
+    ):
+        cfg.write_text(text)
+        rc = main(["train", "--config", str(cfg),
+                   "--train", str(workspace / "train.jsonl"),
+                   "--val", str(workspace / "val.jsonl"),
+                   "--taxonomy", str(workspace / "data" / "taxonomy.json"),
+                   "--out", str(tmp_path / "m.bin"),
+                   "--history", str(tmp_path / "h.csv"), *extra])
+        assert rc == 2, text
+        assert not (tmp_path / "m.bin").exists()
 
 
 def test_bad_taxonomy_exit_3(workspace, tmp_path, capsys):

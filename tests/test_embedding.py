@@ -8,8 +8,8 @@ from ahmca.embedding import (
     EmbeddingTable,
 )
 from ahmca.errors import (
+    ConfigRangeError,
     CountMismatchError,
-    DimMismatchError,
     DuplicateTokenError,
     EmptyInputError,
     MalformedHeaderError,
@@ -17,6 +17,7 @@ from ahmca.errors import (
 )
 from ahmca.model import Model
 from ahmca.taxonomy import load_taxonomy
+from ahmca.training import TrainConfig
 
 W2V = """3 4
 cat 1 0 0 0
@@ -66,8 +67,8 @@ def test_row_permutation_irrelevant():
         assert np.allclose(a.lookup(tok), b.lookup(tok))
 
 
-def _model(tax, table, **kw):
-    return Model(tax, table, k=table.dim, g=2, d_local=2, **kw)
+def _model(tax, table):
+    return Model(tax, table, TrainConfig(k=table.dim, g=2, d_L=2))
 
 
 def test_embed_sequence(two_level_tax):
@@ -90,8 +91,8 @@ def test_embed_sequence_empty(two_level_tax):
 
 
 def test_model_embedding_dim_mismatch(two_level_tax):
-    with pytest.raises(DimMismatchError):
-        Model(two_level_tax, load_embeddings(W2V), k=3, g=2, d_local=2)
+    with pytest.raises(ConfigRangeError):
+        Model(two_level_tax, load_embeddings(W2V), TrainConfig(k=3, g=2, d_L=2))
 
 
 def test_save_roundtrip():

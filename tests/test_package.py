@@ -34,6 +34,15 @@ def test_gradient_check_demo():
     assert "->  PASS" in _run_demo("04_gradient_check.py")
 
 
+def test_synthetic_benchmark_demo():
+    assert "docs per leaf" in _run_demo("01_synthetic_benchmark.py")
+
+
+def test_train_and_evaluate_demo():
+    out = _run_demo("03_train_and_evaluate.py")
+    assert "held-out metrics:" in out and "consistent label sets per level" in out
+
+
 def test_no_unused_module_imports():
     """Every module-level import in src/ahmca/*.py is used in its module.
     __future__ imports and the __init__.py re-exports are exempt."""

@@ -69,11 +69,24 @@ def test_config_range_errors():
         load_config('{"attention_mode": "bogus"}')
     with pytest.raises(ConfigRangeError):
         load_config('{"learning_rate": 0}')
+    for key in ("lambda", "learning_rate", "beta"):     # json reads NaN
+        with pytest.raises(ConfigRangeError):
+            load_config(f'{{"{key}": NaN}}')
 
 
 def test_config_unknown_key():
     with pytest.raises(UnknownConfigKeyError):
         load_config('{"betta": 0.5}')
+    with pytest.raises(UnknownConfigKeyError, match="'lambda' and 'lambda_'"):
+        load_config('{"lambda": 0.3, "lambda_": 0.2}')
+
+
+def test_config_rejected_at_construction():
+    for bad in (lambda: TrainConfig(beta=2.0),
+                lambda: TrainConfig(attention_mode="bogus"),
+                lambda: replace(TrainConfig(), lambda_=-1.0)):
+        with pytest.raises(ConfigRangeError):
+            bad()
 
 
 def test_config_type_errors():
@@ -156,7 +169,7 @@ def test_training_frozen_embeddings(tiny_synth):
 
 def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
     tax, corpus, table = tiny_synth
-    model = Model(tax, table, k=4, g=8, d_local=8, seed=0, dtype=np.float64)
+    model = Model(tax, table, TrainConfig(k=4, g=8, d_L=8, seed=0), dtype=np.float64)
     docs = corpus.documents[:3]
     builds = []
     label_matrices = Model.label_matrices
@@ -342,6 +355,16 @@ def test_predict_consistency_toggle(tiny_run):
     loose = predict(model, doc, threshold=0.0, enforce_consistency=False)
     # threshold 0 keeps every label, so without pruning all levels are full
     assert sorted(loose["level_sets"][0]) == sorted(tax.labels_at_level(1))
+
+
+def test_rank_cutoff_must_be_positive(tiny_run):
+    tax, corpus, *_, te, cfg, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    for top_n in (0, -1):
+        with pytest.raises(ConfigRangeError, match="k must be >= 1"):
+            predict(model, corpus.documents[0], top_n=top_n)
+    with pytest.raises(ConfigRangeError, match="k must be >= 1"):
+        evaluate_model(model, te, ks=(0,))
 
 
 def test_predict_unlabeled_document(tiny_run):
