@@ -23,7 +23,7 @@ from .embedding import (
     random_table,
     save_embeddings,
 )
-from .encoder import bilstm_encode, lstm_step
+from .encoder import bilstm_encode
 from .hmcn import Prediction, fuse
 from .metrics import (
     MetricsReport,
@@ -53,7 +53,7 @@ __all__ = [
     "Corpus", "Document", "SynthSpec", "generate_synthetic", "load_corpus",
     "save_corpus", "split", "tokenize",
     "EmbeddingTable", "load_embeddings", "random_table", "save_embeddings",
-    "bilstm_encode", "lstm_step",
+    "bilstm_encode",
     "Prediction", "fuse",
     "MetricsReport", "hierarchy_violation_rate", "macro_f1",
     "macro_precision_recall", "precision_at_k",

@@ -203,37 +203,43 @@ def split(c: Corpus, ratios, seed: int):
     return mk(train), mk(val), mk(test)
 
 
-# JSON types each annotation accepts (bool is not a number here)
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+# types each annotation accepts (an int is a float, a bool is not a number)
+_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def _fits(val, want):
-    if get_origin(want) is tuple:       # tuple[T, ...] from a JSON array
-        return isinstance(val, list) and all(_fits(v, get_args(want)[0]) for v in val)
-    return isinstance(val, _JSON_TYPES[want]) and (want is bool or not isinstance(val, bool))
+    if get_origin(want) is tuple:       # tuple[T, ...]
+        return isinstance(val, tuple) and all(_fits(v, get_args(want)[0]) for v in val)
+    return isinstance(val, _TYPES[want]) and (want is bool or not isinstance(val, bool))
+
+
+def check_field_types(record, error):
+    """Raise error unless every field of dataclass instance record holds a
+    value of the type its annotation names."""
+    hints = get_type_hints(type(record))
+    for f in fields(record):
+        want = hints[f.name]
+        if not _fits(getattr(record, f.name), want):
+            raise error(f"{f.name} must be of type "
+                        f"{want.__name__ if get_origin(want) is None else want}")
 
 
 def fields_from_json(cls, obj, type_error, unknown_error):
-    """Keyword arguments for dataclass cls from a decoded JSON object, type
-    checked against the field annotations; JSON arrays become tuples.
+    """Keyword arguments for dataclass cls from a decoded JSON object; JSON
+    arrays become tuples.  The value types are checked by cls itself, when
+    it is built.
 
-    Unknown keys raise unknown_error; a non-object, a missing required key
-    or a value of the wrong JSON type raises type_error."""
+    Unknown keys raise unknown_error; a non-object or a missing required
+    key raises type_error."""
     if not isinstance(obj, dict):
         raise type_error(f"{cls.__name__} must be a JSON object")
-    hints = get_type_hints(cls)
-    extra = set(obj) - set(hints)
+    extra = set(obj) - {f.name for f in fields(cls)}
     if extra:
         raise unknown_error(f"unknown {cls.__name__} keys: {sorted(extra)}")
     missing = [f.name for f in fields(cls) if f.name not in obj
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise type_error(f"missing {cls.__name__} keys: {missing}")
-    for name, val in obj.items():
-        want = hints[name]
-        if not _fits(val, want):
-            raise type_error(f"{name} must be of type "
-                             f"{want.__name__ if get_origin(want) is None else want}")
     return {name: tuple(v) if isinstance(v, list) else v for name, v in obj.items()}
 
 
@@ -249,6 +255,7 @@ class SynthSpec:
     embedding_dim: int = 32
 
     def __post_init__(self):
+        check_field_types(self, SpecInvalidError)
         if not self.level_sizes or any(n < 1 for n in self.level_sizes):
             raise SpecInvalidError("level_sizes must be non-empty positive counts")
         for i in range(1, len(self.level_sizes)):

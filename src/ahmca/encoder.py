@@ -4,6 +4,14 @@ Hidden size equals the embedding size k.  Both directions start from zero
 states; the backward direction is the same recurrence run over the
 reversed sequence with its own parameters, rows re-aligned to original
 token positions.  Gate order inside stacked parameters is i, f, g, o.
+
+Each direction works on whole-sequence matrices: one input projection
+X Wx^T + b covers every step, so the time loop only adds Wh h.  Its cache
+is the activated gate matrix G (N x 4k, i, f, g, o side by side) and the
+cell and hidden matrices C and H, each with a zero initial row.  BPTT
+writes each step's pre-activation gradient into one row of dZ and turns
+that into the input and parameter gradients with four products after the
+loop.
 """
 
 from __future__ import annotations
@@ -33,95 +41,72 @@ def init_lstm_params(k, rng, dtype=np.float32):
     return params
 
 
-def lstm_step(state, x, Wx, Wh, b):
-    """One LSTM cell update; returns ((h, c), cache)."""
-    h_prev, c_prev = state
-    k = h_prev.shape[0]
-    if x.shape[0] != Wx.shape[1] or Wx.shape[0] != 4 * k:
-        raise DimMismatchError(f"lstm_step shapes: x {x.shape}, Wx {Wx.shape}, k {k}")
-    z = Wx @ x + Wh @ h_prev + b
-    i = sigmoid(z[:k])
-    f = sigmoid(z[k:2 * k])
-    g = np.tanh(z[2 * k:3 * k])
-    o = sigmoid(z[3 * k:])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (x, h_prev, c_prev, i, f, g, o, tc)
-    return (h, c), cache
-
-
-def _run_direction(X, Wx, Wh, b, dtype):
-    N, k = X.shape
-    h = np.zeros(k, dtype=dtype)
-    c = np.zeros(k, dtype=dtype)
-    H = np.empty((N, k), dtype=dtype)
-    caches = []
+def _run_direction(X, Wx, Wh, b):
+    """The recurrence over the rows of X; returns the cache (X, G, C, H)."""
+    N = X.shape[0]
+    k = Wh.shape[1]
+    if X.shape[1] != Wx.shape[1] or Wx.shape[0] != 4 * k:
+        raise DimMismatchError(f"encoder shapes: X {X.shape}, Wx {Wx.shape}, k {k}")
+    G = X @ Wx.T + b            # pre-activations, overwritten by the gates
+    C = np.zeros((N + 1, k), dtype=G.dtype)
+    H = np.zeros((N + 1, k), dtype=G.dtype)
     for n in range(N):
-        (h, c), cache = lstm_step((h, c), X[n], Wx, Wh, b)
-        H[n] = h
-        caches.append(cache)
-    return H, caches
+        z = G[n] + Wh @ H[n]
+        G[n] = sigmoid(z)
+        G[n, 2 * k:3 * k] = np.tanh(z[2 * k:3 * k])
+        i, f, g, o = G[n].reshape(4, k)
+        C[n + 1] = f * C[n] + i * g
+        H[n + 1] = o * np.tanh(C[n + 1])
+    return X, G, C, H
 
 
-def bilstm_encode(X, params, with_cache=False):
-    """Encode an N x k matrix; returns (H_fwd, H_bwd) aligned to token
-    positions, plus per-step caches when with_cache is set."""
+def bilstm_encode(X, params):
+    """Encode an N x k matrix; returns ((H_fwd, H_bwd), cache) with the
+    hidden states aligned to token positions."""
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyInputError("encoder input must be a non-empty N x k matrix")
-    dtype = X.dtype
-    H_fwd, cache_f = _run_direction(
-        X, params["lstm_fwd.Wx"], params["lstm_fwd.Wh"], params["lstm_fwd.b"], dtype)
-    H_bwd_rev, cache_b = _run_direction(
-        X[::-1], params["lstm_bwd.Wx"], params["lstm_bwd.Wh"], params["lstm_bwd.b"], dtype)
-    H_bwd = H_bwd_rev[::-1].copy()
-    if with_cache:
-        return (H_fwd, H_bwd), (cache_f, cache_b)
-    return H_fwd, H_bwd
+    fwd = _run_direction(X, params["lstm_fwd.Wx"], params["lstm_fwd.Wh"], params["lstm_fwd.b"])
+    bwd = _run_direction(X[::-1], params["lstm_bwd.Wx"], params["lstm_bwd.Wh"],
+                         params["lstm_bwd.b"])
+    H_fwd, H_bwd_rev = fwd[3][1:], bwd[3][1:]
+    return (H_fwd, H_bwd_rev[::-1].copy()), (fwd, bwd)
 
 
-def _direction_backward(dH, caches, Wx, Wh):
+def _direction_backward(dH, cache, Wx, Wh):
     """BPTT through one direction; dH rows are in traversal order."""
-    N = len(caches)
-    k = dH.shape[1]
-    dWx = np.zeros_like(Wx)
-    dWh = np.zeros_like(Wh)
-    db = np.zeros(4 * k, dtype=Wx.dtype)
-    dX = np.zeros((N, k), dtype=Wx.dtype)
-    dh_carry = np.zeros(k, dtype=Wx.dtype)
-    dc_carry = np.zeros(k, dtype=Wx.dtype)
+    X, G, C, H = cache
+    N, k = dH.shape
+    I, F, Gg, O = (G[:, j * k:(j + 1) * k] for j in range(4))
+    TC = np.tanh(C[1:])
+    # dz of gates i, f, g is dc (dz_o: dh) times A, the factor the gate
+    # multiplies in the forward, times D, the slope of its nonlinearity
+    A = np.stack([Gg, C[:-1], I, TC], axis=1)
+    D = (G * (1 - G)).reshape(N, 4, k)
+    D[:, 2] = 1 - Gg * Gg
+    dc_of_dh = O * (1 - TC * TC)
+    dZ = np.empty_like(G)
+    dZ4 = dZ.reshape(N, 4, k)
+    dh_next = np.zeros(k, dtype=G.dtype)
+    dc_next = np.zeros(k, dtype=G.dtype)
     for n in range(N - 1, -1, -1):
-        x, h_prev, c_prev, i, f, g, o, tc = caches[n]
-        dh = dH[n] + dh_carry
-        do = dh * tc
-        dc = dc_carry + dh * o * (1 - tc * tc)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.concatenate([
-            di * i * (1 - i),
-            df * f * (1 - f),
-            dg * (1 - g * g),
-            do * o * (1 - o),
-        ])
-        dWx += np.outer(dz, x)
-        dWh += np.outer(dz, h_prev)
-        db += dz
-        dX[n] = Wx.T @ dz
-        dh_carry = Wh.T @ dz
-        dc_carry = dc * f
-    return dX, dWx, dWh, db
+        dh = dH[n] + dh_next
+        dc = dc_next + dh * dc_of_dh[n]
+        dZ4[n, :3] = dc * A[n, :3] * D[n, :3]
+        dZ4[n, 3] = dh * A[n, 3] * D[n, 3]
+        dh_next = dZ[n] @ Wh
+        dc_next = dc * F[n]
+    return dZ @ Wx, dZ.T @ X, dZ.T @ H[:-1], dZ.sum(axis=0)
 
 
-def bilstm_backward(dH_fwd, dH_bwd, caches, params):
+def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     """Gradients of a scalar loss wrt inputs and LSTM parameters, given
     dL/dH for both directions (rows aligned to token positions)."""
-    cache_f, cache_b = caches
+    fwd, bwd = cache
     dX_f, dWx_f, dWh_f, db_f = _direction_backward(
-        dH_fwd, cache_f, params["lstm_fwd.Wx"], params["lstm_fwd.Wh"])
+        dH_fwd, fwd, params["lstm_fwd.Wx"], params["lstm_fwd.Wh"])
     dX_b_rev, dWx_b, dWh_b, db_b = _direction_backward(
-        dH_bwd[::-1], cache_b, params["lstm_bwd.Wx"], params["lstm_bwd.Wh"])
+        dH_bwd[::-1], bwd, params["lstm_bwd.Wx"], params["lstm_bwd.Wh"])
     dX = dX_f + dX_b_rev[::-1]
     grads = {
         "lstm_fwd.Wx": dWx_f, "lstm_fwd.Wh": dWh_f, "lstm_fwd.b": db_f,

@@ -74,19 +74,21 @@ def fuse(local_scores, global_scores, beta):
 
 
 def child_parent_index_pairs(tax: Taxonomy):
-    """(child, parent) positions in the concatenated level-1..H ordering
-    for every non-root label."""
-    return [(tax.global_index(lab.id), tax.global_index(lab.parent))
-            for lab in tax.labels if lab.parent is not None]
+    """(m, 2) array of (child, parent) positions in the concatenated
+    level-1..H ordering, one row per non-root label."""
+    return np.array([(tax.global_index(lab.id), tax.global_index(lab.parent))
+                     for lab in tax.labels if lab.parent is not None],
+                    dtype=np.intp).reshape(-1, 2)
+
+
+def _violations(global_scores, pairs):
+    """How far each child's score exceeds its parent's (0 where it does not)."""
+    return np.maximum(global_scores[pairs[:, 0]] - global_scores[pairs[:, 1]], 0)
 
 
 def violation_penalty(global_scores, pairs, lam):
-    v = 0.0
-    for ci, pi in pairs:
-        d = global_scores[ci] - global_scores[pi]
-        if d > 0:
-            v += d * d
-    return lam * v
+    d = _violations(np.asarray(global_scores), pairs)
+    return lam * float(d @ d)
 
 
 def head_forward(xs, params, level_sizes, use_x0=True):
@@ -150,11 +152,9 @@ def head_backward(cache, targets, pairs, lam, params):
 
     p_g = cache["p_g"]
     dp_g = np.zeros_like(p_g)
-    for ci, pi in pairs:
-        d = p_g[ci] - p_g[pi]
-        if d > 0:
-            dp_g[ci] += 2 * lam * d
-            dp_g[pi] -= 2 * lam * d
+    d2 = 2 * lam * _violations(p_g, pairs)
+    np.add.at(dp_g, pairs[:, 0], d2)
+    np.add.at(dp_g, pairs[:, 1], -d2)
     dz_out = (p_g - y_global) / total + dp_g * p_g * (1 - p_g)
 
     grads = {}

@@ -114,7 +114,7 @@ class Model:
         Ke = self._gather(kw_rows) if len(kw_rows) else None
         contexts = [splice_level(T, Ke) for T in label_mats]
 
-        (H_fwd, H_bwd), enc_cache = bilstm_encode(X, self.params, with_cache=True)
+        (H_fwd, H_bwd), enc_cache = bilstm_encode(X, self.params)
         xs, att_cache = attention_forward(H_fwd, H_bwd, contexts,
                                           mode=self.cfg.attention_mode,
                                           similarity=self.cfg.similarity)

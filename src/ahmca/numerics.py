@@ -22,13 +22,8 @@ def check_finite(x, what="array"):
 
 
 def sigmoid(x):
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in its tanh form, which saturates without overflow."""
+    return 0.5 * (1 + np.tanh(0.5 * np.asarray(x)))
 
 
 def relu(x):

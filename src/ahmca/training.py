@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics as M
 from .attention import MODES, SIMILARITIES
-from .corpus import Corpus, Document, fields_from_json
+from .corpus import Corpus, Document, check_field_types, fields_from_json
 from .embedding import EmbeddingTable
 from .errors import (
     BadMagicError,
@@ -63,7 +63,8 @@ class TrainConfig:
     early_stop_patience: int = 5
 
     def __post_init__(self):
-        """Range checks: every way of building a config runs them."""
+        """Type and range checks: every way of building a config runs them."""
+        check_field_types(self, ConfigTypeError)
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigRangeError(f"beta must be in [0, 1], got {self.beta}")
         if not self.lambda_ >= 0:            # NaN fails too

@@ -2,15 +2,31 @@
 
 The head oracle recomputes the global/local flows one layer at a time and
 the loss through clipped-probability BCE, where the package's head works
-from cached logits.  The attention scatter oracle walks the tokens one by
-one, where the package scatters all winners at once.
+from cached logits; its hierarchy penalty loops over the (child, parent)
+pairs, where the package indexes them all at once.  The attention scatter
+oracle walks the tokens one by one, where the package scatters all winners
+at once.  The LSTM oracle is one cell update, where the package's encoder
+projects every step's input in one product.
 """
 
 import numpy as np
 
-from ahmca.hmcn import Prediction, child_parent_index_pairs, violation_penalty
+from ahmca.hmcn import Prediction, child_parent_index_pairs
 from ahmca.numerics import relu, sigmoid
 from ahmca.taxonomy import Taxonomy
+
+
+def lstm_step(state, x, Wx, Wh, b):
+    """One LSTM cell update (gates i, f, g, o); returns (h, c)."""
+    h_prev, c_prev = state
+    k = h_prev.shape[0]
+    z = Wx @ x + Wh @ h_prev + b
+    i = sigmoid(z[:k])
+    f = sigmoid(z[k:2 * k])
+    g = np.tanh(z[2 * k:3 * k])
+    o = sigmoid(z[3 * k:])
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
 
 
 def global_step(A_prev, x_h, W, b):
@@ -35,6 +51,27 @@ def _bce(p, y):
     p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1 - 1e-12)
     y = np.asarray(y)
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+
+def violation_penalty(global_scores, pairs, lam):
+    """lam times the summed squared excess of each child over its parent."""
+    v = 0.0
+    for ci, pi in pairs:
+        d = global_scores[ci] - global_scores[pi]
+        if d > 0:
+            v += d * d
+    return lam * v
+
+
+def violation_grad(global_scores, pairs, lam):
+    """Gradient of violation_penalty wrt the global scores, pair by pair."""
+    dp = np.zeros(len(global_scores))
+    for ci, pi in pairs:
+        d = global_scores[ci] - global_scores[pi]
+        if d > 0:
+            dp[ci] += 2 * lam * d
+            dp[pi] -= 2 * lam * d
+    return dp
 
 
 def loss(pred: Prediction, targets, tax: Taxonomy, lam=0.1):

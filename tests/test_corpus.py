@@ -198,6 +198,9 @@ def test_synthspec_invalid():
         SynthSpec(level_sizes=(2, 4), docs_per_leaf=1, doc_length=5,
                   keywords_per_doc=1, leaf_vocab_size=5, noise_rate=1.5,
                   seed=0).validate()
+    with pytest.raises(SpecInvalidError):
+        SynthSpec(level_sizes=(2.5,), docs_per_leaf=1, doc_length=5,
+                  keywords_per_doc=1, leaf_vocab_size=5, noise_rate=0.0, seed=0)
     good = {"level_sizes": [2, 2], "docs_per_leaf": 1, "doc_length": 5,
             "keywords_per_doc": 1, "leaf_vocab_size": 5, "noise_rate": 0, "seed": 0}
     assert SynthSpec.from_json(json.dumps(good)).level_sizes == (2, 2)

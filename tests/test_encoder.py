@@ -2,13 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import lstm_step
 
-from ahmca.encoder import (
-    bilstm_backward,
-    bilstm_encode,
-    init_lstm_params,
-    lstm_step,
-)
+from ahmca.encoder import bilstm_backward, bilstm_encode, init_lstm_params
 from ahmca.errors import DimMismatchError, EmptyInputError
 from ahmca.numerics import grad_check
 
@@ -21,16 +17,16 @@ def _zero_params(k):
 def test_lstm_step_all_zero():
     k = 3
     state = (np.zeros(k), np.zeros(k))
-    (h, c), _ = lstm_step(state, np.zeros(k), np.zeros((4 * k, k)),
-                          np.zeros((4 * k, k)), np.zeros(4 * k))
+    h, c = lstm_step(state, np.zeros(k), np.zeros((4 * k, k)),
+                     np.zeros((4 * k, k)), np.zeros(4 * k))
     assert np.array_equal(h, np.zeros(k))
     assert np.array_equal(c, np.zeros(k))
 
 
 def test_lstm_step_zero_weights_any_input():
     k = 2
-    (h, c), _ = lstm_step((np.zeros(k), np.zeros(k)), np.array([5.0, -3.0]),
-                          np.zeros((4 * k, k)), np.zeros((4 * k, k)), np.zeros(4 * k))
+    h, c = lstm_step((np.zeros(k), np.zeros(k)), np.array([5.0, -3.0]),
+                     np.zeros((4 * k, k)), np.zeros((4 * k, k)), np.zeros(4 * k))
     assert np.allclose(h, 0.0)
 
 
@@ -61,16 +57,30 @@ def test_lstm_step_matches_scalar_oracle():
     h0 = rng.standard_normal(k)
     c0 = rng.standard_normal(k)
     x = rng.standard_normal(k)
-    (h, c), _ = lstm_step((h0, c0), x, Wx, Wh, b)
+    h, c = lstm_step((h0, c0), x, Wx, Wh, b)
     ho, co = _scalar_lstm_oracle(h0, c0, x, Wx, Wh, b, k)
     assert np.allclose(h, ho, atol=1e-9)
     assert np.allclose(c, co, atol=1e-9)
 
 
-def test_lstm_step_dim_mismatch():
+def test_bilstm_dim_mismatch():
     with pytest.raises(DimMismatchError):
-        lstm_step((np.zeros(3), np.zeros(3)), np.zeros(2),
-                  np.zeros((12, 3)), np.zeros((12, 3)), np.zeros(12))
+        bilstm_encode(np.zeros((4, 2)), _zero_params(3))
+
+
+def test_bilstm_matches_step_oracle():
+    k, N = 3, 5
+    rng = np.random.default_rng(9)
+    params = {name: rng.standard_normal(v.shape)
+              for name, v in init_lstm_params(k, rng, dtype=np.float64).items()}
+    X = rng.standard_normal((N, k))
+    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
+    for d, H, seq in (("fwd", H_fwd, X), ("bwd", H_bwd[::-1], X[::-1])):
+        h, c = np.zeros(k), np.zeros(k)
+        for n in range(N):
+            h, c = lstm_step((h, c), seq[n], params[f"lstm_{d}.Wx"],
+                             params[f"lstm_{d}.Wh"], params[f"lstm_{d}.b"])
+            np.testing.assert_allclose(H[n], h, rtol=0, atol=1e-12)
 
 
 def test_bilstm_shapes():
@@ -78,7 +88,7 @@ def test_bilstm_shapes():
     rng = np.random.default_rng(1)
     params = init_lstm_params(k, rng)
     X = rng.standard_normal((6, k)).astype(np.float32)
-    H_fwd, H_bwd = bilstm_encode(X, params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
     assert H_fwd.shape == (6, k)
     assert H_bwd.shape == (6, k)
 
@@ -93,12 +103,12 @@ def test_backward_direction_is_reversed_forward():
     rng = np.random.default_rng(2)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((5, k))
-    _, H_bwd = bilstm_encode(X, params)
+    (_, H_bwd), _ = bilstm_encode(X, params)
     # run the backward parameter set as a forward recurrence on reverse(X)
     swapped = dict(params)
     for n in ("Wx", "Wh", "b"):
         swapped[f"lstm_fwd.{n}"] = params[f"lstm_bwd.{n}"]
-    H_rev, _ = bilstm_encode(X[::-1], swapped)
+    (H_rev, _), _ = bilstm_encode(X[::-1], swapped)
     assert np.allclose(H_bwd, H_rev[::-1], atol=1e-12)
 
 
@@ -107,7 +117,7 @@ def test_single_token():
     rng = np.random.default_rng(3)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((1, k))
-    H_fwd, H_bwd = bilstm_encode(X, params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
     assert H_fwd.shape == H_bwd.shape == (1, k)
 
 
@@ -117,10 +127,10 @@ def test_position_alignment():
     rng = np.random.default_rng(5)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((6, k))
-    H_fwd, H_bwd = bilstm_encode(X, params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
     Y = X.copy()
     Y[4] += 10.0
-    G_fwd, G_bwd = bilstm_encode(Y, params)
+    (G_fwd, G_bwd), _ = bilstm_encode(Y, params)
     assert np.allclose(G_fwd[:4], H_fwd[:4])
     assert not np.allclose(G_fwd[4:], H_fwd[4:])
     assert np.allclose(G_bwd[5:], H_bwd[5:])
@@ -132,7 +142,7 @@ def test_hidden_bounded():
     rng = np.random.default_rng(6)
     params = {key: (v * 10) for key, v in init_lstm_params(k, rng, np.float64).items()}
     X = 5 * rng.standard_normal((8, k))
-    H_fwd, H_bwd = bilstm_encode(X, params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
     assert np.abs(H_fwd).max() <= 1.0
     assert np.abs(H_bwd).max() <= 1.0
 
@@ -145,7 +155,7 @@ def test_bilstm_gradients():
     Wb = rng.standard_normal((4, k))
 
     def f(params):
-        (H_fwd, H_bwd), caches = bilstm_encode(X, params, with_cache=True)
+        (H_fwd, H_bwd), caches = bilstm_encode(X, params)
         loss = float(np.sum(Wf * H_fwd) + np.sum(Wb * H_bwd))
         _, grads = bilstm_backward(Wf, Wb, caches, params)
         return loss, grads

@@ -1,4 +1,7 @@
+import json
+
 import numpy as np
+import oracles
 import pytest
 from oracles import global_predict, global_step, local_predict, loss
 
@@ -14,6 +17,7 @@ from ahmca.hmcn import (
     violation_penalty,
 )
 from ahmca.numerics import grad_check
+from ahmca.taxonomy import load_taxonomy
 
 
 def test_global_step_zero_weights():
@@ -79,7 +83,39 @@ def test_violation_penalty_consistent_is_zero(two_level_tax):
 def test_child_parent_pairs(two_level_tax):
     pairs = child_parent_index_pairs(two_level_tax)
     # A=0, B=1, A1=2, A2=3, B1=4
-    assert set(pairs) == {(2, 0), (3, 0), (4, 1)}
+    assert pairs.shape == (3, 2)
+    assert {tuple(p) for p in pairs} == {(2, 0), (3, 0), (4, 1)}
+
+
+def _one_level_tax():
+    return load_taxonomy(json.dumps({"labels": [
+        {"id": "A", "text": "alpha", "level": 1, "parent": None},
+        {"id": "B", "text": "beta", "level": 1, "parent": None}]}))
+
+
+@pytest.mark.parametrize("one_level", [False, True])
+def test_penalty_matches_pair_loop(two_level_tax, one_level):
+    tax = _one_level_tax() if one_level else two_level_tax
+    pairs = child_parent_index_pairs(tax)
+    assert pairs.shape == ((0, 2) if one_level else (3, 2))
+    level_sizes = tax.level_sizes()
+    rng = np.random.default_rng(12)
+    params = init_head_params(3, 5, 4, level_sizes, rng, dtype=np.float64)
+    params["global.bout"] = 3 * rng.standard_normal(sum(level_sizes))
+    xs = [rng.standard_normal(6) for _ in range(len(level_sizes) + 1)]
+    targets = [np.zeros(n) for n in level_sizes]
+    cache = head_forward(xs, params, level_sizes)
+    p_g = cache["p_g"]
+    assert one_level or oracles.violation_penalty(p_g, pairs, 1.0) > 0
+    for lam in (0.1, 2.0):
+        assert violation_penalty(p_g, pairs, lam) == pytest.approx(
+            oracles.violation_penalty(p_g, pairs, lam), rel=1e-12, abs=0)
+        # the penalty reaches the scores only through dp_g * p_g (1 - p_g)
+        with_pen, _ = head_backward(cache, targets, pairs, lam, params)
+        without, _ = head_backward(cache, targets, pairs, 0.0, params)
+        dp_g = oracles.violation_grad(p_g, pairs, lam)
+        np.testing.assert_allclose(with_pen["global.bout"] - without["global.bout"],
+                                   dp_g * p_g * (1 - p_g), rtol=1e-12, atol=1e-15)
 
 
 def test_loss_at_half_scores(two_level_tax):

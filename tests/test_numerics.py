@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,14 @@ def test_check_finite_rejects_nan():
 def test_sigmoid_symmetry(x):
     s = sigmoid(x) + sigmoid(-x)
     assert np.allclose(s, 1.0, atol=1e-12)
+
+
+def test_sigmoid_saturates():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+    assert np.array_equal(s, [0.0, 0.5, 1.0])
+    assert sigmoid(np.zeros(3, dtype=np.float32)).dtype == np.float32
 
 
 def test_grad_check_square():

@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, the demos that use the
-package API run to completion, and no module imports a name it never uses."""
+package API run to completion, the benchmark tracer finds every function it
+wraps, and no module imports a name it never uses."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,6 +43,18 @@ def test_synthetic_benchmark_demo():
 def test_train_and_evaluate_demo():
     out = _run_demo("03_train_and_evaluate.py")
     assert "held-out metrics:" in out and "consistent label sets per level" in out
+
+
+def test_bench_tracer_layers_resolve():
+    """bench/tracer.py wraps package functions by name; a rename must fail
+    here rather than show up as an absent layer in a traced run."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    entries = [entry[:2] for entry in tracer.LAYERS + tracer.COUNTED]
+    absent = [f"{module}.{path}" for module, path in entries
+              if tracer._resolve(module, path) is None]
+    assert not absent, f"tracer targets missing from the package: {absent}"
 
 
 def test_no_unused_module_imports():

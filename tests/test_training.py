@@ -82,11 +82,15 @@ def test_config_unknown_key():
 
 
 def test_config_rejected_at_construction():
-    for bad in (lambda: TrainConfig(beta=2.0),
-                lambda: TrainConfig(attention_mode="bogus"),
-                lambda: replace(TrainConfig(), lambda_=-1.0)):
-        with pytest.raises(ConfigRangeError):
+    for error, bad in ((ConfigRangeError, lambda: TrainConfig(beta=2.0)),
+                       (ConfigRangeError, lambda: TrainConfig(attention_mode="bogus")),
+                       (ConfigRangeError, lambda: replace(TrainConfig(), lambda_=-1.0)),
+                       (ConfigTypeError, lambda: TrainConfig(k=4.0, g=4, d_L=4)),
+                       (ConfigTypeError, lambda: TrainConfig(freeze_embeddings="no")),
+                       (ConfigTypeError, lambda: TrainConfig(beta=True))):
+        with pytest.raises(error):
             bad()
+    assert TrainConfig(beta=1, learning_rate=1).beta == 1       # ints are floats
 
 
 def test_config_type_errors():
