@@ -2,7 +2,7 @@
 # Full command-line pipeline: generate a benchmark, train, evaluate,
 # classify new documents and inspect the checkpoint.
 #
-# Run: sh demos/05_cli_pipeline.sh   (~30 s, writes to a temp directory)
+# Run: sh demos/05_cli_pipeline.sh   (about 3 s on 2 cores, writes to a temp directory)
 set -e
 
 DIR=$(mktemp -d)

@@ -1,8 +1,8 @@
 """Word-vector table and word2vec-text loading and saving.
 
-Lookup is total: out-of-vocabulary tokens map to a single shared unk
-vector (the mean of the vocabulary), so downstream code never deals with
-missing words.
+The table carries one shared unk vector (by default the mean of the
+vocabulary); Model.embed maps out-of-vocabulary tokens to it, so
+downstream code never deals with missing words.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class EmbeddingTable:
 
     def __contains__(self, token):
         return token in self.index
-
-    def lookup(self, token):
-        i = self.index.get(token)
-        return self.vectors[i] if i is not None else self.unk_vector
 
 
 def load_embeddings(source: str) -> EmbeddingTable:

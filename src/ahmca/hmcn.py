@@ -6,7 +6,8 @@ sigmoid classifier over all classes; each level also has a local relu +
 sigmoid classifier.  The final score is the beta-weighted convex
 combination of the two.  The loss is binary cross-entropy on both flows
 plus a squared-hinge penalty whenever a child's global score exceeds its
-parent's.
+parent's.  The head works on mini-batches: every input, activation and
+score is a matrix with one row per document.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ def init_head_params(k, g, d_local, level_sizes, rng, use_x0=True, dtype=np.floa
     return params
 
 
-def _affine(W, b, x):
-    if W.shape[1] != x.shape[0]:
-        raise DimMismatchError(f"affine: W {W.shape} vs x {x.shape}")
-    return W @ x + b
+def _affine(W, b, X):
+    if W.shape[1] != X.shape[-1]:
+        raise DimMismatchError(f"affine: W {W.shape} vs X {X.shape}")
+    return X @ W.T + b
 
 
 def fuse(local_scores, global_scores, beta):
@@ -83,16 +84,18 @@ def child_parent_index_pairs(tax: Taxonomy):
 
 def _violations(global_scores, pairs):
     """How far each child's score exceeds its parent's (0 where it does not)."""
-    return np.maximum(global_scores[pairs[:, 0]] - global_scores[pairs[:, 1]], 0)
+    return np.maximum(global_scores[..., pairs[:, 0]] - global_scores[..., pairs[:, 1]], 0)
 
 
 def violation_penalty(global_scores, pairs, lam):
+    """lam times the summed squared violations, per row of global scores."""
     d = _violations(np.asarray(global_scores), pairs)
-    return lam * float(d @ d)
+    return lam * np.sum(d * d, axis=-1)
 
 
 def head_forward(xs, params, level_sizes, use_x0=True):
-    """Forward through both flows from document embeddings xs = [x0..xH].
+    """Forward through both flows from document embeddings xs = [x0..xH],
+    each a B x 2k matrix with one row per document.
 
     Returns the cache: scores together with their pre-sigmoid logits, so
     the loss can be computed stably.
@@ -102,12 +105,12 @@ def head_forward(xs, params, level_sizes, use_x0=True):
     zs = []
     inputs = []
     for h in range(1, H + 1):
-        inp = xs[h] if h == 1 else np.concatenate([A[h - 1], xs[h]])
+        inp = xs[h] if h == 1 else np.concatenate([A[h - 1], xs[h]], axis=1)
         z = _affine(params[f"global.W{h}"], params[f"global.b{h}"], inp)
         inputs.append(inp)
         zs.append(z)
         A.append(relu(z))
-    out_in = np.concatenate([A[H], xs[0]]) if use_x0 else A[H]
+    out_in = np.concatenate([A[H], xs[0]], axis=1) if use_x0 else A[H]
     z_out = _affine(params["global.Wout"], params["global.bout"], out_in)
     p_g = sigmoid(z_out)
 
@@ -124,74 +127,77 @@ def head_forward(xs, params, level_sizes, use_x0=True):
     return cache
 
 
-def head_loss(cache, targets, pairs, lam):
-    """BCE on the global flow + per-level BCE on the local flows + the
-    hierarchy violation penalty on the global scores, from a head_forward
-    cache via logits for stability."""
-    got = [len(t) for t in targets]
-    if got != list(cache["level_sizes"]):
-        raise DimMismatchError(f"target lengths {got} != level sizes {cache['level_sizes']}")
-    y_global = np.concatenate([np.asarray(t) for t in targets])
-    z = cache["z_out"]
-    total = float(np.mean(np.maximum(z, 0) - z * y_global + np.log1p(np.exp(-np.abs(z)))))
-    for lv, t in zip(cache["local"], targets):
-        zc = lv["zc"]
-        t = np.asarray(t)
-        total += float(np.mean(np.maximum(zc, 0) - zc * t + np.log1p(np.exp(-np.abs(zc)))))
-    total += violation_penalty(cache["p_g"], pairs, lam)
-    return total
+def _level_targets(cache, Y):
+    """The column slice of the B x C target matrix Y that each level reads."""
+    if Y.shape != cache["z_out"].shape:
+        raise DimMismatchError(f"targets {Y.shape} != scores {cache['z_out'].shape}")
+    return np.split(Y, np.cumsum(cache["level_sizes"])[:-1], axis=1)
 
 
-def head_backward(cache, targets, pairs, lam, params):
-    """Gradients of head_loss wrt head params and the embeddings xs."""
-    level_sizes = cache["level_sizes"]
-    H = len(level_sizes)
-    dtype = cache["z_out"].dtype
-    y_global = np.concatenate([np.asarray(t, dtype=dtype) for t in targets])
-    total = y_global.shape[0]
+def _bce_from_logits(z, y):
+    return np.mean(np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z))), axis=1)
+
+
+def head_loss(cache, Y, pairs, lam):
+    """(B,) losses: BCE on the global flow + per-level BCE on the local
+    flows + the hierarchy violation penalty on the global scores, from a
+    head_forward cache via logits for stability.  Y is the B x C 0/1 target
+    matrix in taxonomy order."""
+    Ys = _level_targets(cache, Y)
+    total = _bce_from_logits(cache["z_out"], Y)
+    for lv, y in zip(cache["local"], Ys):
+        total += _bce_from_logits(lv["zc"], y)
+    return total + violation_penalty(cache["p_g"], pairs, lam)
+
+
+def head_backward(cache, Y, pairs, lam, params):
+    """Gradients of the summed head_loss rows wrt head params and the
+    embeddings xs."""
+    H = len(cache["level_sizes"])
+    Ys = _level_targets(cache, Y)
 
     p_g = cache["p_g"]
     dp_g = np.zeros_like(p_g)
     d2 = 2 * lam * _violations(p_g, pairs)
-    np.add.at(dp_g, pairs[:, 0], d2)
-    np.add.at(dp_g, pairs[:, 1], -d2)
-    dz_out = (p_g - y_global) / total + dp_g * p_g * (1 - p_g)
+    np.add.at(dp_g, (slice(None), pairs[:, 0]), d2)
+    np.add.at(dp_g, (slice(None), pairs[:, 1]), -d2)
+    dz_out = (p_g - Y) / Y.shape[1] + dp_g * p_g * (1 - p_g)
 
     grads = {}
-    grads["global.Wout"] = np.outer(dz_out, cache["out_in"])
-    grads["global.bout"] = dz_out
-    d_out_in = params["global.Wout"].T @ dz_out
+    grads["global.Wout"] = dz_out.T @ cache["out_in"]
+    grads["global.bout"] = dz_out.sum(0)
+    d_out_in = dz_out @ params["global.Wout"]
 
-    g = cache["A"][1].shape[0]
+    g = cache["A"][1].shape[1]
     dA = [np.zeros_like(a) if a is not None else None for a in cache["A"]]
     dxs = [None] * (H + 1)
     if cache["use_x0"]:
-        dA[H] += d_out_in[:g]
-        dxs[0] = d_out_in[g:]
+        dA[H] += d_out_in[:, :g]
+        dxs[0] = d_out_in[:, g:]
     else:
         dA[H] += d_out_in
         dxs[0] = np.zeros_like(cache["xs"][0])
 
     for h in range(1, H + 1):
         lv = cache["local"][h - 1]
-        t = np.asarray(targets[h - 1], dtype=dtype)
-        dzc = (lv["p"] - t) / t.shape[0]
-        grads[f"local.Wc{h}"] = np.outer(dzc, lv["a_l"])
-        grads[f"local.bc{h}"] = dzc
-        da_l = params[f"local.Wc{h}"].T @ dzc
+        y = Ys[h - 1]
+        dzc = (lv["p"] - y) / y.shape[1]
+        grads[f"local.Wc{h}"] = dzc.T @ lv["a_l"]
+        grads[f"local.bc{h}"] = dzc.sum(0)
+        da_l = dzc @ params[f"local.Wc{h}"]
         dzt = da_l * (lv["zt"] > 0)
-        grads[f"local.Wt{h}"] = np.outer(dzt, cache["A"][h])
-        grads[f"local.bt{h}"] = dzt
-        dA[h] += params[f"local.Wt{h}"].T @ dzt
+        grads[f"local.Wt{h}"] = dzt.T @ cache["A"][h]
+        grads[f"local.bt{h}"] = dzt.sum(0)
+        dA[h] += dzt @ params[f"local.Wt{h}"]
 
     for h in range(H, 0, -1):
         dz = dA[h] * (cache["zs"][h - 1] > 0)
-        grads[f"global.W{h}"] = np.outer(dz, cache["inputs"][h - 1])
-        grads[f"global.b{h}"] = dz
-        dinp = params[f"global.W{h}"].T @ dz
+        grads[f"global.W{h}"] = dz.T @ cache["inputs"][h - 1]
+        grads[f"global.b{h}"] = dz.sum(0)
+        dinp = dz @ params[f"global.W{h}"]
         if h == 1:
             dxs[1] = dinp
         else:
-            dA[h - 1] += dinp[:g]
-            dxs[h] = dinp[g:]
+            dA[h - 1] += dinp[:, :g]
+            dxs[h] = dinp[:, g:]
     return grads, dxs

@@ -5,8 +5,9 @@ One Model instance owns the taxonomy binding, the embedding vocabulary and
 the parameter dict (embedding vectors included).  Its hyperparameters (k, g,
 d_L, beta, lambda_, attention mode, similarity, x^0 in the global path and
 the init seed) are read from the TrainConfig it was built with, model.cfg,
-which has checked their ranges.  Forward and backward run per document,
-without padding, and one loss_and_grads call serves a mini-batch.
+which has checked their ranges.  One loss_and_grads call serves a
+mini-batch: the encoder and attention run per document, without padding,
+and the head runs once on a B-row matrix per level, one row per document.
 """
 
 from __future__ import annotations
@@ -103,63 +104,66 @@ class Model:
 
     # --- forward ----------------------------------------------------------
 
-    def forward(self, doc: Document, label_mats):
-        """Head cache and backward caches of one document under label_mats."""
-        tokens = doc.tokens
-        if not tokens:
-            raise EmptyTextError(f"document {doc.id!r} has no tokens")
-        rows = self._rows(tokens)
-        X = self._gather(rows)
-        kw_rows = self._rows(doc.keywords)
-        Ke = self._gather(kw_rows) if len(kw_rows) else None
-        contexts = [splice_level(T, Ke) for T in label_mats]
+    def forward(self, docs, label_mats):
+        """Head cache of a mini-batch under label_mats and, per document, the
+        encoder and attention caches and the embedding rows.  Encoder and
+        attention run per document; the head runs once on the stacked rows."""
+        doc_xs, caches = [], []
+        for doc in docs:
+            tokens = doc.tokens
+            if not tokens:
+                raise EmptyTextError(f"document {doc.id!r} has no tokens")
+            rows = self._rows(tokens)
+            X = self._gather(rows)
+            kw_rows = self._rows(doc.keywords)
+            Ke = self._gather(kw_rows) if len(kw_rows) else None
+            contexts = [splice_level(T, Ke) for T in label_mats]
 
-        (H_fwd, H_bwd), enc_cache = bilstm_encode(X, self.params)
-        xs, att_cache = attention_forward(H_fwd, H_bwd, contexts,
-                                          mode=self.cfg.attention_mode,
-                                          similarity=self.cfg.similarity)
-        head_cache = head_forward(xs, self.params, self.level_sizes,
-                                  use_x0=self.cfg.use_x0_in_global)
-        return head_cache, {"enc": enc_cache, "att": att_cache,
-                            "rows": rows, "kw_rows": kw_rows}
+            (H_fwd, H_bwd), enc_cache = bilstm_encode(X, self.params)
+            xs, att_cache = attention_forward(H_fwd, H_bwd, contexts,
+                                              mode=self.cfg.attention_mode,
+                                              similarity=self.cfg.similarity)
+            doc_xs.append(xs)
+            caches.append({"enc": enc_cache, "att": att_cache,
+                           "rows": rows, "kw_rows": kw_rows})
+        head_cache = head_forward([np.stack(x) for x in zip(*doc_xs)], self.params,
+                                  self.level_sizes, use_x0=self.cfg.use_x0_in_global)
+        return head_cache, caches
 
     def predict_scores(self, doc: Document) -> Prediction:
-        cache, _ = self.forward(doc, self.label_matrices())
-        p_g = cache["p_g"]
-        locals_ = [lv["p"] for lv in cache["local"]]
+        cache, _ = self.forward([doc], self.label_matrices())
+        p_g = cache["p_g"][0]
+        locals_ = [lv["p"][0] for lv in cache["local"]]
         return Prediction(global_scores=p_g, local_scores=locals_,
                           fused_scores=fuse(locals_, p_g, self.cfg.beta))
 
-    def targets_for(self, doc: Document):
-        out = []
-        for i in range(1, self.tax.depth + 1):
-            t = np.zeros(self.level_sizes[i - 1], dtype=self.dtype)
-            for lid in doc.level_labels[i - 1]:
-                t[self.tax.level_index[lid]] = 1.0
-            out.append(t)
-        return out
+    def targets(self, docs):
+        """B x C 0/1 matrix of the documents' labels in taxonomy order."""
+        Y = np.zeros((len(docs), self.tax.total_classes), dtype=self.dtype)
+        for r, doc in enumerate(docs):
+            Y[r, [self.tax.position[lid] for level in doc.level_labels for lid in level]] = 1.0
+        return Y
 
     # --- backward ---------------------------------------------------------
 
     def loss_and_grads(self, docs):
         """Per-document losses of a mini-batch and the gradient of their mean
-        for every group in params; the label matrices are built once and the
-        batch's embedding gradients go into [vectors; unk] in one scatter."""
+        for every group in params; the label matrices are built once, the
+        head runs once on the batch's rows and the batch's embedding
+        gradients go into [vectors; unk] in one scatter."""
         label_mats = self.label_matrices()
-        losses, grads = [], {}
+        Y = self.targets(docs)
+        head_cache, caches = self.forward(docs, label_mats)
+        losses = head_loss(head_cache, Y, self.pairs, self.cfg.lambda_)
+        grads, dxs = head_backward(head_cache, Y, self.pairs, self.cfg.lambda_, self.params)
         # scatter rows and values: per document its token rows, then per
         # level the label-word shares and the keyword rows
         idx, vals = [], []
-        for doc in docs:
-            targets = self.targets_for(doc)
-            head_cache, extra = self.forward(doc, label_mats)
-            losses.append(head_loss(head_cache, targets, self.pairs, self.cfg.lambda_))
-            doc_grads, dxs = head_backward(head_cache, targets, self.pairs,
-                                           self.cfg.lambda_, self.params)
-            dH_fwd, dH_bwd, dcontexts = attention_backward(dxs, extra["att"])
+        for r, extra in enumerate(caches):
+            dH_fwd, dH_bwd, dcontexts = attention_backward([dx[r] for dx in dxs],
+                                                           extra["att"])
             dX, lstm_grads = bilstm_backward(dH_fwd, dH_bwd, extra["enc"], self.params)
-            doc_grads.update(lstm_grads)
-            for name, g in doc_grads.items():
+            for name, g in lstm_grads.items():
                 grads[name] = grads[name] + g if name in grads else g
 
             idx.append(extra["rows"])
@@ -178,4 +182,4 @@ class Model:
         grads["embedding.unk"] = dext[V]
 
         scale = 1.0 / len(docs)
-        return losses, {name: g * scale for name, g in grads.items()}
+        return losses.tolist(), {name: g * scale for name, g in grads.items()}

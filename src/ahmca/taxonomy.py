@@ -50,7 +50,6 @@ class Taxonomy:
     # derived, filled in by load_taxonomy
     by_id: dict = field(repr=False)
     levels: tuple = field(repr=False)   # tuple of tuples of label ids, levels[0] = level 1
-    level_index: dict = field(repr=False)  # label id -> position within its level
     order: tuple = field(repr=False)    # label ids, levels 1..H concatenated
     position: dict = field(repr=False)  # label id -> index in order
 
@@ -173,13 +172,11 @@ def load_taxonomy(source) -> Taxonomy:
             raise LevelGapError(f"no labels at level {i} but deeper levels exist")
         levels.append(tuple(ids))
 
-    level_index = {lid: pos for ids in levels for pos, lid in enumerate(ids)}
     order = tuple(lid for ids in levels for lid in ids)
     return Taxonomy(
         labels=tuple(labels),
         by_id=by_id,
         levels=tuple(levels),
-        level_index=level_index,
         order=order,
         position={lid: i for i, lid in enumerate(order)},
     )

@@ -27,7 +27,6 @@ from .errors import (
     ConfigRangeError,
     ConfigTypeError,
     CorruptPayloadError,
-    EmptyTextError,
     NonFiniteLossError,
     TaxonomyMismatchError,
     UnknownConfigKeyError,
@@ -114,8 +113,13 @@ class Checkpoint:
         tax = load_taxonomy(self.taxonomy_json)
         if tax.content_hash() != self.taxonomy_hash:
             raise TaxonomyMismatchError("embedded taxonomy does not match its hash")
+        if tuple(self.label_order) != tax.order:
+            raise CorruptPayloadError("label_order does not match the embedded taxonomy")
+        tokens = self.embedding_tokens
+        if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
+            raise CorruptPayloadError("embedding_tokens must be distinct strings")
         cfg = self.config
-        want = param_shapes(tax.level_sizes(), len(self.embedding_tokens), cfg)
+        want = param_shapes(tax.level_sizes(), len(tokens), cfg)
         got = {name: arr.shape for name, arr in self.arrays.items()}
         bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
         if bad:
@@ -123,7 +127,7 @@ class Checkpoint:
                                       f"this config and taxonomy: {bad}")
         table = EmbeddingTable.from_pairs(
             cfg.k,
-            list(zip(self.embedding_tokens, self.arrays["embedding.vectors"])),
+            list(zip(tokens, self.arrays["embedding.vectors"])),
             unk=self.arrays["embedding.unk"],
         )
         params = {k: v.copy() for k, v in self.arrays.items()}
@@ -240,15 +244,6 @@ class History:
                 r["val_macro_f1_at_1"], r["val_p_at_1"]))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "History":
-        h = cls()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        for ln in lines[1:]:
-            e, tl, f1, p1 = ln.split(",")
-            h.append(int(e), float(tl), float(f1), float(p1))
-        return h
-
 
 # --- optimizer ----------------------------------------------------------
 
@@ -313,8 +308,6 @@ def predict(model: Model, doc: Document, top_n=5, threshold=0.5,
     """Decode a document: fused scores, top-n leaf labels, and thresholded
     per-level label sets (optionally dropping children whose parent is
     absent)."""
-    if not doc.tokens:
-        raise EmptyTextError("cannot predict on an empty document")
     tax = model.tax
     pred = model.predict_scores(doc)
     leaf_classes = tax.labels_at_level(tax.depth)

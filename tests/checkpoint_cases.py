@@ -30,6 +30,13 @@ def _set_first_entry(key, value):
     return edit
 
 
+def _set_meta(key, edit_value):
+    def edit(meta):
+        meta[key] = edit_value(meta[key])
+        return meta
+    return edit
+
+
 # rejected by load_checkpoint
 LOAD_CASES = {
     "config_only": lambda b: _edit_meta(b, lambda m: {"config": {}}),
@@ -47,4 +54,10 @@ BUILD_CASES = {
         b, lambda a: {k: v for k, v in a.items() if k != "embedding.vectors"}),
     "wrong_size_b1": lambda b: _edit_arrays(
         b, lambda a: {**a, "global.b1": np.zeros(len(a["global.b1"]) + 1, np.float32)}),
+    "label_order_cut": lambda b: _edit_meta(
+        b, _set_meta("label_order", lambda order: order[2::-1])),
+    "token_repeated": lambda b: _edit_meta(
+        b, _set_meta("embedding_tokens", lambda toks: [toks[1]] + toks[1:])),
+    "token_not_string": lambda b: _edit_meta(
+        b, _set_meta("embedding_tokens", lambda toks: [[toks[0]]] + toks[1:])),
 }

@@ -102,17 +102,17 @@ def test_penalty_matches_pair_loop(two_level_tax, one_level):
     rng = np.random.default_rng(12)
     params = init_head_params(3, 5, 4, level_sizes, rng, dtype=np.float64)
     params["global.bout"] = 3 * rng.standard_normal(sum(level_sizes))
-    xs = [rng.standard_normal(6) for _ in range(len(level_sizes) + 1)]
-    targets = [np.zeros(n) for n in level_sizes]
+    xs = [rng.standard_normal((1, 6)) for _ in range(len(level_sizes) + 1)]
+    Y = np.zeros((1, sum(level_sizes)))
     cache = head_forward(xs, params, level_sizes)
-    p_g = cache["p_g"]
+    (p_g,) = cache["p_g"]
     assert one_level or oracles.violation_penalty(p_g, pairs, 1.0) > 0
     for lam in (0.1, 2.0):
-        assert violation_penalty(p_g, pairs, lam) == pytest.approx(
-            oracles.violation_penalty(p_g, pairs, lam), rel=1e-12, abs=0)
+        assert violation_penalty(cache["p_g"], pairs, lam) == pytest.approx(
+            [oracles.violation_penalty(p_g, pairs, lam)], rel=1e-12, abs=0)
         # the penalty reaches the scores only through dp_g * p_g (1 - p_g)
-        with_pen, _ = head_backward(cache, targets, pairs, lam, params)
-        without, _ = head_backward(cache, targets, pairs, 0.0, params)
+        with_pen, _ = head_backward(cache, Y, pairs, lam, params)
+        without, _ = head_backward(cache, Y, pairs, 0.0, params)
         dp_g = oracles.violation_grad(p_g, pairs, lam)
         np.testing.assert_allclose(with_pen["global.bout"] - without["global.bout"],
                                    dp_g * p_g * (1 - p_g), rtol=1e-12, atol=1e-15)
@@ -133,10 +133,12 @@ def test_loss_target_length_mismatch(two_level_tax):
     cache = head_forward(xs, params, level_sizes, use_x0=True)
     pairs = child_parent_index_pairs(two_level_tax)
     with pytest.raises(DimMismatchError):
-        head_loss(cache, [np.zeros(3), np.zeros(3)], pairs, lam=0.1)
+        head_loss(cache, np.zeros((2, 6)), pairs, lam=0.1)
 
 
 def _head_setup(seed=0, use_x0=True):
+    """Head parameters, 2-row embeddings xs and the 2 x 5 targets Y of the
+    two-level taxonomy (A, B, A1, A2, B1): row 0 is {A, A2}, row 1 {B, B1}."""
     rng = np.random.default_rng(seed)
     k, g, d_local = 3, 5, 4
     level_sizes = [2, 3]
@@ -145,45 +147,49 @@ def _head_setup(seed=0, use_x0=True):
     # nudge biases off zero so relu pre-activations avoid the kink
     for name in params:
         params[name] = params[name] + rng.normal(0, 0.01, params[name].shape)
-    xs = [rng.standard_normal(2 * k) for _ in range(3)]
-    targets = [np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    return params, xs, targets, level_sizes
+    xs = [rng.standard_normal((2, 2 * k)) for _ in range(3)]
+    Y = np.array([[1.0, 0.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 1.0]])
+    return params, xs, Y, level_sizes
 
 
 def test_head_forward_matches_public_ops():
-    params, xs, targets, level_sizes = _head_setup()
+    params, xs, _, level_sizes = _head_setup()
     cache = head_forward(xs, params, level_sizes, use_x0=True)
-    A1 = global_step(None, xs[1], params["global.W1"], params["global.b1"])
-    A2 = global_step(A1, xs[2], params["global.W2"], params["global.b2"])
-    pg = global_predict(A2, xs[0], params["global.Wout"], params["global.bout"])
-    assert np.allclose(cache["p_g"], pg, atol=1e-12)
-    p1 = local_predict(A1, params["local.Wt1"], params["local.bt1"],
-                       params["local.Wc1"], params["local.bc1"])
-    assert np.allclose(cache["local"][0]["p"], p1, atol=1e-12)
+    for r in range(2):
+        A1 = global_step(None, xs[1][r], params["global.W1"], params["global.b1"])
+        A2 = global_step(A1, xs[2][r], params["global.W2"], params["global.b2"])
+        pg = global_predict(A2, xs[0][r], params["global.Wout"], params["global.bout"])
+        assert np.allclose(cache["p_g"][r], pg, atol=1e-12)
+        p1 = local_predict(A1, params["local.Wt1"], params["local.bt1"],
+                           params["local.Wc1"], params["local.bc1"])
+        assert np.allclose(cache["local"][0]["p"][r], p1, atol=1e-12)
 
 
 def test_head_loss_matches_prob_loss(two_level_tax):
-    params, xs, targets, level_sizes = _head_setup()
+    params, xs, Y, level_sizes = _head_setup()
     cache = head_forward(xs, params, level_sizes, use_x0=True)
     pairs = child_parent_index_pairs(two_level_tax)
-    via_logits = head_loss(cache, targets, pairs, lam=0.1)
-    sizes = level_sizes
-    locals_ = [cache["local"][h]["p"] for h in range(2)]
-    pred = Prediction(cache["p_g"], locals_, fuse(locals_, cache["p_g"], 0.5))
-    via_probs = loss(pred, targets, two_level_tax, lam=0.1)
-    assert via_logits == pytest.approx(via_probs, rel=1e-9)
+    via_logits = head_loss(cache, Y, pairs, lam=0.1)
+    assert via_logits.shape == (2,)
+    for r in range(2):
+        p_g = cache["p_g"][r]
+        locals_ = [lv["p"][r] for lv in cache["local"]]
+        pred = Prediction(p_g, locals_, fuse(locals_, p_g, 0.5))
+        via_probs = loss(pred, np.split(Y[r], [2]), two_level_tax, lam=0.1)
+        assert via_logits[r] == pytest.approx(via_probs, rel=1e-9)
 
 
 @pytest.mark.parametrize("use_x0", [True, False])
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 def test_head_gradients(two_level_tax, use_x0, lam):
-    params, xs, targets, level_sizes = _head_setup(seed=3, use_x0=use_x0)
+    params, xs, Y, level_sizes = _head_setup(seed=3, use_x0=use_x0)
     pairs = child_parent_index_pairs(two_level_tax)
 
     def f(p):
         cache = head_forward(xs, p, level_sizes, use_x0=use_x0)
-        L = head_loss(cache, targets, pairs, lam)
-        grads, _ = head_backward(cache, targets, pairs, lam, p)
+        L = head_loss(cache, Y, pairs, lam).sum()
+        grads, _ = head_backward(cache, Y, pairs, lam, p)
         return L, grads
 
     rep = grad_check(f, params, tolerance=1e-4)
@@ -191,19 +197,19 @@ def test_head_gradients(two_level_tax, use_x0, lam):
 
 
 def test_head_embedding_gradients(two_level_tax):
-    # finite differences on the document embeddings themselves
-    params, xs, targets, level_sizes = _head_setup(seed=4)
+    # finite differences of the summed row losses on the document embeddings
+    params, xs, Y, level_sizes = _head_setup(seed=4)
     pairs = child_parent_index_pairs(two_level_tax)
 
     def L(xs_):
         cache = head_forward(xs_, params, level_sizes, use_x0=True)
-        return head_loss(cache, targets, pairs, lam=0.1)
+        return head_loss(cache, Y, pairs, lam=0.1).sum()
 
     cache = head_forward(xs, params, level_sizes, use_x0=True)
-    _, dxs = head_backward(cache, targets, pairs, 0.1, params)
+    _, dxs = head_backward(cache, Y, pairs, 0.1, params)
     h = 1e-6
     for i in range(3):
-        for j in range(len(xs[i])):
+        for j in np.ndindex(xs[i].shape):
             orig = xs[i][j]
             xs[i][j] = orig + h
             lp = L(xs)

@@ -1,6 +1,7 @@
-"""The public surface: every exported name resolves, the demos that use the
-package API run to completion, the benchmark tracer finds every function it
-wraps, and no module imports a name it never uses."""
+"""The public surface: every exported name resolves, the demos run to
+completion (the package API ones and the command-line pipeline), the
+benchmark tracer finds every function it wraps, and no module imports a name
+it never uses."""
 
 import ast
 import importlib.util
@@ -14,12 +15,15 @@ import ahmca
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_demo(name):
+def _demo_env(**extra):
     src = str(Path(ahmca.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _run_demo(name):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_demo_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -43,6 +47,22 @@ def test_synthetic_benchmark_demo():
 def test_train_and_evaluate_demo():
     out = _run_demo("03_train_and_evaluate.py")
     assert "held-out metrics:" in out and "consistent label sets per level" in out
+
+
+def test_cli_pipeline_demo(tmp_path):
+    """demos/05_cli_pipeline.sh through an `ahmca` command that runs this
+    interpreter's ahmca.cli; its temp directory lands under tmp_path."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "ahmca"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m ahmca.cli "$@"\n')
+    shim.chmod(0o755)
+    env = _demo_env(PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
+                    TMPDIR=str(tmp_path))
+    proc = subprocess.run(["sh", str(ROOT / "demos" / "05_cli_pipeline.sh")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "done;" in proc.stdout
 
 
 def test_bench_tracer_layers_resolve():

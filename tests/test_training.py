@@ -18,6 +18,7 @@ from ahmca.errors import (
     UnknownConfigKeyError,
     VersionMismatchError,
 )
+from ahmca import model as model_module
 from ahmca.metrics import MetricsReport
 from ahmca.model import Model
 from ahmca.training import (
@@ -117,8 +118,10 @@ def test_history_csv_roundtrip():
     h = History()
     h.append(1, 0.6931471805599453, 0.1, 0.2)
     h.append(2, 0.5, 1 / 3, 0.25)
-    h2 = History.from_csv(h.to_csv())
-    assert h2.records == h.records          # %r formatting is lossless
+    header, *rows = h.to_csv().splitlines()
+    assert header == "epoch,train_loss,val_macro_f1_at_1,val_p_at_1"
+    parsed = [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+    assert parsed == h.records              # %r formatting is lossless
 
 
 def test_history_contiguity():
@@ -179,8 +182,13 @@ def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
     label_matrices = Model.label_matrices
     monkeypatch.setattr(Model, "label_matrices",
                         lambda self: builds.append(1) or label_matrices(self))
+    heads = []
+    head_forward = model_module.head_forward
+    monkeypatch.setattr(model_module, "head_forward",
+                        lambda *a, **kw: heads.append(1) or head_forward(*a, **kw))
     losses, grads = model.loss_and_grads(docs)
     assert len(builds) == 1
+    assert len(heads) == 1                  # one head pass for the whole batch
     singles = [model.loss_and_grads([doc]) for doc in docs]
     assert losses == [loss for (loss,), _ in singles]
     assert grads.keys() == model.params.keys()
@@ -380,6 +388,17 @@ def test_predict_unlabeled_document(tiny_run):
     out = predict(model, doc, top_n=1)
     assert len(out["top_leaves"]) == 1
     assert doc.leaf_labels == ()
+
+
+def test_empty_document_rejected(tiny_run):
+    tax, corpus, *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    doc = corpus.documents[0]
+    empty = replace(doc, title_tokens=(), abstract_tokens=(), keywords=())
+    with pytest.raises(EmptyTextError):
+        predict(model, empty)
+    with pytest.raises(EmptyTextError):
+        model.loss_and_grads([doc, empty])
 
 
 def test_unlabeled_document_empty_text(tiny_run):
