@@ -27,7 +27,8 @@ model = Model(tax, table, TrainConfig(k=table.dim, g=16, d_L=16), dtype=np.float
 
 # embed and encode
 X = model.embed(doc.tokens)
-(H_fwd, H_bwd), _ = bilstm_encode(X, model.params)
+# the encoder takes a list of documents; this batch holds one
+([H_fwd], [H_bwd]), _ = bilstm_encode([X], model.params)
 print(f"{len(doc.tokens)} tokens -> hidden states {H_fwd.shape} per direction")
 
 # per-level contexts: label-text matrix spliced with the keyword vectors

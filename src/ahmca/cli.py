@@ -170,6 +170,7 @@ def _cmd_gen_synth(args):
 
 def _cmd_inspect(args):
     ckpt = load_checkpoint(_read_bytes(args.model))
+    ckpt.build_model()          # the checks eval and predict run
     print(f"version: {ckpt.version}")
     print(f"taxonomy_hash: {ckpt.taxonomy_hash}")
     print(f"labels: {len(ckpt.label_order)}")

@@ -1,20 +1,27 @@
-"""BiLSTM over the spliced token sequence.
+"""BiLSTM over the spliced token sequences of a mini-batch.
 
 Hidden size equals the embedding size k.  Both directions start from zero
 states; the backward direction is the same recurrence run over the
 reversed sequence with its own parameters, rows re-aligned to original
 token positions.  Gate order inside stacked parameters is i, f, g, o.
 
-Each direction works on whole-sequence matrices: one input projection
-X Wx^T + b covers every step, so the time loop only adds Wh h.  Its cache
-is the activated gate matrix G (N x 4k, i, f, g, o side by side) and the
-cell and hidden matrices C and H, each with a zero initial row.  BPTT
-writes each step's pre-activation gradient into one row of dZ and turns
-that into the input and parameter gradients with four products after the
-loop.
+One call encodes a list of N_b x k documents in a single packed time loop
+(pack_padded_sequence style, no padding): the documents are sorted by
+length, longest first, and their rows laid out time-major, so the a_t
+documents still running at step t are a prefix of that order and their
+rows sit together.  The two directions are stacked on a leading axis:
+one input projection X Wx^T + b covers every step of both, and each step
+adds h Wh^T for the (2, a_t, k) running states.  The cache is the packed
+input Xp, the activated gate matrix G (gates side by side) and the cell and
+hidden matrices C and H, all behind one block of B rows that holds the
+zero initial states.  BPTT runs the same loop backwards into one dZ buffer
+and turns it into the input and parameter gradients with four products
+after the loop.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,75 +48,139 @@ def init_lstm_params(k, rng, dtype=np.float32):
     return params
 
 
-def _run_direction(X, Wx, Wh, b):
-    """The recurrence over the rows of X; returns the cache (X, G, C, H)."""
-    N = X.shape[0]
-    k = Wh.shape[1]
-    if X.shape[1] != Wx.shape[1] or Wx.shape[0] != 4 * k:
-        raise DimMismatchError(f"encoder shapes: X {X.shape}, Wx {Wx.shape}, k {k}")
-    G = X @ Wx.T + b            # pre-activations, overwritten by the gates
-    C = np.zeros((N + 1, k), dtype=G.dtype)
-    H = np.zeros((N + 1, k), dtype=G.dtype)
-    for n in range(N):
-        z = G[n] + Wh @ H[n]
-        G[n] = sigmoid(z)
-        G[n, 2 * k:3 * k] = np.tanh(z[2 * k:3 * k])
-        i, f, g, o = G[n].reshape(4, k)
-        C[n + 1] = f * C[n] + i * g
-        H[n + 1] = o * np.tanh(C[n + 1])
-    return X, G, C, H
+class Packing(NamedTuple):
+    """Time-major order of a batch of B documents.  Every packed matrix
+    keeps B rows in front, which hold the zero initial states in C and H;
+    buffer row B + r then holds packed row r, step t of the j-th longest
+    document.
+
+    steps: per step t, (s0, s1, p0): its buffer rows s0:s1 and the buffer
+        row p0 where the previous step's rows start (the zero block at t=0);
+    src: (2, B + sum N), per direction and buffer row, the row of the
+        concatenated input read there (any row for the front block);
+    prev: per packed row, the buffer row of its previous states;
+    bounds: per document, its (start, end) rows in the concatenated input.
+    """
+    steps: list
+    src: np.ndarray
+    prev: np.ndarray
+    bounds: list
 
 
-def bilstm_encode(X, params):
-    """Encode an N x k matrix; returns ((H_fwd, H_bwd), cache) with the
-    hidden states aligned to token positions."""
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError("encoder input must be a non-empty N x k matrix")
-    fwd = _run_direction(X, params["lstm_fwd.Wx"], params["lstm_fwd.Wh"], params["lstm_fwd.b"])
-    bwd = _run_direction(X[::-1], params["lstm_bwd.Wx"], params["lstm_bwd.Wh"],
-                         params["lstm_bwd.b"])
-    H_fwd, H_bwd_rev = fwd[3][1:], bwd[3][1:]
-    return (H_fwd, H_bwd_rev[::-1].copy()), (fwd, bwd)
+def _packing(lengths):
+    B = len(lengths)
+    if B == 1:                  # one document: identity, then reversed
+        N = lengths[0]
+        fwd = np.arange(-1, N)
+        fwd[0] = 0              # the front row may read any input row
+        return Packing(list(zip(range(1, N + 1), range(2, N + 2), range(N))),
+                       np.array([fwd, N - 1 - fwd]), fwd[1:], [(0, N)])
+    lengths = np.asarray(lengths)
+    T = lengths.max()
+    order = np.argsort(-lengths, kind="stable")
+    active = B - np.cumsum(np.bincount(lengths, minlength=T))[:T]   # a_t
+    start = B + np.concatenate([[0], np.cumsum(active)])
+    prev_start = np.concatenate([[0], start[:-2]])
+    t = np.repeat(np.arange(T), active)
+    j = np.arange(start[-1] - B) - (start[t] - B)
+    doc = order[j]
+    first = np.concatenate([[0], np.cumsum(lengths)])
+    src = np.zeros((2, start[-1]), dtype=np.intp)
+    src[0, B:] = first[doc] + t
+    src[1, B:] = first[doc + 1] - 1 - t
+    steps = list(zip(start[:-1].tolist(), start[1:].tolist(), prev_start.tolist()))
+    bounds = list(zip(first[:-1].tolist(), first[1:].tolist()))
+    return Packing(steps, src, prev_start[t] + j, bounds)
 
 
-def _direction_backward(dH, cache, Wx, Wh):
-    """BPTT through one direction; dH rows are in traversal order."""
-    X, G, C, H = cache
-    N, k = dH.shape
-    I, F, Gg, O = (G[:, j * k:(j + 1) * k] for j in range(4))
-    TC = np.tanh(C[1:])
-    # dz of gates i, f, g is dc (dz_o: dh) times A, the factor the gate
-    # multiplies in the forward, times D, the slope of its nonlinearity
-    A = np.stack([Gg, C[:-1], I, TC], axis=1)
-    D = (G * (1 - G)).reshape(N, 4, k)
-    D[:, 2] = 1 - Gg * Gg
-    dc_of_dh = O * (1 - TC * TC)
-    dZ = np.empty_like(G)
-    dZ4 = dZ.reshape(N, 4, k)
-    dh_next = np.zeros(k, dtype=G.dtype)
-    dc_next = np.zeros(k, dtype=G.dtype)
-    for n in range(N - 1, -1, -1):
-        dh = dH[n] + dh_next
-        dc = dc_next + dh * dc_of_dh[n]
-        dZ4[n, :3] = dc * A[n, :3] * D[n, :3]
-        dZ4[n, 3] = dh * A[n, 3] * D[n, 3]
-        dh_next = dZ[n] @ Wh
-        dc_next = dc * F[n]
-    return dZ @ Wx, dZ.T @ X, dZ.T @ H[:-1], dZ.sum(axis=0)
+def _pair(params, name):
+    return params[f"lstm_fwd.{name}"], params[f"lstm_bwd.{name}"]
+
+
+def bilstm_encode(Xs, params):
+    """Encode a list of N_b x k matrices; returns ((H_fwd, H_bwd), cache),
+    per direction a list of the documents' hidden states aligned to token
+    positions."""
+    Xs = [np.asarray(X) for X in Xs]
+    if not Xs or any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
+        raise EmptyInputError("encoder input must be a non-empty list of "
+                              "non-empty N x k matrices")
+    # weights stacked transposed, and never fewer than two rows per product
+    # (the front block gives the projection its second row): numpy hands a
+    # one-row product to gemv, which sums in another order than gemm, and a
+    # document's states would depend on its batch
+    WxT = np.stack([W.T for W in _pair(params, "Wx")])
+    k = WxT.shape[1]
+    if any(X.shape[1] != k for X in Xs) or WxT.shape[2] != 4 * k:
+        raise DimMismatchError(f"encoder shapes: X {[X.shape for X in Xs]}, "
+                               f"Wx {params['lstm_fwd.Wx'].shape}")
+    WhT = np.stack([W.T for W in _pair(params, "Wh")])
+    pack = _packing([len(X) for X in Xs])
+    B = len(Xs)
+    X = np.concatenate(Xs)
+    Xp = X[pack.src]
+    G = Xp @ WxT + np.array(_pair(params, "b"))[:, None]
+    C = np.zeros((2, G.shape[1], k), dtype=G.dtype)
+    H = np.zeros_like(C)
+    for s0, s1, p0 in pack.steps:
+        a = s1 - s0
+        z = G[:, s0:s1] + (H[:, p0:p0 + max(a, 2)] @ WhT)[:, :a]
+        g = sigmoid(z)
+        g[..., 2 * k:3 * k] = np.tanh(z[..., 2 * k:3 * k])
+        G[:, s0:s1] = g
+        C[:, s0:s1] = g[..., k:2 * k] * C[:, p0:p0 + a] + g[..., :k] * g[..., 2 * k:3 * k]
+        H[:, s0:s1] = g[..., 3 * k:] * np.tanh(C[:, s0:s1])
+    out = np.empty((2,) + X.shape, dtype=H.dtype)
+    out[0, pack.src[0, B:]] = H[0, B:]
+    out[1, pack.src[1, B:]] = H[1, B:]
+    return (tuple([out[d, a:b] for a, b in pack.bounds] for d in range(2)),
+            (pack, Xp, G, C, H))
 
 
 def bilstm_backward(dH_fwd, dH_bwd, cache, params):
-    """Gradients of a scalar loss wrt inputs and LSTM parameters, given
-    dL/dH for both directions (rows aligned to token positions)."""
-    fwd, bwd = cache
-    dX_f, dWx_f, dWh_f, db_f = _direction_backward(
-        dH_fwd, fwd, params["lstm_fwd.Wx"], params["lstm_fwd.Wh"])
-    dX_b_rev, dWx_b, dWh_b, db_b = _direction_backward(
-        dH_bwd[::-1], bwd, params["lstm_bwd.Wx"], params["lstm_bwd.Wh"])
-    dX = dX_f + dX_b_rev[::-1]
-    grads = {
-        "lstm_fwd.Wx": dWx_f, "lstm_fwd.Wh": dWh_f, "lstm_fwd.b": db_f,
-        "lstm_bwd.Wx": dWx_b, "lstm_bwd.Wh": dWh_b, "lstm_bwd.b": db_b,
-    }
-    return dX, grads
+    """Gradients of a scalar loss wrt the inputs and LSTM parameters, given
+    per document dL/dH for both directions (rows aligned to token
+    positions); the input gradients come back as a list like the inputs."""
+    pack, Xp, G, C, H = cache
+    B = len(pack.bounds)
+    k = H.shape[2]
+    fwd, bwd = pack.src[:, B:]
+    dHp = np.empty_like(H)
+    dHp[0, B:] = np.concatenate(dH_fwd)[fwd]
+    dHp[1, B:] = np.concatenate(dH_bwd)[bwd]
+    I, F, Gg, O = (G[..., j * k:(j + 1) * k] for j in range(4))
+    TC = np.tanh(C)
+    # dz of gates i, f, g is dc (dz_o: dh) times A, the factor the gate
+    # multiplies in the forward, times D, the slope of its nonlinearity;
+    # the front block's rows of A and D are never read
+    C_prev = np.empty_like(C)
+    C_prev[:, B:] = C[:, pack.prev]
+    A = np.stack([Gg, C_prev, I, TC], axis=2)
+    D = (G * (1 - G)).reshape(A.shape)
+    D[:, :, 2] = 1 - Gg * Gg
+    dc_of_dh = O * (1 - TC * TC)
+    Wh = np.stack(_pair(params, "Wh"))
+    dZ = np.empty_like(G)
+    dZ4 = dZ.reshape(A.shape)
+    # carried gradients, one row per document in length order; rows past
+    # a_t stay zero until their document's last step
+    dh_next = np.zeros((2, B, k), dtype=G.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for s0, s1, _ in reversed(pack.steps):
+        a = s1 - s0
+        dh = dHp[:, s0:s1] + dh_next[:, :a]
+        dc = dc_next[:, :a] + dh * dc_of_dh[:, s0:s1]
+        dZ4[:, s0:s1, :3] = dc[:, :, None] * A[:, s0:s1, :3] * D[:, s0:s1, :3]
+        dZ4[:, s0:s1, 3] = dh * A[:, s0:s1, 3] * D[:, s0:s1, 3]
+        dh_next[:, :a] = dZ[:, s0:s1] @ Wh
+        dc_next[:, :a] = dc * F[:, s0:s1]
+    dZ = dZ[:, B:]
+    dXp = dZ @ np.stack(_pair(params, "Wx"))
+    dX = np.empty_like(dXp[0])
+    dX[fwd] = dXp[0]
+    dX[bwd] += dXp[1]
+    dZT = dZ.transpose(0, 2, 1)
+    grads = {"Wx": dZT @ Xp[:, B:], "Wh": dZT @ H[:, pack.prev], "b": dZ.sum(axis=1)}
+    return [dX[a:b] for a, b in pack.bounds], {f"lstm_{direction}.{name}": g[d]
+                                               for d, direction in enumerate(("fwd", "bwd"))
+                                               for name, g in grads.items()}

@@ -6,8 +6,9 @@ the parameter dict (embedding vectors included).  Its hyperparameters (k, g,
 d_L, beta, lambda_, attention mode, similarity, x^0 in the global path and
 the init seed) are read from the TrainConfig it was built with, model.cfg,
 which has checked their ranges.  One loss_and_grads call serves a
-mini-batch: the encoder and attention run per document, without padding,
-and the head runs once on a B-row matrix per level, one row per document.
+mini-batch: the encoder runs once on all its documents in one packed time
+loop, without padding, attention runs per document, and the head runs once
+on a B-row matrix per level, one row per document.
 """
 
 from __future__ import annotations
@@ -105,33 +106,35 @@ class Model:
     # --- forward ----------------------------------------------------------
 
     def forward(self, docs, label_mats):
-        """Head cache of a mini-batch under label_mats and, per document, the
-        encoder and attention caches and the embedding rows.  Encoder and
-        attention run per document; the head runs once on the stacked rows."""
-        doc_xs, caches = [], []
+        """Head cache of a mini-batch under label_mats, the encoder cache and,
+        per document, the attention cache and the token and keyword rows.
+        The encoder runs once on the batch, attention per document and the
+        head once on the stacked rows."""
+        if not docs:
+            raise EmptyInputError("a mini-batch needs at least one document")
+        rows = []
         for doc in docs:
-            tokens = doc.tokens
-            if not tokens:
+            if not doc.tokens:
                 raise EmptyTextError(f"document {doc.id!r} has no tokens")
-            rows = self._rows(tokens)
-            X = self._gather(rows)
+            rows.append(self._rows(doc.tokens))
+        (H_fwds, H_bwds), enc_cache = bilstm_encode([self._gather(r) for r in rows],
+                                                    self.params)
+        doc_xs, caches = [], []
+        for doc, doc_rows, H_fwd, H_bwd in zip(docs, rows, H_fwds, H_bwds):
             kw_rows = self._rows(doc.keywords)
             Ke = self._gather(kw_rows) if len(kw_rows) else None
             contexts = [splice_level(T, Ke) for T in label_mats]
-
-            (H_fwd, H_bwd), enc_cache = bilstm_encode(X, self.params)
             xs, att_cache = attention_forward(H_fwd, H_bwd, contexts,
                                               mode=self.cfg.attention_mode,
                                               similarity=self.cfg.similarity)
             doc_xs.append(xs)
-            caches.append({"enc": enc_cache, "att": att_cache,
-                           "rows": rows, "kw_rows": kw_rows})
+            caches.append({"att": att_cache, "rows": doc_rows, "kw_rows": kw_rows})
         head_cache = head_forward([np.stack(x) for x in zip(*doc_xs)], self.params,
                                   self.level_sizes, use_x0=self.cfg.use_x0_in_global)
-        return head_cache, caches
+        return head_cache, enc_cache, caches
 
     def predict_scores(self, doc: Document) -> Prediction:
-        cache, _ = self.forward([doc], self.label_matrices())
+        cache, _, _ = self.forward([doc], self.label_matrices())
         p_g = cache["p_g"][0]
         locals_ = [lv["p"][0] for lv in cache["local"]]
         return Prediction(global_scores=p_g, local_scores=locals_,
@@ -153,19 +156,18 @@ class Model:
         gradients go into [vectors; unk] in one scatter."""
         label_mats = self.label_matrices()
         Y = self.targets(docs)
-        head_cache, caches = self.forward(docs, label_mats)
+        head_cache, enc_cache, caches = self.forward(docs, label_mats)
         losses = head_loss(head_cache, Y, self.pairs, self.cfg.lambda_)
         grads, dxs = head_backward(head_cache, Y, self.pairs, self.cfg.lambda_, self.params)
+        att_grads = [attention_backward([dx[r] for dx in dxs], extra["att"])
+                     for r, extra in enumerate(caches)]
+        dXs, lstm_grads = bilstm_backward([g[0] for g in att_grads],
+                                          [g[1] for g in att_grads], enc_cache, self.params)
+        grads.update(lstm_grads)
         # scatter rows and values: per document its token rows, then per
         # level the label-word shares and the keyword rows
         idx, vals = [], []
-        for r, extra in enumerate(caches):
-            dH_fwd, dH_bwd, dcontexts = attention_backward([dx[r] for dx in dxs],
-                                                           extra["att"])
-            dX, lstm_grads = bilstm_backward(dH_fwd, dH_bwd, extra["enc"], self.params)
-            for name, g in lstm_grads.items():
-                grads[name] = grads[name] + g if name in grads else g
-
+        for extra, dX, (_, _, dcontexts) in zip(caches, dXs, att_grads):
             idx.append(extra["rows"])
             vals.append(dX)
             for (flat, starts, counts), dctx, n in zip(self._label_text, dcontexts,

@@ -5,8 +5,10 @@ the loss through clipped-probability BCE, where the package's head works
 from cached logits; its hierarchy penalty loops over the (child, parent)
 pairs, where the package indexes them all at once.  The attention scatter
 oracle walks the tokens one by one, where the package scatters all winners
-at once.  The LSTM oracle is one cell update, where the package's encoder
-projects every step's input in one product.
+at once.  The LSTM oracles are one cell update and a per-document BiLSTM
+with its BPTT, one direction and one document at a time, where the
+package's encoder runs a whole mini-batch and both directions in one
+packed time loop.
 """
 
 import numpy as np
@@ -27,6 +29,64 @@ def lstm_step(state, x, Wx, Wh, b):
     o = sigmoid(z[3 * k:])
     c = f * c_prev + i * g
     return o * np.tanh(c), c
+
+
+def run_direction(X, Wx, Wh, b):
+    """One direction over the rows of one document's X; returns the cache
+    (X, G, C, H): activated gates and the cell and hidden matrices, each
+    with a zero initial row."""
+    N = X.shape[0]
+    k = Wh.shape[1]
+    G = X @ Wx.T + b
+    C = np.zeros((N + 1, k), dtype=G.dtype)
+    H = np.zeros((N + 1, k), dtype=G.dtype)
+    for n in range(N):
+        z = G[n] + Wh @ H[n]
+        G[n] = sigmoid(z)
+        G[n, 2 * k:3 * k] = np.tanh(z[2 * k:3 * k])
+        i, f, g, o = G[n].reshape(4, k)
+        C[n + 1] = f * C[n] + i * g
+        H[n + 1] = o * np.tanh(C[n + 1])
+    return X, G, C, H
+
+
+def direction_backward(dH, cache, Wx, Wh):
+    """BPTT through one direction of one document, dH rows in traversal
+    order; returns (dX, dWx, dWh, db)."""
+    X, G, C, H = cache
+    N, k = dH.shape
+    dZ = np.zeros_like(G)
+    dh_next = np.zeros(k)
+    dc_next = np.zeros(k)
+    for n in range(N - 1, -1, -1):
+        i, f, g, o = G[n].reshape(4, k)
+        tc = np.tanh(C[n + 1])
+        dh = dH[n] + dh_next
+        dc = dc_next + dh * o * (1 - tc * tc)
+        dZ[n] = np.concatenate([dc * g * i * (1 - i), dc * C[n] * f * (1 - f),
+                                dc * i * (1 - g * g), dh * tc * o * (1 - o)])
+        dh_next = Wh.T @ dZ[n]
+        dc_next = dc * f
+    return dZ @ Wx, dZ.T @ X, dZ.T @ H[:-1], dZ.sum(axis=0)
+
+
+def bilstm_document(X, params):
+    """One document through both directions: (H_fwd, H_bwd, caches), the
+    hidden states aligned to token positions."""
+    caches = [run_direction(seq, params[f"lstm_{d}.Wx"], params[f"lstm_{d}.Wh"],
+                            params[f"lstm_{d}.b"])
+              for d, seq in (("fwd", X), ("bwd", X[::-1]))]
+    return caches[0][3][1:], caches[1][3][1:][::-1], caches
+
+
+def bilstm_document_backward(dH_fwd, dH_bwd, caches, params):
+    """(dX, grads) of one document from bilstm_document's caches."""
+    grads, dX = {}, 0
+    for d, dH, cache in (("fwd", dH_fwd, caches[0]), ("bwd", dH_bwd[::-1], caches[1])):
+        dX_d, grads[f"lstm_{d}.Wx"], grads[f"lstm_{d}.Wh"], grads[f"lstm_{d}.b"] = \
+            direction_backward(dH, cache, params[f"lstm_{d}.Wx"], params[f"lstm_{d}.Wh"])
+        dX = dX + (dX_d if d == "fwd" else dX_d[::-1])
+    return dX, grads
 
 
 def global_step(A_prev, x_h, W, b):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import lstm_step
+from oracles import bilstm_document, bilstm_document_backward, lstm_step
 
 from ahmca.encoder import bilstm_backward, bilstm_encode, init_lstm_params
 from ahmca.errors import DimMismatchError, EmptyInputError
@@ -65,7 +65,7 @@ def test_lstm_step_matches_scalar_oracle():
 
 def test_bilstm_dim_mismatch():
     with pytest.raises(DimMismatchError):
-        bilstm_encode(np.zeros((4, 2)), _zero_params(3))
+        bilstm_encode([np.zeros((4, 2))], _zero_params(3))
 
 
 def test_bilstm_matches_step_oracle():
@@ -74,7 +74,7 @@ def test_bilstm_matches_step_oracle():
     params = {name: rng.standard_normal(v.shape)
               for name, v in init_lstm_params(k, rng, dtype=np.float64).items()}
     X = rng.standard_normal((N, k))
-    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
+    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
     for d, H, seq in (("fwd", H_fwd, X), ("bwd", H_bwd[::-1], X[::-1])):
         h, c = np.zeros(k), np.zeros(k)
         for n in range(N):
@@ -88,14 +88,19 @@ def test_bilstm_shapes():
     rng = np.random.default_rng(1)
     params = init_lstm_params(k, rng)
     X = rng.standard_normal((6, k)).astype(np.float32)
-    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
+    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
     assert H_fwd.shape == (6, k)
     assert H_bwd.shape == (6, k)
 
 
 def test_bilstm_empty_input():
     with pytest.raises(EmptyInputError):
-        bilstm_encode(np.zeros((0, 3)), _zero_params(3))
+        bilstm_encode([np.zeros((0, 3))], _zero_params(3))
+
+
+def test_bilstm_empty_batch():
+    with pytest.raises(EmptyInputError):
+        bilstm_encode([], _zero_params(3))
 
 
 def test_backward_direction_is_reversed_forward():
@@ -103,12 +108,12 @@ def test_backward_direction_is_reversed_forward():
     rng = np.random.default_rng(2)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((5, k))
-    (_, H_bwd), _ = bilstm_encode(X, params)
+    (_, [H_bwd]), _ = bilstm_encode([X], params)
     # run the backward parameter set as a forward recurrence on reverse(X)
     swapped = dict(params)
     for n in ("Wx", "Wh", "b"):
         swapped[f"lstm_fwd.{n}"] = params[f"lstm_bwd.{n}"]
-    (H_rev, _), _ = bilstm_encode(X[::-1], swapped)
+    ([H_rev], _), _ = bilstm_encode([X[::-1]], swapped)
     assert np.allclose(H_bwd, H_rev[::-1], atol=1e-12)
 
 
@@ -117,7 +122,7 @@ def test_single_token():
     rng = np.random.default_rng(3)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((1, k))
-    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
+    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
     assert H_fwd.shape == H_bwd.shape == (1, k)
 
 
@@ -127,10 +132,10 @@ def test_position_alignment():
     rng = np.random.default_rng(5)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((6, k))
-    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
+    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
     Y = X.copy()
     Y[4] += 10.0
-    (G_fwd, G_bwd), _ = bilstm_encode(Y, params)
+    ([G_fwd], [G_bwd]), _ = bilstm_encode([Y], params)
     assert np.allclose(G_fwd[:4], H_fwd[:4])
     assert not np.allclose(G_fwd[4:], H_fwd[4:])
     assert np.allclose(G_bwd[5:], H_bwd[5:])
@@ -142,7 +147,7 @@ def test_hidden_bounded():
     rng = np.random.default_rng(6)
     params = {key: (v * 10) for key, v in init_lstm_params(k, rng, np.float64).items()}
     X = 5 * rng.standard_normal((8, k))
-    (H_fwd, H_bwd), _ = bilstm_encode(X, params)
+    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
     assert np.abs(H_fwd).max() <= 1.0
     assert np.abs(H_bwd).max() <= 1.0
 
@@ -155,11 +160,77 @@ def test_bilstm_gradients():
     Wb = rng.standard_normal((4, k))
 
     def f(params):
-        (H_fwd, H_bwd), caches = bilstm_encode(X, params)
+        ([H_fwd], [H_bwd]), caches = bilstm_encode([X], params)
         loss = float(np.sum(Wf * H_fwd) + np.sum(Wb * H_bwd))
-        _, grads = bilstm_backward(Wf, Wb, caches, params)
+        _, grads = bilstm_backward([Wf], [Wb], caches, params)
         return loss, grads
 
     point = init_lstm_params(k, rng, dtype=np.float64)
     rep = grad_check(f, point, tolerance=1e-3)
     assert rep.passed, rep.max_rel_error
+
+
+def _ragged(lengths, k, seed):
+    rng = np.random.default_rng(seed)
+    params = {name: rng.standard_normal(v.shape)
+              for name, v in init_lstm_params(k, rng, dtype=np.float64).items()}
+    return params, [rng.standard_normal((n, k)) for n in lengths]
+
+
+def test_packed_batch_matches_document_oracle():
+    k, lengths = 3, [5, 1, 3, 5, 2]
+    params, Xs = _ragged(lengths, k, 10)
+    (H_fwds, H_bwds), _ = bilstm_encode(Xs, params)
+    assert [len(H) for H in H_fwds] == [len(H) for H in H_bwds] == lengths
+    for X, H_fwd, H_bwd in zip(Xs, H_fwds, H_bwds):
+        ref_fwd, ref_bwd, _ = bilstm_document(X, params)
+        np.testing.assert_allclose(H_fwd, ref_fwd, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(H_bwd, ref_bwd, rtol=0, atol=1e-12)
+
+
+def test_packed_backward_is_sum_of_document_oracles():
+    k, lengths = 3, [5, 1, 3, 5, 2]
+    params, Xs = _ragged(lengths, k, 11)
+    rng = np.random.default_rng(12)
+    dH_fwd = [rng.standard_normal((n, k)) for n in lengths]
+    dH_bwd = [rng.standard_normal((n, k)) for n in lengths]
+    _, cache = bilstm_encode(Xs, params)
+    dXs, grads = bilstm_backward(dH_fwd, dH_bwd, cache, params)
+    assert grads.keys() == params.keys()
+    total = {name: 0 for name in params}
+    for X, dX, df, db in zip(Xs, dXs, dH_fwd, dH_bwd):
+        _, _, caches = bilstm_document(X, params)
+        ref_dX, ref = bilstm_document_backward(df, db, caches, params)
+        np.testing.assert_allclose(dX, ref_dX, rtol=1e-10, atol=1e-14)
+        for name, g in ref.items():
+            total[name] = total[name] + g
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, total[name], rtol=1e-10, atol=1e-14, err_msg=name)
+
+
+def test_packed_batch_gradients():
+    k, lengths = 3, [4, 2, 3]
+    _, Xs = _ragged(lengths, k, 13)
+    rng = np.random.default_rng(14)
+    Wf = [rng.standard_normal((n, k)) for n in lengths]   # random linear readouts
+    Wb = [rng.standard_normal((n, k)) for n in lengths]
+
+    def f(params):
+        (H_fwd, H_bwd), cache = bilstm_encode(Xs, params)
+        loss = float(sum(np.sum(w * H) for w, H in zip(Wf + Wb, H_fwd + H_bwd)))
+        _, grads = bilstm_backward(Wf, Wb, cache, params)
+        return loss, grads
+
+    point = init_lstm_params(k, rng, dtype=np.float64)
+    rep = grad_check(f, point, tolerance=1e-3)
+    assert rep.passed, rep.max_rel_error
+
+
+def test_document_states_do_not_depend_on_batch():
+    k = 8
+    params, Xs = _ragged([6, 1, 4], k, 15)
+    (H_fwds, H_bwds), _ = bilstm_encode(Xs, params)
+    for X, H_fwd, H_bwd in zip(Xs, H_fwds, H_bwds):
+        ([alone_fwd], [alone_bwd]), _ = bilstm_encode([X], params)
+        assert np.array_equal(H_fwd, alone_fwd)
+        assert np.array_equal(H_bwd, alone_bwd)

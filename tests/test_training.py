@@ -11,6 +11,7 @@ from ahmca.errors import (
     ConfigRangeError,
     ConfigTypeError,
     CorruptPayloadError,
+    EmptyInputError,
     EmptyTextError,
     MalformedRecordError,
     NonFiniteError,
@@ -182,19 +183,30 @@ def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
     label_matrices = Model.label_matrices
     monkeypatch.setattr(Model, "label_matrices",
                         lambda self: builds.append(1) or label_matrices(self))
-    heads = []
-    head_forward = model_module.head_forward
-    monkeypatch.setattr(model_module, "head_forward",
-                        lambda *a, **kw: heads.append(1) or head_forward(*a, **kw))
+    calls = {name: [] for name in ("head_forward", "bilstm_encode", "bilstm_backward")}
+    for name, seen in calls.items():
+        fn = getattr(model_module, name)
+        monkeypatch.setattr(model_module, name,
+                            lambda *a, _fn=fn, _seen=seen, **kw: _seen.append(1) or _fn(*a, **kw))
     losses, grads = model.loss_and_grads(docs)
     assert len(builds) == 1
-    assert len(heads) == 1                  # one head pass for the whole batch
+    # one head pass and one encoder pass each way for the whole batch
+    assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
     singles = [model.loss_and_grads([doc]) for doc in docs]
     assert losses == [loss for (loss,), _ in singles]
     assert grads.keys() == model.params.keys()
     for name, g in grads.items():
         mean = sum(single[name] for _, single in singles) / len(docs)
         np.testing.assert_allclose(g, mean, rtol=1e-10, atol=1e-14, err_msg=name)
+
+
+def test_empty_batch_raises(tiny_synth):
+    tax, _, table = tiny_synth
+    model = Model(tax, table, TrainConfig(k=4, g=8, d_L=8, seed=0))
+    with pytest.raises(EmptyInputError):
+        model.forward([], model.label_matrices())
+    with pytest.raises(EmptyInputError):
+        model.loss_and_grads([])
 
 
 def test_training_nonfinite_gradient(tiny_synth, monkeypatch):
