@@ -24,7 +24,8 @@ from .taxonomy import Taxonomy
 @dataclass(frozen=True)
 class Prediction:
     """Per-level local scores, global scores and the fused scores, all in
-    taxonomy order (levels 1..H concatenated)."""
+    taxonomy order (levels 1..H concatenated): vectors for one document, or
+    matrices with one row per document for a batch."""
     global_scores: np.ndarray
     local_scores: list
     fused_scores: np.ndarray
@@ -66,8 +67,10 @@ def _affine(W, b, X):
 
 
 def fuse(local_scores, global_scores, beta):
-    """Convex combination beta * concat(locals) + (1 - beta) * globals."""
-    pl = np.concatenate([np.asarray(p) for p in local_scores])
+    """Convex combination beta * concat(locals) + (1 - beta) * globals, the
+    levels concatenated along the last axis: one score vector, or a matrix
+    with one row per document."""
+    pl = np.concatenate([np.asarray(p) for p in local_scores], axis=-1)
     pg = np.asarray(global_scores)
     if pl.shape != pg.shape:
         raise DimMismatchError(f"local concat {pl.shape} != global {pg.shape}")

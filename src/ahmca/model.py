@@ -8,11 +8,15 @@ the init seed) are read from the TrainConfig it was built with, model.cfg,
 which has checked their ranges.  One loss_and_grads call serves a
 mini-batch: the encoder runs once on all its documents in one packed time
 loop, without padding, attention runs per document, and the head runs once
-on a B-row matrix per level, one row per document.
+on a B-row matrix per level, one row per document.  Scoring takes the same
+forward path: predict_scores_batch scores a batch of documents in one call,
+and predict_scores is a batch of one, or inside a scoring() block a
+document's row of the batch that block scored.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,6 +69,7 @@ class Model:
             params["embedding.vectors"] = table.vectors.astype(dtype)
             params["embedding.unk"] = table.unk_vector.astype(dtype)
         self.params = params
+        self._scored = None         # (row of each document by id, Prediction) in scoring()
 
         # label text in row-index form: each level's label words flattened
         # into rows of [vectors; unk], a run of counts[i] words per label
@@ -133,12 +138,38 @@ class Model:
                                   self.level_sizes, use_x0=self.cfg.use_x0_in_global)
         return head_cache, enc_cache, caches
 
-    def predict_scores(self, doc: Document) -> Prediction:
-        cache, _, _ = self.forward([doc], self.label_matrices())
-        p_g = cache["p_g"][0]
-        locals_ = [lv["p"][0] for lv in cache["local"]]
+    def predict_scores_batch(self, docs) -> Prediction:
+        """Scores of a batch of documents, one row per document in every
+        array: the label matrices are built once and forward runs once."""
+        cache, _, _ = self.forward(docs, self.label_matrices())
+        p_g = cache["p_g"]
+        locals_ = [lv["p"] for lv in cache["local"]]
         return Prediction(global_scores=p_g, local_scores=locals_,
                           fused_scores=fuse(locals_, p_g, self.cfg.beta))
+
+    @contextmanager
+    def scoring(self, docs):
+        """Score docs with one predict_scores_batch call.  Inside the block,
+        predict_scores(doc) of one of them returns its row of that batch
+        instead of running forward again, so per-document callers share
+        one batched forward.  The parameters must not change inside it."""
+        pred = self.predict_scores_batch(docs)
+        self._scored = ({id(doc): r for r, doc in enumerate(docs)}, pred)
+        try:
+            yield
+        finally:
+            self._scored = None
+
+    def predict_scores(self, doc: Document) -> Prediction:
+        """Scores of one document: its row of the batch scored by the
+        enclosing scoring() block, else row 0 of a batch of one."""
+        rows, pred = self._scored or ({}, None)
+        r = rows.get(id(doc))
+        if r is None:
+            pred, r = self.predict_scores_batch([doc]), 0
+        return Prediction(global_scores=pred.global_scores[r],
+                          local_scores=[p[r] for p in pred.local_scores],
+                          fused_scores=pred.fused_scores[r])
 
     def targets(self, docs):
         """B x C 0/1 matrix of the documents' labels in taxonomy order."""

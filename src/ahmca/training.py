@@ -1,6 +1,10 @@
 """Training loop (mini-batch Adam), evaluation, prediction decoding, and
 the binary checkpoint container.
 
+Evaluation scores its corpus a mini-batch at a time through the forward
+path training uses, reading each document's row through predict_scores;
+predict decodes one document, a batch of one.
+
 Runs are fully deterministic given the config seed: shuffling uses one
 seeded generator, gradients are reduced in example order, and history /
 checkpoint files are byte-stable.
@@ -125,6 +129,9 @@ class Checkpoint:
         if bad:
             raise CorruptPayloadError(f"arrays missing, unexpected or misshapen for "
                                       f"this config and taxonomy: {bad}")
+        for name in sorted(self.arrays):
+            if not np.all(np.isfinite(self.arrays[name])):
+                raise CorruptPayloadError(f"array {name} contains NaN/Inf")
         table = EmbeddingTable.from_pairs(
             cfg.k,
             list(zip(tokens, self.arrays["embedding.vectors"])),
@@ -271,22 +278,36 @@ class Adam:
 
 def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
                    threshold=0.5) -> MetricsReport:
+    """Macro P/R/F1 of the top-1 leaf, P@k over the leaf scores and the
+    hierarchy violation rate of the thresholded label sets.  The documents
+    are scored in chunks of cfg.batch_size, one batched forward per chunk
+    (Model.scoring), so evaluation holds no more rows at once than a
+    training step.  Each document's scores are read through
+    Model.predict_scores, as predict reads them, so whatever wraps or
+    overrides it sees evaluation as it sees predict; they decode as
+    predict would without consistency pruning: top-1 is the first maximum
+    among the leaf columns, and the thresholded set is every class scoring
+    at least threshold."""
     tax = model.tax
     if data.taxonomy_hash != tax.content_hash():
         raise TaxonomyMismatchError("corpus bound to a different taxonomy")
     leaf_classes = tax.labels_at_level(tax.depth)
+    n_leaves = len(leaf_classes)
 
-    leaf_scores, leaf_truth, top1_sets, thresh_sets = [], [], [], []
-    for doc in data:
-        out = predict(model, doc, top_n=1, threshold=threshold,
-                      enforce_consistency=False)
-        leaf_scores.append(out["fused_scores"][-len(leaf_classes):])
-        leaf_truth.append(set(doc.leaf_labels))
-        top1_sets.append({out["top_leaves"][0][0]})
-        thresh_sets.append({lid for level in out["level_sets"] for lid in level})
+    docs, size = data.documents, model.cfg.batch_size
+    leaf_scores, top1_sets, thresh_sets = [], [], []
+    for start in range(0, len(docs), size):
+        chunk = docs[start:start + size]
+        with model.scoring(chunk):
+            fused = np.stack([model.predict_scores(doc).fused_scores for doc in chunk])
+        leaves = fused[:, -n_leaves:]             # leaves come last
+        leaf_scores.extend(leaves)
+        top1_sets.extend({leaf_classes[i]} for i in np.argmax(leaves, axis=1))
+        thresh_sets.extend({tax.order[j] for j in np.nonzero(row >= threshold)[0]}
+                           for row in fused)
+    leaf_truth = [set(doc.leaf_labels) for doc in docs]
 
     p_at_k = {}
-    n_leaves = len(leaf_classes)
     for k in ks:
         kk = k
         if k > n_leaves:

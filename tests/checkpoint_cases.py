@@ -37,6 +37,14 @@ def _set_meta(key, edit_value):
     return edit
 
 
+def _set_nan(name):
+    def edit(arrays):
+        arr = arrays[name].copy()
+        arr.flat[0] = np.nan
+        return {**arrays, name: arr}
+    return edit
+
+
 # rejected by load_checkpoint
 LOAD_CASES = {
     "config_only": lambda b: _edit_meta(b, lambda m: {"config": {}}),
@@ -60,4 +68,5 @@ BUILD_CASES = {
         b, _set_meta("embedding_tokens", lambda toks: [toks[1]] + toks[1:])),
     "token_not_string": lambda b: _edit_meta(
         b, _set_meta("embedding_tokens", lambda toks: [[toks[0]]] + toks[1:])),
+    "nan_weight": lambda b: _edit_arrays(b, _set_nan("global.Wout")),
 }

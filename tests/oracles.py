@@ -8,14 +8,21 @@ oracle walks the tokens one by one, where the package scatters all winners
 at once.  The LSTM oracles are one cell update and a per-document BiLSTM
 with its BPTT, one direction and one document at a time, where the
 package's encoder runs a whole mini-batch and both directions in one
-packed time loop.
+packed time loop.  The evaluation oracle decodes one document at a time
+through predict, where evaluate_model scores a chunk of documents per
+forward call and decodes the rows directly.
 """
+
+import warnings
 
 import numpy as np
 
+from ahmca import metrics as M
 from ahmca.hmcn import Prediction, child_parent_index_pairs
+from ahmca.metrics import MetricsReport
 from ahmca.numerics import relu, sigmoid
 from ahmca.taxonomy import Taxonomy
+from ahmca.training import predict
 
 
 def lstm_step(state, x, Wx, Wh, b):
@@ -162,3 +169,35 @@ def similarity_backward(da, H_dir, ctx, arg, similarity):
             dH[j] += da[j] * (t / (hn[j] * tn[l]) - s * h / (hn[j] ** 2))
             dctx[l] += da[j] * (h / (hn[j] * tn[l]) - s * t / (tn[l] ** 2))
     return dH, dctx
+
+
+def evaluate_per_document(model, data, ks=(1, 3, 5), threshold=0.5):
+    """evaluate_model's report from one predict call per document."""
+    tax = model.tax
+    leaf_classes = tax.labels_at_level(tax.depth)
+
+    leaf_scores, leaf_truth, top1_sets, thresh_sets = [], [], [], []
+    for doc in data:
+        out = predict(model, doc, top_n=1, threshold=threshold,
+                      enforce_consistency=False)
+        leaf_scores.append(out["fused_scores"][-len(leaf_classes):])
+        leaf_truth.append(set(doc.leaf_labels))
+        top1_sets.append({out["top_leaves"][0][0]})
+        thresh_sets.append({lid for level in out["level_sets"] for lid in level})
+
+    p_at_k = {}
+    n_leaves = len(leaf_classes)
+    for k in ks:
+        kk = k
+        if k > n_leaves:
+            warnings.warn(f"k={k} exceeds leaf count {n_leaves}; clamping")
+            kk = n_leaves
+        p_at_k[k] = M.precision_at_k(leaf_scores, leaf_truth, kk, leaf_classes)
+
+    mp, mr = M.macro_precision_recall(top1_sets, leaf_truth, leaf_classes)
+    return MetricsReport(
+        macro_p=mp, macro_r=mr, macro_f1=M.macro_f1(mp, mr),
+        p_at_k=p_at_k,
+        violation_rate=M.hierarchy_violation_rate(thresh_sets, tax),
+        n_documents=len(data), n_classes=tax.total_classes,
+    )

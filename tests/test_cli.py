@@ -120,6 +120,8 @@ def test_bad_checkpoint_exit_2(workspace, tmp_path, capsys):
         bad.write_bytes(corrupt(good))
         rc = main(["eval", "--model", str(bad), "--data", str(workspace / "val.jsonl")])
         assert rc == 2, case
+        rc = main(["predict", "--model", str(bad), "--input", str(workspace / "val.jsonl")])
+        assert rc == 2, case
         assert main(["inspect", "--model", str(bad)]) == 2, case
 
 

@@ -49,6 +49,10 @@ def test_fuse_endpoints():
     pg = np.array([0.9, 0.1, 0.5])
     assert np.array_equal(fuse(pl, pg, 0.0), pg)
     assert np.array_equal(fuse(pl, pg, 1.0), [0.2, 0.4, 0.6])
+    # rows: one document per row, each fused on its own
+    rows = fuse([np.stack([p, p[::-1]]) for p in pl], np.stack([pg, pg[::-1]]), 0.25)
+    assert np.array_equal(rows[0], fuse(pl, pg, 0.25))
+    assert np.array_equal(rows[1], fuse([p[::-1] for p in pl], pg[::-1], 0.25))
 
 
 def test_fuse_betweenness():

@@ -1,7 +1,9 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
 from checkpoint_cases import BUILD_CASES, LOAD_CASES
 
@@ -20,6 +22,7 @@ from ahmca.errors import (
     VersionMismatchError,
 )
 from ahmca import model as model_module
+from ahmca import training as training_module
 from ahmca.metrics import MetricsReport
 from ahmca.model import Model
 from ahmca.training import (
@@ -303,6 +306,15 @@ def test_checkpoint_arrays_must_fit_model(tiny_run, case):
         loaded.build_model()
 
 
+def test_checkpoint_names_first_nonfinite_array(tiny_run):
+    *_, ckpt, hist = tiny_run
+    arrays = {name: arr.copy() for name, arr in ckpt.arrays.items()}
+    arrays["lstm_fwd.b"][0] = np.inf
+    arrays["global.Wout"][1, 2] = np.nan
+    with pytest.raises(CorruptPayloadError, match=r"array global\.Wout contains NaN/Inf"):
+        replace(ckpt, arrays=arrays).build_model()
+
+
 # --- evaluation / prediction -------------------------------------------
 
 def test_evaluate_schema(tiny_run):
@@ -354,6 +366,90 @@ def test_evaluate_taxonomy_mismatch(tiny_run, small_synth):
     other_corpus = small_synth[1]
     with pytest.raises(TaxonomyMismatchError):
         evaluate_model(model, other_corpus)
+
+
+@pytest.mark.parametrize("part", ["corpus", "test_split"])
+def test_evaluate_matches_per_document_oracle(tiny_run, part):
+    tax, corpus, table, tr, va, te, cfg, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    data = corpus if part == "corpus" else te
+    for threshold in (0.5, 0.9):
+        want = oracles.evaluate_per_document(model, data, ks=(1, 2), threshold=threshold)
+        got = evaluate_model(model, data, ks=(1, 2), threshold=threshold)
+        assert got.to_json() == want.to_json()
+
+
+def test_evaluate_empty_corpus(tiny_run):
+    tax, *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    rep = evaluate_model(model, Corpus((), tax.content_hash()), ks=(1, 2))
+    assert rep == MetricsReport(macro_p=0.0, macro_r=0.0, macro_f1=0.0,
+                                p_at_k={1: 0.0, 2: 0.0}, violation_rate=0.0,
+                                n_documents=0, n_classes=tax.total_classes)
+
+
+def test_evaluate_one_forward_per_chunk(tiny_run, monkeypatch):
+    tax, corpus, *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    data = Corpus(corpus.documents[:-2], corpus.taxonomy_hash)    # a short last chunk
+    calls = {name: [] for name in ("forward", "label_matrices", "predict_scores")}
+    for name, seen in calls.items():
+        fn = getattr(Model, name)
+        monkeypatch.setattr(Model, name,
+                            lambda self, *a, _fn=fn, _seen=seen: _seen.append(1) or _fn(self, *a))
+    predicted = []
+    monkeypatch.setattr(training_module, "predict", lambda *a, **kw: predicted.append(1))
+    evaluate_model(model, data, ks=(1,))
+    chunks = math.ceil(len(data) / model.cfg.batch_size)
+    assert len(data) % model.cfg.batch_size
+    # each document's row is read through predict_scores, without a forward of its own
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "forward": chunks, "label_matrices": chunks, "predict_scores": len(data)}
+    assert not predicted
+
+
+def test_scoring_block_serves_batch_rows(tiny_run, monkeypatch):
+    tax, corpus, *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    docs, other = corpus.documents[:5], corpus.documents[5]
+    batch = model.predict_scores_batch(docs)
+    alone = model.predict_scores(other)
+    forwards = []
+    fn = Model.forward
+    monkeypatch.setattr(Model, "forward", lambda self, *a: forwards.append(1) or fn(self, *a))
+    with model.scoring(docs):
+        assert len(forwards) == 1
+        for r, doc in enumerate(docs):
+            pred = model.predict_scores(doc)
+            assert np.array_equal(pred.fused_scores, batch.fused_scores[r])
+            assert np.array_equal(pred.global_scores, batch.global_scores[r])
+            for got, want in zip(pred.local_scores, batch.local_scores, strict=True):
+                assert np.array_equal(got, want[r])
+        assert len(forwards) == 1
+        # a document outside the block's batch is scored on its own
+        assert np.array_equal(model.predict_scores(other).fused_scores, alone.fused_scores)
+        assert len(forwards) == 2
+    model.predict_scores(docs[0])                 # the rows are not kept after the block
+    assert len(forwards) == 3
+
+
+def test_predict_scores_batch_rows_match_single_documents(tiny_run):
+    tax, corpus, *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    # a ragged batch: different lengths, every other document without keywords
+    docs = [replace(d, title_tokens=(d.title_tokens * 3)[:n],
+                    keywords=d.keywords if i % 2 else ())
+            for i, (d, n) in enumerate(zip(corpus.documents, (9, 1, 14, 4, 6, 3)))]
+    assert len({len(d.tokens) for d in docs}) == len(docs)
+    assert any(d.keywords for d in docs)
+    batch = model.predict_scores_batch(docs)
+    assert batch.fused_scores.shape == batch.global_scores.shape == (len(docs), tax.total_classes)
+    for r, doc in enumerate(docs):
+        single = model.predict_scores(doc)
+        np.testing.assert_allclose(batch.global_scores[r], single.global_scores, atol=1e-6)
+        for got, want in zip(batch.local_scores, single.local_scores, strict=True):
+            np.testing.assert_allclose(got[r], want, atol=1e-6)
+        np.testing.assert_allclose(batch.fused_scores[r], single.fused_scores, atol=1e-6)
 
 
 def test_predict_decoding(tiny_run):
