@@ -95,7 +95,9 @@ def _read(path):
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+    except UnicodeDecodeError as e:
+        print(f"error: {path} is not UTF-8 text: {e}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _read_bytes(path):

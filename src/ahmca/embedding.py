@@ -15,6 +15,7 @@ from .errors import (
     CountMismatchError,
     DuplicateTokenError,
     MalformedHeaderError,
+    NonFiniteVectorError,
     RowArityError,
 )
 
@@ -63,19 +64,23 @@ def load_embeddings(source: str) -> EmbeddingTable:
 
     pairs = []
     seen = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != dim + 1:
-            raise RowArityError(f"expected {dim} components: {ln!r}")
-        tok = parts[0]
-        if tok in seen:
-            raise DuplicateTokenError(f"duplicate token {tok!r}")
-        seen.add(tok)
-        try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
-        except ValueError:
-            raise RowArityError(f"non-numeric component in row {tok!r}") from None
-        pairs.append((tok, vec))
+    with np.errstate(over="ignore"):    # beyond float32 range is caught below
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != dim + 1:
+                raise RowArityError(f"expected {dim} components: {ln!r}")
+            tok = parts[0]
+            if tok in seen:
+                raise DuplicateTokenError(f"duplicate token {tok!r}")
+            seen.add(tok)
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+            except ValueError:
+                raise RowArityError(f"non-numeric component in row {tok!r}") from None
+            if not np.isfinite(vec).all():
+                raise NonFiniteVectorError(f"row {tok!r} has a component that is NaN, "
+                                           "infinite or beyond float32 range")
+            pairs.append((tok, vec))
     if len(pairs) != vocab_size:
         raise CountMismatchError(f"header says {vocab_size} rows, found {len(pairs)}")
     return EmbeddingTable.from_pairs(dim, pairs)

@@ -9,14 +9,23 @@ One call encodes a list of N_b x k documents in a single packed time loop
 (pack_padded_sequence style, no padding): the documents are sorted by
 length, longest first, and their rows laid out time-major, so the a_t
 documents still running at step t are a prefix of that order and their
-rows sit together.  The two directions are stacked on a leading axis:
-one input projection X Wx^T + b covers every step of both, and each step
-adds h Wh^T for the (2, a_t, k) running states.  The cache is the packed
-input Xp, the activated gate matrix G (gates side by side) and the cell and
-hidden matrices C and H, all behind one block of B rows that holds the
-zero initial states.  BPTT runs the same loop backwards into one dZ buffer
-and turns it into the input and parameter gradients with four products
-after the loop.
+rows sit together.  The two directions' weights are stacked on a leading
+axis: one input projection X Wx^T + b covers every step of both, and each
+step adds h Wh^T for the (2, a_t, k) running states.  The cache is the
+packed input Xp (2, R, k), the activated gates G and the cell and hidden
+states C and H, all behind one block of B rows that holds the zero initial
+states.  G (R, gate, direction, k), C and H (R, direction, k) are
+row-major, so one step's rows are one contiguous slice, updated in place.
+BPTT reads them through direction-major views, runs the same loop
+backwards into one dZ buffer and turns it into the input and parameter
+gradients with four products after the loop.
+
+Bitwise contract: the layout changes no float.  Every product is the
+stacked direction-major one (h Wh^T takes a transposed view of H, and
+gemm sums the same way whatever the row stride), and every elementwise
+step rounds the same operands in the same order; tests/oracles.py keeps
+the direction-major loop, and the tests compare states and gradients with
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -119,20 +128,33 @@ def bilstm_encode(Xs, params):
     B = len(Xs)
     X = np.concatenate(Xs)
     Xp = X[pack.src]
-    G = Xp @ WxT + np.array(_pair(params, "b"))[:, None]
-    C = np.zeros((2, G.shape[1], k), dtype=G.dtype)
+    bias = np.array(_pair(params, "b"))
+    R = Xp.shape[1]
+    # row-major: G[r, gate, direction], C[r, direction], H[r, direction];
+    # HT is H as the (2, R, k) stack the products take
+    G = np.empty((R, 4, 2, k), dtype=np.result_type(Xp, WxT, bias))
+    np.add((Xp @ WxT).reshape(2, R, 4, k).transpose(1, 2, 0, 3),
+           bias.reshape(2, 4, k).transpose(1, 0, 2), out=G)
+    C = np.zeros((R, 2, k), dtype=G.dtype)
     H = np.zeros_like(C)
+    HT = H.transpose(1, 0, 2)
     for s0, s1, p0 in pack.steps:
         a = s1 - s0
-        z = G[:, s0:s1] + (H[:, p0:p0 + max(a, 2)] @ WhT)[:, :a]
-        g = sigmoid(z)
-        g[..., 2 * k:3 * k] = np.tanh(z[..., 2 * k:3 * k])
-        G[:, s0:s1] = g
-        C[:, s0:s1] = g[..., k:2 * k] * C[:, p0:p0 + a] + g[..., :k] * g[..., 2 * k:3 * k]
-        H[:, s0:s1] = g[..., 3 * k:] * np.tanh(C[:, s0:s1])
+        z = G[s0:s1]
+        np.add(z, (HT[:, p0:p0 + max(a, 2)] @ WhT)[:, :a].reshape(2, a, 4, k)
+               .transpose(1, 2, 0, 3), z)
+        g = np.tanh(z[:, 2])        # before sigmoid overwrites z
+        sigmoid(z, out=z)
+        z[:, 2] = g
+        c = C[s0:s1]
+        np.multiply(z[:, 1], C[p0:p0 + a], c)
+        c += z[:, 0] * g
+        h = H[s0:s1]
+        np.tanh(c, h)
+        h *= z[:, 3]
     out = np.empty((2,) + X.shape, dtype=H.dtype)
-    out[0, pack.src[0, B:]] = H[0, B:]
-    out[1, pack.src[1, B:]] = H[1, B:]
+    out[0, pack.src[0, B:]] = H[B:, 0]
+    out[1, pack.src[1, B:]] = H[B:, 1]
     return (tuple([out[d, a:b] for a, b in pack.bounds] for d in range(2)),
             (pack, Xp, G, C, H))
 
@@ -143,24 +165,27 @@ def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     positions); the input gradients come back as a list like the inputs."""
     pack, Xp, G, C, H = cache
     B = len(pack.bounds)
-    k = H.shape[2]
+    R, _, _, k = G.shape
+    # direction-major views: G (2, R, 4, k), C and H (2, R, k); every
+    # array built from them below is laid out direction-major
+    G, C, H = G.transpose(2, 0, 1, 3), C.transpose(1, 0, 2), H.transpose(1, 0, 2)
     fwd, bwd = pack.src[:, B:]
-    dHp = np.empty_like(H)
+    dHp = np.empty((2, R, k), dtype=G.dtype)
     dHp[0, B:] = np.concatenate(dH_fwd)[fwd]
     dHp[1, B:] = np.concatenate(dH_bwd)[bwd]
-    I, F, Gg, O = (G[..., j * k:(j + 1) * k] for j in range(4))
-    TC = np.tanh(C)
+    I, F, Gg, O = (G[:, :, j] for j in range(4))
+    TC = np.tanh(C, order="C")
     # dz of gates i, f, g is dc (dz_o: dh) times A, the factor the gate
     # multiplies in the forward, times D, the slope of its nonlinearity;
     # the front block's rows of A and D are never read
-    C_prev = np.empty_like(C)
+    C_prev = np.empty_like(TC)
     C_prev[:, B:] = C[:, pack.prev]
     A = np.stack([Gg, C_prev, I, TC], axis=2)
-    D = (G * (1 - G)).reshape(A.shape)
+    D = np.multiply(G, 1 - G, order="C")
     D[:, :, 2] = 1 - Gg * Gg
-    dc_of_dh = O * (1 - TC * TC)
+    dc_of_dh = np.multiply(O, 1 - TC * TC, order="C")
     Wh = np.stack(_pair(params, "Wh"))
-    dZ = np.empty_like(G)
+    dZ = np.empty((2, R, 4 * k), dtype=G.dtype)
     dZ4 = dZ.reshape(A.shape)
     # carried gradients, one row per document in length order; rows past
     # a_t stay zero until their document's last step

@@ -93,6 +93,10 @@ class CountMismatchError(EmbeddingError):
     pass
 
 
+class NonFiniteVectorError(EmbeddingError):
+    pass
+
+
 class EmptyInputError(AhmcaError):
     pass
 

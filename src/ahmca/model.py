@@ -214,5 +214,8 @@ class Model:
         grads["embedding.vectors"] = dext[:V]
         grads["embedding.unk"] = dext[V]
 
+        # every gradient is an array of its own or a disjoint view of one
         scale = 1.0 / len(docs)
-        return losses.tolist(), {name: g * scale for name, g in grads.items()}
+        for g in grads.values():
+            g *= scale
+        return losses.tolist(), grads

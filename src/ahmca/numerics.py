@@ -21,9 +21,19 @@ def check_finite(x, what="array"):
     return x
 
 
-def sigmoid(x):
-    """Logistic function in its tanh form, which saturates without overflow."""
-    return 0.5 * (1 + np.tanh(0.5 * np.asarray(x)))
+def sigmoid(x, out=None):
+    """Logistic function in its tanh form, which saturates without overflow.
+    The result is written into out (which may be x itself) when given, else
+    into a new array, and returned.  The dtype the ufuncs compute in is
+    out's, so out should have x's result dtype (float32 for float32 x);
+    then sigmoid(x, out=) equals sigmoid(x) bit for bit."""
+    if out is None:
+        x = np.asarray(x)
+        out = np.empty(x.shape, np.result_type(x, 0.5))
+    np.multiply(x, 0.5, out)
+    np.tanh(out, out)
+    np.add(out, 1, out)
+    return np.multiply(out, 0.5, out)
 
 
 def relu(x):

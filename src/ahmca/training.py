@@ -262,16 +262,27 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params, grads):
+        """Update every parameter named in grads in place, and its moments:
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, then
+        p = p - lr (m / b1t) / (sqrt(v / b2t) + eps), each product and sum
+        rounded in that order."""
         self.t += 1
         b1t = 1 - self.b1 ** self.t
         b2t = 1 - self.b2 ** self.t
         for name in grads:
-            g = grads[name].astype(params[name].dtype, copy=False)
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = self.m[name] / b1t
-            vhat = self.v[name] / b2t
-            params[name] = params[name] - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p, m, v = params[name], self.m[name], self.v[name]
+            g = grads[name].astype(p.dtype, copy=False)
+            np.multiply(m, self.b1, out=m)
+            m += (1 - self.b1) * g
+            np.multiply(v, self.b2, out=v)
+            v += (1 - self.b2) * g * g
+            denom = np.divide(v, b2t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = np.divide(m, b1t)
+            update *= self.lr
+            update /= denom
+            p -= update
 
 
 # --- evaluation / prediction -------------------------------------------

@@ -8,9 +8,15 @@ oracle walks the tokens one by one, where the package scatters all winners
 at once.  The LSTM oracles are one cell update and a per-document BiLSTM
 with its BPTT, one direction and one document at a time, where the
 package's encoder runs a whole mini-batch and both directions in one
-packed time loop.  The evaluation oracle decodes one document at a time
-through predict, where evaluate_model scores a chunk of documents per
-forward call and decodes the rows directly.
+packed time loop.  The direction-major packed loop is that same batched
+encoder with its buffers laid out direction by direction, the bitwise
+reference for the package's row-major loop.  The evaluation oracle decodes
+one document at a time through predict, where evaluate_model scores a chunk
+of documents per forward call and decodes the rows directly.  The Adam
+oracle is the update as one expression per array, where the package's
+optimizer overwrites its arrays in place, and the sigmoid oracle is the
+logistic function as one expression, where the package's writes into one
+buffer.
 """
 
 import warnings
@@ -18,11 +24,18 @@ import warnings
 import numpy as np
 
 from ahmca import metrics as M
+from ahmca.encoder import _packing, _pair
 from ahmca.hmcn import Prediction, child_parent_index_pairs
 from ahmca.metrics import MetricsReport
-from ahmca.numerics import relu, sigmoid
+from ahmca.numerics import relu
 from ahmca.taxonomy import Taxonomy
 from ahmca.training import predict
+
+
+def sigmoid(x):
+    """The logistic function as one expression, the bitwise reference for
+    numerics.sigmoid, which evaluates it in place."""
+    return 0.5 * (1 + np.tanh(0.5 * np.asarray(x)))
 
 
 def lstm_step(state, x, Wx, Wh, b):
@@ -94,6 +107,92 @@ def bilstm_document_backward(dH_fwd, dH_bwd, caches, params):
             direction_backward(dH, cache, params[f"lstm_{d}.Wx"], params[f"lstm_{d}.Wh"])
         dX = dX + (dX_d if d == "fwd" else dX_d[::-1])
     return dX, grads
+
+
+def packed_encode_direction_major(Xs, params):
+    """bilstm_encode with G (2, R, 4k) and C, H (2, R, k): each direction's
+    rows contiguous, one step's rows strided.  Returns the same
+    ((H_fwd, H_bwd), cache) in this layout."""
+    WxT = np.stack([W.T for W in _pair(params, "Wx")])
+    WhT = np.stack([W.T for W in _pair(params, "Wh")])
+    k = WxT.shape[1]
+    pack = _packing([len(X) for X in Xs])
+    B = len(Xs)
+    X = np.concatenate(Xs)
+    Xp = X[pack.src]
+    G = Xp @ WxT + np.array(_pair(params, "b"))[:, None]
+    C = np.zeros((2, G.shape[1], k), dtype=G.dtype)
+    H = np.zeros_like(C)
+    for s0, s1, p0 in pack.steps:
+        a = s1 - s0
+        z = G[:, s0:s1] + (H[:, p0:p0 + max(a, 2)] @ WhT)[:, :a]
+        g = sigmoid(z)
+        g[..., 2 * k:3 * k] = np.tanh(z[..., 2 * k:3 * k])
+        G[:, s0:s1] = g
+        C[:, s0:s1] = g[..., k:2 * k] * C[:, p0:p0 + a] + g[..., :k] * g[..., 2 * k:3 * k]
+        H[:, s0:s1] = g[..., 3 * k:] * np.tanh(C[:, s0:s1])
+    out = np.empty((2,) + X.shape, dtype=H.dtype)
+    out[0, pack.src[0, B:]] = H[0, B:]
+    out[1, pack.src[1, B:]] = H[1, B:]
+    return (tuple([out[d, a:b] for a, b in pack.bounds] for d in range(2)),
+            (pack, Xp, G, C, H))
+
+
+def packed_backward_direction_major(dH_fwd, dH_bwd, cache, params):
+    """bilstm_backward on packed_encode_direction_major's cache."""
+    pack, Xp, G, C, H = cache
+    B = len(pack.bounds)
+    k = H.shape[2]
+    fwd, bwd = pack.src[:, B:]
+    dHp = np.empty_like(H)
+    dHp[0, B:] = np.concatenate(dH_fwd)[fwd]
+    dHp[1, B:] = np.concatenate(dH_bwd)[bwd]
+    I, F, Gg, O = (G[..., j * k:(j + 1) * k] for j in range(4))
+    TC = np.tanh(C)
+    C_prev = np.empty_like(C)
+    C_prev[:, B:] = C[:, pack.prev]
+    A = np.stack([Gg, C_prev, I, TC], axis=2)
+    D = (G * (1 - G)).reshape(A.shape)
+    D[:, :, 2] = 1 - Gg * Gg
+    dc_of_dh = O * (1 - TC * TC)
+    Wh = np.stack(_pair(params, "Wh"))
+    dZ = np.empty_like(G)
+    dZ4 = dZ.reshape(A.shape)
+    dh_next = np.zeros((2, B, k), dtype=G.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for s0, s1, _ in reversed(pack.steps):
+        a = s1 - s0
+        dh = dHp[:, s0:s1] + dh_next[:, :a]
+        dc = dc_next[:, :a] + dh * dc_of_dh[:, s0:s1]
+        dZ4[:, s0:s1, :3] = dc[:, :, None] * A[:, s0:s1, :3] * D[:, s0:s1, :3]
+        dZ4[:, s0:s1, 3] = dh * A[:, s0:s1, 3] * D[:, s0:s1, 3]
+        dh_next[:, :a] = dZ[:, s0:s1] @ Wh
+        dc_next[:, :a] = dc * F[:, s0:s1]
+    dZ = dZ[:, B:]
+    dXp = dZ @ np.stack(_pair(params, "Wx"))
+    dX = np.empty_like(dXp[0])
+    dX[fwd] = dXp[0]
+    dX[bwd] += dXp[1]
+    dZT = dZ.transpose(0, 2, 1)
+    grads = {"Wx": dZT @ Xp[:, B:], "Wh": dZT @ H[:, pack.prev], "b": dZ.sum(axis=1)}
+    return [dX[a:b] for a, b in pack.bounds], {f"lstm_{direction}.{name}": g[d]
+                                               for d, direction in enumerate(("fwd", "bwd"))
+                                               for name, g in grads.items()}
+
+
+def adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Step t of Adam as fresh arrays; returns the new (params, m, v) dicts."""
+    params, m, v = dict(params), dict(m), dict(v)
+    b1t = 1 - b1 ** t
+    b2t = 1 - b2 ** t
+    for name in grads:
+        g = grads[name].astype(params[name].dtype, copy=False)
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        mhat = m[name] / b1t
+        vhat = v[name] / b2t
+        params[name] = params[name] - lr * mhat / (np.sqrt(vhat) + eps)
+    return params, m, v
 
 
 def global_step(A_prev, x_h, W, b):

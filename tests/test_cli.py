@@ -125,6 +125,43 @@ def test_bad_checkpoint_exit_2(workspace, tmp_path, capsys):
         assert main(["inspect", "--model", str(bad)]) == 2, case
 
 
+def _train_args(workspace, tmp_path, **paths):
+    files = {"--config": workspace / "config.json",
+             "--train": workspace / "train.jsonl",
+             "--val": workspace / "val.jsonl",
+             "--taxonomy": workspace / "data" / "taxonomy.json",
+             "--embeddings": workspace / "data" / "embeddings.txt"}
+    files.update(paths)
+    return ["train", *(str(x) for item in files.items() for x in item),
+            "--out", str(tmp_path / "m.bin"), "--history", str(tmp_path / "h.csv")]
+
+
+def test_non_utf8_input_exit_2(workspace, tmp_path, capsys):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")      # UTF-16 byte order mark, then "{}"
+    model = str(workspace / "model.bin")
+    runs = [_train_args(workspace, tmp_path, **{flag: bad})
+            for flag in ("--config", "--train", "--val", "--taxonomy", "--embeddings")]
+    runs += [["gen-synth", "--spec", str(bad), "--out-dir", str(tmp_path / "out")],
+             ["eval", "--model", model, "--data", str(bad)],
+             ["predict", "--model", model, "--input", str(bad)]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        assert "is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_non_finite_embeddings_exit_2(workspace, tmp_path, capsys):
+    emb = tmp_path / "emb.txt"
+    lines = (workspace / "data" / "embeddings.txt").read_text().splitlines()
+    token = lines[1].split()[0]
+    lines[1] = " ".join([token, "nan"] + lines[1].split()[2:])
+    emb.write_text("\n".join(lines) + "\n")
+    assert main(_train_args(workspace, tmp_path, **{"--embeddings": emb})) == 2
+    assert repr(token) in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_bad_config_exit_2(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for text, extra in (

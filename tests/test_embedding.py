@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ahmca.errors import (
     DuplicateTokenError,
     EmptyInputError,
     MalformedHeaderError,
+    NonFiniteVectorError,
     RowArityError,
 )
 from ahmca.model import Model
@@ -51,6 +54,14 @@ def test_duplicate_token():
 def test_count_mismatch():
     with pytest.raises(CountMismatchError):
         load_embeddings("5 4\ncat 1 0 0 0\n")
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "1e39"])
+def test_non_finite_component(component):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # 1e39 must not overflow with a warning
+        with pytest.raises(NonFiniteVectorError, match="'dog'"):
+            load_embeddings(f"2 2\ncat 1 0\ndog {component} 1.0\n")
 
 
 def test_malformed_header():

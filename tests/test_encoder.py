@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bilstm_document, bilstm_document_backward, lstm_step
+from oracles import (
+    bilstm_document,
+    bilstm_document_backward,
+    lstm_step,
+    packed_backward_direction_major,
+    packed_encode_direction_major,
+)
 
 from ahmca.encoder import bilstm_backward, bilstm_encode, init_lstm_params
 from ahmca.errors import DimMismatchError, EmptyInputError
@@ -234,3 +240,39 @@ def test_document_states_do_not_depend_on_batch():
         ([alone_fwd], [alone_bwd]), _ = bilstm_encode([X], params)
         assert np.array_equal(H_fwd, alone_fwd)
         assert np.array_equal(H_bwd, alone_bwd)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lengths", [[1], [2], [33], [256], [1, 2, 33, 256] * 4],
+                         ids=["B1-N1", "B1-N2", "B1-N33", "B1-N256", "B16-ragged"])
+def test_row_major_loop_is_bitwise_direction_major(lengths):
+    k = 32
+    rng = np.random.default_rng(len(lengths) + sum(lengths))
+    params = init_lstm_params(k, rng)
+    params = {name: p + rng.uniform(-0.1, 0.1, p.shape).astype(np.float32)
+              for name, p in params.items()}
+    lengths = rng.permutation(lengths).tolist()
+    Xs = [rng.standard_normal((n, k)).astype(np.float32) for n in lengths]
+    dH_fwd = [rng.standard_normal((n, k)).astype(np.float32) for n in lengths]
+    dH_bwd = [rng.standard_normal((n, k)).astype(np.float32) for n in lengths]
+    before = {name: p.copy() for name, p in params.items()}
+
+    (H_fwd, H_bwd), cache = bilstm_encode(Xs, params)
+    (ref_fwd, ref_bwd), ref_cache = packed_encode_direction_major(Xs, params)
+    for got, want in zip(H_fwd + H_bwd, ref_fwd + ref_bwd):
+        assert got.dtype == np.float32
+        assert _same_bits(got, want)
+
+    dXs, grads = bilstm_backward(dH_fwd, dH_bwd, cache, params)
+    ref_dXs, ref_grads = packed_backward_direction_major(dH_fwd, dH_bwd, ref_cache, params)
+    for got, want in zip(dXs, ref_dXs):
+        assert _same_bits(got, want)
+    assert grads.keys() == ref_grads.keys() == params.keys()
+    for name, g in grads.items():
+        assert _same_bits(g, ref_grads[name]), name
+    for name, p in params.items():
+        assert _same_bits(p, before[name]), name

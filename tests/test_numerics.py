@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from ahmca.errors import NonFiniteError
 from ahmca.numerics import check_finite, grad_check, sigmoid
+from oracles import sigmoid as sigmoid_expression
 
 
 def test_check_finite_rejects_nan():
@@ -32,6 +33,21 @@ def test_sigmoid_saturates():
         s = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     assert np.array_equal(s, [0.0, 0.5, 1.0])
     assert sigmoid(np.zeros(3, dtype=np.float32)).dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_sigmoid_out_is_bitwise(dtype):
+    x = np.random.default_rng(3).normal(0, 8, (5, 4, 2, 3)).astype(dtype)
+    x[0, 0, 0] = [-1000, 0, 1000]
+    want = sigmoid_expression(x)
+    assert sigmoid(x).tobytes() == want.tobytes()
+    out = np.empty_like(x)
+    assert sigmoid(x, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigmoid(x, out=x) is x
+    assert x.tobytes() == want.tobytes()
 
 
 def test_grad_check_square():

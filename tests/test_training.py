@@ -27,6 +27,7 @@ from ahmca.metrics import MetricsReport
 from ahmca.model import Model
 from ahmca.training import (
     CHECKPOINT_MAGIC,
+    Adam,
     History,
     TrainConfig,
     evaluate_model,
@@ -201,6 +202,28 @@ def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
     for name, g in grads.items():
         mean = sum(single[name] for _, single in singles) / len(docs)
         np.testing.assert_allclose(g, mean, rtol=1e-10, atol=1e-14, err_msg=name)
+
+
+def test_adam_is_bitwise_oracle_in_place():
+    rng = np.random.default_rng(4)
+    params = {"W": rng.standard_normal((5, 3)).astype(np.float32),
+              "b": rng.standard_normal(3).astype(np.float32)}
+    opt = Adam(params, lr=0.01)
+    ref_m = {name: np.zeros_like(p) for name, p in params.items()}
+    ref_v = {name: np.zeros_like(p) for name, p in params.items()}
+    arrays = {name: (params[name], opt.m[name], opt.v[name]) for name in params}
+    ref = {name: p.copy() for name, p in params.items()}
+    for t in range(1, 4):
+        # a float64 gradient is cast to the parameter's float32
+        grads = {"W": rng.standard_normal((5, 3)).astype(np.float32),
+                 "b": rng.standard_normal(3)}
+        opt.step(params, grads)
+        ref, ref_m, ref_v = oracles.adam_step(ref, grads, ref_m, ref_v, t, 0.01)
+        for name, (p, m, v) in arrays.items():
+            assert params[name] is p and opt.m[name] is m and opt.v[name] is v
+            for got, want in ((p, ref[name]), (m, ref_m[name]), (v, ref_v[name])):
+                assert got.dtype == want.dtype == np.float32
+                assert got.tobytes() == want.tobytes(), (name, t)
 
 
 def test_empty_batch_raises(tiny_synth):
