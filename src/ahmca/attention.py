@@ -2,6 +2,10 @@
 against the spliced label+keyword matrix, and the level-specific document
 embeddings built from them.
 
+Both BiLSTM directions are one (2, N, k) stack, so each step runs once for
+both; each direction's slice rounds the same operands in the same order as a
+pass over it alone, bit for bit the per-direction oracle in tests/oracles.py.
+
 The global embedding (index 0) uses all-ones raw weights, so under
 sum normalization it is the per-direction mean of the hidden states.
 """
@@ -33,93 +37,78 @@ def splice_level(Ti, Ke):
     return np.vstack([Ti, Ke])
 
 
-def token_weights(H_dir, ctx, similarity="dot", with_argmax=False):
-    """Raw weight per token: max over context rows of the similarity with
-    the token's hidden state.  Ties go to the lowest row index."""
-    H_dir = np.asarray(H_dir)
+def token_weights(H, ctx, similarity="dot", with_argmax=False):
+    """Raw weight per token of H, N x k or a (..., N, k) stack: max over
+    context rows of the similarity with the token's hidden state.  Ties go
+    to the lowest row index."""
+    H = np.asarray(H)
     ctx = np.asarray(ctx)
     if ctx.ndim != 2 or ctx.shape[0] == 0:
         raise EmptyContextError("context matrix has no rows")
-    if H_dir.shape[1] != ctx.shape[1]:
-        raise DimMismatchError(f"hidden dim {H_dir.shape[1]} != context dim {ctx.shape[1]}")
+    if H.shape[-1] != ctx.shape[1]:
+        raise DimMismatchError(f"hidden dim {H.shape[-1]} != context dim {ctx.shape[1]}")
     if similarity == "dot":
-        S = H_dir @ ctx.T
+        S = H @ ctx.T
     elif similarity == "cosine":
-        hn = np.maximum(np.linalg.norm(H_dir, axis=1, keepdims=True), _NORM_EPS)
+        hn = np.maximum(np.linalg.norm(H, axis=-1, keepdims=True), _NORM_EPS)
         tn = np.maximum(np.linalg.norm(ctx, axis=1, keepdims=True), _NORM_EPS)
-        S = (H_dir / hn) @ (ctx / tn).T
+        S = (H / hn) @ (ctx / tn).T
     else:
         raise ConfigRangeError(f"similarity must be one of {SIMILARITIES}, "
                                f"got {similarity!r}")
-    arg = S.argmax(axis=1)
-    w = S[np.arange(S.shape[0]), arg]
+    arg = S.argmax(axis=-1)
+    w = S[(*np.indices(arg.shape, sparse=True), arg)]
     return (w, arg) if with_argmax else w
 
 
 def normalize_weights(raw, mode):
-    """Returns (weights, cache) for the chosen mode.  cache is what the
-    backward pass needs; degenerate==True means the uniform fallback fired
-    and no gradient flows through the raw weights."""
+    """(weights, cache) for the chosen mode, each row normalised over the last
+    axis; cache is what the backward pass needs.  A sum-normalised row whose raw
+    weights sum to about 0 falls back to uniform, warns, and passes no gradient."""
     raw = np.asarray(raw)
-    n = raw.shape[0]
     if mode == "none":
         return raw.copy(), ("none",)
     if mode == "sum_normalized":
-        s = raw.sum()
-        if abs(s) <= _EPS:
+        s = raw.sum(axis=-1, keepdims=True)
+        flat = np.abs(s) <= _EPS
+        if not flat.any():
+            return raw / s, ("sum", s)
+        for _ in range(np.count_nonzero(flat)):
             warnings.warn("degenerate attention weights; falling back to uniform")
-            return np.full(n, 1.0 / n, dtype=raw.dtype), ("degenerate",)
-        return raw / s, ("sum", s)
+        # 1 / n as np.full(n, 1.0 / n, dtype) holds it; a divisor of inf passes no gradient
+        w = np.where(flat, 1, raw) / np.where(flat, raw.shape[-1], s)
+        return w, ("sum", np.where(flat, np.inf, s))
     if mode == "softmax":
-        z = raw - raw.max()
-        e = np.exp(z)
-        w = e / e.sum()
-        return w, ("softmax", w)
+        e = np.exp(raw - raw.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True), ("softmax",)
     raise ConfigRangeError(f"attention mode must be one of {MODES}, got {mode!r}")
 
 
-def _normalize_backward(dw, raw, weights, cache):
-    kind = cache[0]
-    if kind == "none":
-        return dw.copy()
-    if kind == "degenerate":
-        return np.zeros_like(raw)
-    if kind == "sum":
-        s = cache[1]
-        return (dw - np.dot(dw, weights)) / s
-    # softmax
-    w = cache[1]
-    return w * (dw - np.dot(dw, w))
+def _normalize_backward(dw, weights, cache):
+    if cache[0] == "none":
+        return dw
+    # each row's dot product as np.dot takes it
+    dot = (dw[..., None, :] @ weights[..., :, None])[..., 0]
+    if cache[0] == "sum":
+        return (dw - dot) / cache[1]
+    return weights * (dw - dot)
 
 
 def attention_forward(H_fwd, H_bwd, contexts, mode="sum_normalized", similarity="dot"):
-    """Compute x^0..x^H and a cache for the backward pass.
-
-    contexts is one spliced matrix per level 1..H; x^0 uses all-ones raw
-    weights over both directions.
-    """
-    N = H_fwd.shape[0]
-    dtype = H_fwd.dtype
-    ones = np.ones(N, dtype=dtype)
+    """Compute x^0..x^H and a cache for the backward pass.  contexts is one
+    spliced matrix per level 1..H; x^0 uses all-ones raw weights over both
+    directions."""
+    H = np.array([H_fwd, H_bwd])
     xs = []
-    cache = {"H_fwd": H_fwd, "H_bwd": H_bwd, "mode": mode,
-             "similarity": similarity, "levels": []}
-
-    for li, ctx in enumerate([None] + list(contexts)):
-        if li == 0:
-            raw_f, raw_b = ones, ones
-            arg_f = arg_b = None
+    cache = {"H": H, "similarity": similarity, "levels": []}
+    for ctx in [None] + list(contexts):
+        if ctx is None:
+            raw, arg = np.ones(H.shape[:2], dtype=H.dtype), None
         else:
-            raw_f, arg_f = token_weights(H_fwd, ctx, similarity, with_argmax=True)
-            raw_b, arg_b = token_weights(H_bwd, ctx, similarity, with_argmax=True)
-        wf, cf = normalize_weights(raw_f, mode)
-        wb, cb = normalize_weights(raw_b, mode)
-        xs.append(np.concatenate([wf @ H_fwd, wb @ H_bwd]))
-        cache["levels"].append({
-            "ctx": ctx, "raw_f": raw_f, "raw_b": raw_b,
-            "arg_f": arg_f, "arg_b": arg_b,
-            "wf": wf, "wb": wb, "cf": cf, "cb": cb,
-        })
+            raw, arg = token_weights(H, ctx, similarity, with_argmax=True)
+        w, c = normalize_weights(raw, mode)
+        xs.append((w[:, None] @ H).reshape(-1))
+        cache["levels"].append({"ctx": ctx, "arg": arg, "w": w, "c": c})
     return xs, cache
 
 
@@ -144,25 +133,21 @@ def attention_backward(dxs, cache):
     """Given dL/dx^i for i = 0..H (None entries allowed), return
     (dH_fwd, dH_bwd, dcontexts).  dcontexts has one entry per level 1..H;
     level 0 has constant raw weights, so nothing flows into a context."""
-    H_fwd, H_bwd = cache["H_fwd"], cache["H_bwd"]
-    similarity = cache["similarity"]
-    k = H_fwd.shape[1]
-    dH_fwd = np.zeros_like(H_fwd)
-    dH_bwd = np.zeros_like(H_bwd)
+    H = cache["H"]
+    k = H.shape[-1]
+    dH = np.zeros_like(H)
     dcontexts = []
-    for li, (dx, lv) in enumerate(zip(dxs, cache["levels"])):
-        dctx = None if li == 0 else np.zeros_like(lv["ctx"])
-        if dx is not None:
-            dxf, dxb = dx[:k], dx[k:]
-            for H_dir, dH, half, w, c, raw, arg in (
-                (H_fwd, dH_fwd, dxf, lv["wf"], lv["cf"], lv["raw_f"], lv["arg_f"]),
-                (H_bwd, dH_bwd, dxb, lv["wb"], lv["cb"], lv["raw_b"], lv["arg_b"]),
-            ):
-                dH += np.outer(w, half)
-                if li > 0:
-                    dw = H_dir @ half
-                    da = _normalize_backward(dw, raw, w, c)
-                    _similarity_backward(da, H_dir, lv["ctx"], arg, similarity, dH, dctx)
-        if li > 0:
-            dcontexts.append(dctx)
-    return dH_fwd, dH_bwd, dcontexts
+    for dx, lv in zip(dxs, cache["levels"]):
+        ctx, w = lv["ctx"], lv["w"]
+        if ctx is not None:
+            dcontexts.append(np.zeros_like(ctx))
+        if dx is None:
+            continue
+        half = dx.reshape(2, k, 1)          # the forward, then the backward half
+        dH += w[:, :, None] * half.transpose(0, 2, 1)
+        if ctx is not None:
+            da = _normalize_backward((H @ half)[..., 0], w, lv["c"])
+            # one scatter: forward rows before backward rows
+            _similarity_backward(da.reshape(-1), H.reshape(-1, k), ctx, lv["arg"].reshape(-1),
+                                 cache["similarity"], dH.reshape(-1, k), dcontexts[-1])
+    return dH[0], dH[1], dcontexts

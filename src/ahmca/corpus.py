@@ -82,10 +82,12 @@ def _document(rec, leaves, level_labels) -> Document:
             raise MalformedRecordError(f"keyword must be a string: {kw!r}")
         keywords.extend(tokenize(kw))
     doc_id = rec.get("id", "")
+    if not isinstance(doc_id, str):
+        raise MalformedRecordError(f"document id must be a string: {doc_id!r}")
     if not (title or abstract or keywords):
         raise EmptyTextError(f"record {doc_id!r} has no text")
     return Document(
-        id=str(doc_id),
+        id=doc_id,
         title_tokens=tuple(title),
         abstract_tokens=tuple(abstract),
         keywords=tuple(keywords),

@@ -72,14 +72,15 @@ class Model:
         self._scored = None         # (row of each document by id, Prediction) in scoring()
 
         # label text in row-index form: each level's label words flattened
-        # into rows of [vectors; unk], a run of counts[i] words per label
+        # into rows of [vectors; unk], a run of counts[i] words per label,
+        # and the counts as the column the word-vector sums are divided by
         self._label_text = []
         for i in range(1, tax.depth + 1):
             words = [tokenize(tax.label(lid).text) for lid in tax.labels_at_level(i)]
             counts = np.array([len(w) for w in words])
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
             flat = self._rows([w for ws in words for w in ws])
-            self._label_text.append((flat, starts, counts.astype(dtype)[:, None]))
+            self._label_text.append((flat, starts, counts, counts.astype(dtype)[:, None]))
 
     # --- embedding access -------------------------------------------------
 
@@ -98,8 +99,8 @@ class Model:
 
     def label_matrices(self):
         """Per level, the mean word vector of each label's text."""
-        return [np.add.reduceat(self._gather(flat), starts, axis=0) / counts
-                for flat, starts, counts in self._label_text]
+        return [np.add.reduceat(self._gather(flat), starts, axis=0) / div
+                for flat, starts, _, div in self._label_text]
 
     def embed(self, tokens):
         """N x k matrix of word vectors, the unk vector for out-of-vocabulary
@@ -122,18 +123,17 @@ class Model:
             if not doc.tokens:
                 raise EmptyTextError(f"document {doc.id!r} has no tokens")
             rows.append(self._rows(doc.tokens))
-        (H_fwds, H_bwds), enc_cache = bilstm_encode([self._gather(r) for r in rows],
-                                                    self.params)
+        Xs = [self._gather(r) for r in rows]
+        (H_fwds, H_bwds), enc_cache = bilstm_encode(Xs, self.params)
         doc_xs, caches = [], []
-        for doc, doc_rows, H_fwd, H_bwd in zip(docs, rows, H_fwds, H_bwds):
-            kw_rows = self._rows(doc.keywords)
-            Ke = self._gather(kw_rows) if len(kw_rows) else None
-            contexts = [splice_level(T, Ke) for T in label_mats]
+        for doc, doc_rows, X, H_fwd, H_bwd in zip(docs, rows, Xs, H_fwds, H_bwds):
+            first_kw = len(doc_rows) - len(doc.keywords)    # the tokens end with the keywords
+            contexts = [splice_level(T, X[first_kw:]) for T in label_mats]
             xs, att_cache = attention_forward(H_fwd, H_bwd, contexts,
                                               mode=self.cfg.attention_mode,
                                               similarity=self.cfg.similarity)
             doc_xs.append(xs)
-            caches.append({"att": att_cache, "rows": doc_rows, "kw_rows": kw_rows})
+            caches.append({"att": att_cache, "rows": doc_rows, "kw_rows": doc_rows[first_kw:]})
         head_cache = head_forward([np.stack(x) for x in zip(*doc_xs)], self.params,
                                   self.level_sizes, use_x0=self.cfg.use_x0_in_global)
         return head_cache, enc_cache, caches
@@ -201,11 +201,10 @@ class Model:
         for extra, dX, (_, _, dcontexts) in zip(caches, dXs, att_grads):
             idx.append(extra["rows"])
             vals.append(dX)
-            for (flat, starts, counts), dctx, n in zip(self._label_text, dcontexts,
+            for (flat, _, counts, div), dctx, n in zip(self._label_text, dcontexts,
                                                        self.level_sizes):
                 idx.append(flat)
-                vals.append(np.repeat(dctx[:n] / counts,
-                                      np.diff(starts, append=len(flat)), axis=0))
+                vals.append(np.repeat(dctx[:n] / div, counts, axis=0))
                 idx.append(extra["kw_rows"])
                 vals.append(dctx[n:])
         V = len(self.table)

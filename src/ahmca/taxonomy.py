@@ -123,7 +123,8 @@ def load_taxonomy(source) -> Taxonomy:
         level = rec["level"]
         parent = rec.get("parent")
         text = rec.get("text", lid)
-        if not isinstance(lid, str) or not isinstance(level, int) or level < 1:
+        if (not isinstance(lid, str) or not isinstance(level, int)
+                or isinstance(level, bool) or level < 1):
             raise LevelGapError(f"malformed label record: {rec!r}")
         if parent is not None and not isinstance(parent, str):
             raise LevelGapError(f"malformed parent in record: {rec!r}")

@@ -33,6 +33,7 @@ from .errors import (
     CorruptPayloadError,
     NonFiniteLossError,
     TaxonomyMismatchError,
+    TooFewDocumentsError,
     UnknownConfigKeyError,
     VersionMismatchError,
 )
@@ -70,13 +71,14 @@ class TrainConfig:
         check_field_types(self, ConfigTypeError)
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigRangeError(f"beta must be in [0, 1], got {self.beta}")
-        if not self.lambda_ >= 0:            # NaN fails too
-            raise ConfigRangeError(f"lambda must be >= 0, got {self.lambda_}")
+        if not 0 <= self.lambda_ < math.inf:         # NaN fails too
+            raise ConfigRangeError(f"lambda must be finite and >= 0, got {self.lambda_}")
         for name in ("k", "g", "d_L", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigRangeError(f"{name} must be >= 1")
-        if not self.learning_rate > 0:
-            raise ConfigRangeError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigRangeError(f"learning_rate must be positive and finite, "
+                                   f"got {self.learning_rate}")
         if self.early_stop_patience < 1:
             raise ConfigRangeError("early_stop_patience must be >= 1")
         if self.attention_mode not in MODES:
@@ -372,9 +374,11 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
     best-validation checkpoint and the per-epoch history.  With
     cfg.freeze_embeddings the embedding gradients are dropped before each
     step, so the table stays as given."""
-    for c in (train_c, val_c):
+    for name, c in (("train", train_c), ("validation", val_c)):
         if c.taxonomy_hash != tax.content_hash():
             raise TaxonomyMismatchError("corpus bound to a different taxonomy")
+        if not len(c):
+            raise TooFewDocumentsError(f"the {name} corpus has no documents")
 
     model = Model(tax, table, cfg)
     opt = Adam(model.params, cfg.learning_rate)

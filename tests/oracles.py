@@ -5,8 +5,10 @@ the loss through clipped-probability BCE, where the package's head works
 from cached logits; its hierarchy penalty loops over the (child, parent)
 pairs, where the package indexes them all at once.  The attention scatter
 oracle walks the tokens one by one, where the package scatters all winners
-at once.  The LSTM oracles are one cell update and a per-document BiLSTM
-with its BPTT, one direction and one document at a time, where the
+at once, and the attention oracle runs every step once per BiLSTM
+direction, where the package stacks both directions on one array axis.
+The LSTM oracles are one cell update and a per-document BiLSTM with its
+BPTT, one direction and one document at a time, where the
 package's encoder runs a whole mini-batch and both directions in one
 packed time loop.  The direction-major packed loop is that same batched
 encoder with its buffers laid out direction by direction, the bitwise
@@ -24,6 +26,7 @@ import warnings
 import numpy as np
 
 from ahmca import metrics as M
+from ahmca.attention import _similarity_backward
 from ahmca.encoder import _packing, _pair
 from ahmca.hmcn import Prediction, child_parent_index_pairs
 from ahmca.metrics import MetricsReport
@@ -268,6 +271,70 @@ def similarity_backward(da, H_dir, ctx, arg, similarity):
             dH[j] += da[j] * (t / (hn[j] * tn[l]) - s * h / (hn[j] ** 2))
             dctx[l] += da[j] * (h / (hn[j] * tn[l]) - s * t / (tn[l] ** 2))
     return dH, dctx
+
+
+def _direction_weights(H_dir, ctx, similarity):
+    """Raw weights and winning rows of one direction's N x k states."""
+    if similarity == "dot":
+        S = H_dir @ ctx.T
+    else:
+        hn = np.maximum(np.linalg.norm(H_dir, axis=1, keepdims=True), 1e-12)
+        tn = np.maximum(np.linalg.norm(ctx, axis=1, keepdims=True), 1e-12)
+        S = (H_dir / hn) @ (ctx / tn).T
+    arg = S.argmax(axis=1)
+    return S[np.arange(S.shape[0]), arg], arg
+
+
+def _direction_normalize(raw, mode):
+    """(weights, backward closure) of one direction's raw weights."""
+    n = raw.shape[0]
+    if mode == "none":
+        return raw.copy(), lambda dw: dw.copy()
+    if mode == "sum_normalized":
+        s = raw.sum()
+        if abs(s) <= 1e-8:
+            warnings.warn("degenerate attention weights; falling back to uniform")
+            return np.full(n, 1.0 / n, dtype=raw.dtype), np.zeros_like
+        w = raw / s
+        return w, lambda dw: (dw - np.dot(dw, w)) / s
+    e = np.exp(raw - raw.max())
+    w = e / e.sum()
+    return w, lambda dw: w * (dw - np.dot(dw, w))
+
+
+def attention_per_direction(H_fwd, H_bwd, contexts, mode, similarity):
+    """(xs, backward) of level attention, one direction at a time: each
+    step is called once for H_fwd and once for H_bwd, the bitwise
+    reference for the package's (2, N, k) pass.  backward(dxs) returns
+    (dH_fwd, dH_bwd, dcontexts) and scatters the forward direction's
+    context gradient before the backward direction's."""
+    ones = np.ones(H_fwd.shape[0], dtype=H_fwd.dtype)
+    levels, xs = [], []
+    for ctx in [None] + list(contexts):
+        dirs = []
+        for H in (H_fwd, H_bwd):
+            raw, arg = (ones, None) if ctx is None else _direction_weights(H, ctx, similarity)
+            dirs.append((H, arg) + _direction_normalize(raw, mode))
+        xs.append(np.concatenate([w @ H for H, _, w, _ in dirs]))
+        levels.append((ctx, dirs))
+
+    def backward(dxs):
+        k = H_fwd.shape[1]
+        dHs = np.zeros_like(H_fwd), np.zeros_like(H_bwd)
+        dcontexts = []
+        for dx, (ctx, dirs) in zip(dxs, levels):
+            dctx = None if ctx is None else np.zeros_like(ctx)
+            halves = () if dx is None else (dx[:k], dx[k:])
+            for half, dH, (H, arg, w, norm_back) in zip(halves, dHs, dirs):
+                dH += np.outer(w, half)
+                if ctx is not None:
+                    _similarity_backward(norm_back(H @ half), H, ctx, arg, similarity,
+                                         dH, dctx)
+            if ctx is not None:
+                dcontexts.append(dctx)
+        return dHs + (dcontexts,)
+
+    return xs, backward
 
 
 def evaluate_per_document(model, data, ks=(1, 3, 5), threshold=0.5):

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
-from oracles import similarity_backward
+from oracles import attention_per_direction, similarity_backward
 
 from ahmca.attention import (
+    MODES,
+    SIMILARITIES,
     _similarity_backward,
     attention_backward,
     attention_forward,
@@ -129,11 +133,34 @@ def test_level_embedding_literal_mode():
 
 
 def test_degenerate_weights_fallback_warns():
-    H = np.ones((2, 2))
-    with pytest.warns(UserWarning):
-        w, cache = normalize_weights(np.array([1e-9, -1e-9]), "sum_normalized")
-    assert np.allclose(w, [0.5, 0.5])
-    assert cache[0] == "degenerate"
+    # one context row: the forward raw weights [1, -1 + 1e-9] sum to about 0,
+    # the backward ones [1, 2] do not
+    for dtype in (np.float32, np.float64):
+        H_fwd = np.array([[1.0, 0.0], [-1.0 + 1e-9, 0.0]], dtype=dtype)
+        H_bwd = np.array([[1.0, 0.0], [2.0, 1.0]], dtype=dtype)
+        ctx = np.array([[1.0, 0.0]], dtype=dtype)
+        raw = token_weights(np.stack([H_fwd, H_bwd]), ctx)
+        assert abs(raw[0].sum()) <= 1e-8 < abs(raw[1].sum())
+        outs = []
+        for call in (lambda: normalize_weights(raw, "sum_normalized"),
+                     lambda: attention_forward(H_fwd, H_bwd, [ctx])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outs.append(call())
+            assert [str(w.message) for w in caught] == [
+                "degenerate attention weights; falling back to uniform"]
+        (w, _), (_, cache) = outs
+        assert w.dtype == dtype
+        assert np.array_equal(w[0], np.full(2, 1.0 / 2, dtype=dtype))
+        assert np.array_equal(w[1], raw[1] / raw[1].sum())
+        # no gradient flows through the fallback row: the forward states get the
+        # pooling term alone, and the context's gradient ignores the forward half
+        dx = np.array([0.5, -2.0, 1.5, 0.25], dtype=dtype)
+        dH_fwd, _, (dctx,) = attention_backward([None, dx], cache)
+        assert np.array_equal(dH_fwd, np.outer(w[0], dx[:2]))
+        dx_bwd_only = np.concatenate([np.zeros(2, dtype=dtype), dx[2:]])
+        assert np.array_equal(dctx, attention_backward([None, dx_bwd_only], cache)[2][0])
+        assert np.any(dctx != 0)
 
 
 def test_build_all_levels_shapes():
@@ -211,6 +238,34 @@ def test_oracle_equivalence(mode, similarity):
         x = attention_forward(H_fwd, H_bwd, [ctx], mode=mode, similarity=similarity)[0][1]
         ref = brute_force_embedding(H_fwd, H_bwd, wf, wb, mode)
         assert np.allclose(x, ref, atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("similarity", SIMILARITIES)
+def test_direction_stack_is_bitwise_per_direction_oracle(dtype, mode, similarity):
+    rng = np.random.default_rng(11)
+    k = 5
+    labels = [rng.standard_normal((3, k)).astype(dtype), rng.standard_normal((7, k)).astype(dtype)]
+    for n in (1, 2, 33):
+        for n_kw in (0, 2):
+            H_fwd, H_bwd = (rng.standard_normal((n, k)).astype(dtype) for _ in range(2))
+            Ke = rng.standard_normal((n_kw, k)).astype(dtype)
+            contexts = [splice_level(T, Ke) for T in labels]
+            xs, cache = attention_forward(H_fwd, H_bwd, contexts, mode=mode,
+                                          similarity=similarity)
+            ref_xs, ref_backward = attention_per_direction(H_fwd, H_bwd, contexts, mode,
+                                                           similarity)
+            dxs = [rng.standard_normal(2 * k).astype(dtype) for _ in xs]
+            dxs[0] = None if n == 2 else dxs[0]
+            dH_fwd, dH_bwd, dctxs = attention_backward(dxs, cache)
+            ref_dH_fwd, ref_dH_bwd, ref_dctxs = ref_backward(dxs)
+            got = xs + [dH_fwd, dH_bwd] + dctxs
+            want = ref_xs + [ref_dH_fwd, ref_dH_bwd] + ref_dctxs
+            assert len(got) == len(want) == 7
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                assert np.array_equal(a, b), (n, n_kw)
 
 
 @pytest.mark.parametrize("mode", ["sum_normalized", "none", "softmax"])

@@ -166,6 +166,8 @@ def test_bad_config_exit_2(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for text, extra in (
         ('{"betta": 0.5}', []),
+        ('{"learning_rate": 1e999}', []),
+        ('{"lambda": Infinity}', []),
         # embeddings of width 4 against k=8: Model's width check
         ('{"k": 8}', ["--embeddings", str(workspace / "data" / "embeddings.txt")]),
     ):
@@ -200,6 +202,15 @@ def test_bad_taxonomy_exit_3(workspace, tmp_path, capsys):
         assert rc == 3, second
 
 
+def test_empty_corpus_exit_3(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for flag, name in (("--train", "train"), ("--val", "validation")):
+        assert main(_train_args(workspace, tmp_path, **{flag: empty})) == 3, flag
+        assert f"the {name} corpus has no documents" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+
 def test_mismatched_data_exit_3(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"id": "d", "title": "t", "abstract": "a",
@@ -211,7 +222,8 @@ def test_mismatched_data_exit_3(workspace, tmp_path, capsys):
 
 def test_malformed_query_exit_3(workspace, tmp_path, capsys):
     q = tmp_path / "query.jsonl"
-    for rec in ({"title": "x", "keywords": 5}, [1, 2], {"title": "x", "keywords": "ab cd"}):
+    for rec in ({"title": "x", "keywords": 5}, [1, 2], {"title": "x", "keywords": "ab cd"},
+                {"id": 5, "title": "x"}):
         q.write_text(json.dumps(rec) + "\n")
         rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
         assert rc == 3, rec

@@ -57,7 +57,8 @@ def test_non_leaf_label_rejected(two_level_tax):
 
 
 def test_malformed_record(two_level_tax):
-    for line in ('{"id": "x"}', '{"id": "x", "title": "t", "labels": [["A1"]]}'):
+    for line in ('{"id": "x"}', '{"id": "x", "title": "t", "labels": [["A1"]]}',
+                 _rec(i=None), _rec(i=1), _rec(i=["q"]), _rec(i=True)):
         with pytest.raises(MalformedRecordError):
             load_corpus(line, two_level_tax)
 

@@ -63,12 +63,11 @@ def test_orphan_parent():
 
 
 def test_level_gap():
-    src = {"labels": [
-        {"id": "A", "level": 1, "parent": None},
-        {"id": "A1", "level": 3, "parent": "A"},
-    ]}
-    with pytest.raises(LevelGapError):
-        load_taxonomy(src)
+    for second in ({"id": "A1", "level": 3, "parent": "A"},
+                   {"id": "B", "level": True, "parent": None}):    # a bool is no level
+        src = {"labels": [{"id": "A", "level": 1, "parent": None}, second]}
+        with pytest.raises(LevelGapError):
+            load_taxonomy(src)
 
 
 def test_duplicate_id():

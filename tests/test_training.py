@@ -18,6 +18,7 @@ from ahmca.errors import (
     MalformedRecordError,
     NonFiniteError,
     TaxonomyMismatchError,
+    TooFewDocumentsError,
     UnknownConfigKeyError,
     VersionMismatchError,
 )
@@ -75,9 +76,10 @@ def test_config_range_errors():
         load_config('{"attention_mode": "bogus"}')
     with pytest.raises(ConfigRangeError):
         load_config('{"learning_rate": 0}')
-    for key in ("lambda", "learning_rate", "beta"):     # json reads NaN
-        with pytest.raises(ConfigRangeError):
-            load_config(f'{{"{key}": NaN}}')
+    for key in ("lambda", "learning_rate", "beta"):     # json reads NaN and inf
+        for value in ("NaN", "Infinity", "1e999"):
+            with pytest.raises(ConfigRangeError):
+                load_config(f'{{"{key}": {value}}}')
 
 
 def test_config_unknown_key():
@@ -261,6 +263,15 @@ def test_training_taxonomy_mismatch(tiny_synth, small_synth):
     tr, va, _ = split(corpus, (2, 1, 1), seed=0)
     with pytest.raises(TaxonomyMismatchError):
         train(_tiny_cfg(), tr, va, other_tax, table)
+
+
+def test_training_empty_corpus(tiny_synth):
+    tax, corpus, table = tiny_synth
+    tr, va, _ = split(corpus, (2, 1, 1), seed=0)
+    empty = Corpus((), tax.content_hash())
+    for train_c, val_c, name in ((empty, va, "train"), (tr, empty, "validation")):
+        with pytest.raises(TooFewDocumentsError, match=f"the {name} corpus"):
+            train(_tiny_cfg(), train_c, val_c, tax, table)
 
 
 def test_training_dim_mismatch(tiny_synth):
@@ -542,6 +553,7 @@ def test_unlabeled_document_empty_text(tiny_run):
     {"title": "x", "keywords": 5},
     [1, 2],
     {"title": "x", "keywords": "ab cd"},
+    {"id": 7, "title": "x"},
 ])
 def test_unlabeled_document_malformed(tiny_run, rec):
     with pytest.raises(MalformedRecordError):
