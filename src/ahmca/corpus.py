@@ -269,6 +269,8 @@ class SynthSpec:
                 raise SpecInvalidError(f"{name} must be >= 1")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise SpecInvalidError("noise_rate must be in [0, 1]")
+        if self.seed < 0:
+            raise SpecInvalidError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json(cls, source: str) -> "SynthSpec":

@@ -12,6 +12,12 @@ on a B-row matrix per level, one row per document.  Scoring takes the same
 forward path: predict_scores_batch scores a batch of documents in one call,
 and predict_scores is a batch of one, or inside a scoring() block a
 document's row of the batch that block scored.
+
+loss_and_grads builds the label matrices afresh on every call.  Scoring
+builds them once when the embedding arrays are read-only, as every array
+of a model from Checkpoint.build_model is, and reuses them until params
+holds other arrays; with writable arrays it rebuilds them on every call,
+so an in-place change is always seen.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ class Model:
             params["embedding.unk"] = table.unk_vector.astype(dtype)
         self.params = params
         self._scored = None         # (row of each document by id, Prediction) in scoring()
+        self._served_mats = None    # (vectors, unk, label matrices) of read-only embeddings
 
         # label text in row-index form: each level's label words flattened
         # into rows of [vectors; unk], a run of counts[i] words per label,
@@ -101,6 +108,23 @@ class Model:
         """Per level, the mean word vector of each label's text."""
         return [np.add.reduceat(self._gather(flat), starts, axis=0) / div
                 for flat, starts, _, div in self._label_text]
+
+    def _served_label_matrices(self):
+        """label_matrices(), built once while params["embedding.vectors"]
+        and params["embedding.unk"] are both read-only (as in a model from
+        Checkpoint.build_model) and kept while params holds those same
+        arrays.  Writable embeddings, which training and grad_check change
+        in place, rebuild them on every call."""
+        vectors, unk = self.params["embedding.vectors"], self.params["embedding.unk"]
+        if vectors.flags.writeable or unk.flags.writeable:
+            return self.label_matrices()
+        memo = self._served_mats
+        if memo is None or memo[0] is not vectors or memo[1] is not unk:
+            mats = self.label_matrices()
+            for T in mats:
+                T.setflags(write=False)
+            memo = self._served_mats = (vectors, unk, mats)
+        return memo[2]
 
     def embed(self, tokens):
         """N x k matrix of word vectors, the unk vector for out-of-vocabulary
@@ -140,8 +164,8 @@ class Model:
 
     def predict_scores_batch(self, docs) -> Prediction:
         """Scores of a batch of documents, one row per document in every
-        array: the label matrices are built once and forward runs once."""
-        cache, _, _ = self.forward(docs, self.label_matrices())
+        array: forward runs once, under _served_label_matrices()."""
+        cache, _, _ = self.forward(docs, self._served_label_matrices())
         p_g = cache["p_g"]
         locals_ = [lv["p"] for lv in cache["local"]]
         return Prediction(global_scores=p_g, local_scores=locals_,

@@ -3,7 +3,10 @@ the binary checkpoint container.
 
 Evaluation scores its corpus a mini-batch at a time through the forward
 path training uses, reading each document's row through predict_scores;
-predict decodes one document, a batch of one.
+predict decodes one document, a batch of one.  Checkpoint.build_model
+makes every parameter array of the model it returns read-only, so that a
+served model builds its label matrices once for all its queries; train()
+steps a Model of its own, whose writable arrays rebuild them every step.
 
 Runs are fully deterministic given the config seed: shuffling uses one
 seeded generator, gradients are reduced in example order, and history /
@@ -81,6 +84,8 @@ class TrainConfig:
                                    f"got {self.learning_rate}")
         if self.early_stop_patience < 1:
             raise ConfigRangeError("early_stop_patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigRangeError(f"seed must be >= 0, got {self.seed}")
         if self.attention_mode not in MODES:
             raise ConfigRangeError(f"attention_mode must be one of {MODES}")
         if self.similarity not in SIMILARITIES:
@@ -116,6 +121,10 @@ class Checkpoint:
     arrays: dict                 # name -> float32 ndarray (includes embedding.*)
 
     def build_model(self) -> tuple[Model, Taxonomy]:
+        """The model and taxonomy this checkpoint holds, after checking them.
+        The model's parameter arrays are its own copies, made read-only: it
+        serves, and builds its label matrices once.  To train it further,
+        give a Model copies of them."""
         tax = load_taxonomy(self.taxonomy_json)
         if tax.content_hash() != self.taxonomy_hash:
             raise TaxonomyMismatchError("embedded taxonomy does not match its hash")
@@ -140,6 +149,8 @@ class Checkpoint:
             unk=self.arrays["embedding.unk"],
         )
         params = {k: v.copy() for k, v in self.arrays.items()}
+        for arr in params.values():
+            arr.setflags(write=False)
         return Model(tax, table, cfg, params=params), tax
 
 

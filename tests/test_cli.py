@@ -168,6 +168,7 @@ def test_bad_config_exit_2(workspace, tmp_path, capsys):
         ('{"betta": 0.5}', []),
         ('{"learning_rate": 1e999}', []),
         ('{"lambda": Infinity}', []),
+        ('{"seed": -1}', []),
         # embeddings of width 4 against k=8: Model's width check
         ('{"k": 8}', ["--embeddings", str(workspace / "data" / "embeddings.txt")]),
     ):
@@ -180,6 +181,17 @@ def test_bad_config_exit_2(workspace, tmp_path, capsys):
                    "--history", str(tmp_path / "h.csv"), *extra])
         assert rc == 2, text
         assert not (tmp_path / "m.bin").exists()
+
+
+def test_negative_seed_exit_3(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    out = str(tmp_path / "out")
+    spec.write_text(json.dumps({**SPEC, "seed": -1}))
+    assert main(["gen-synth", "--spec", str(spec), "--out-dir", out]) == 3
+    spec.write_text(json.dumps(SPEC))
+    assert main(["gen-synth", "--spec", str(spec), "--out-dir", out, "--seed", "-1"]) == 3
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_taxonomy_exit_3(workspace, tmp_path, capsys):

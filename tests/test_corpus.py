@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def test_synthspec_invalid():
     assert SynthSpec.from_json(json.dumps(good)).level_sizes == (2, 2)
     bad = [{"bogus": 1}, {"level_sizes": 5}, {"level_sizes": [2.5]},
            {"level_sizes": [True, 2]}, {"docs_per_leaf": "3"}, {"seed": "x"},
-           {"noise_rate": True}]
+           {"noise_rate": True}, {"seed": -1}]
     for change in bad:
         with pytest.raises(SpecInvalidError):
             SynthSpec.from_json(json.dumps({**good, **change}))
@@ -216,3 +217,5 @@ def test_synthspec_invalid():
             SynthSpec.from_json(json.dumps({k: v for k, v in good.items() if k != missing}))
     with pytest.raises(SpecInvalidError):
         SynthSpec.from_json("5")
+    with pytest.raises(SpecInvalidError):       # gen-synth --seed goes through replace
+        replace(SynthSpec.from_json(json.dumps(good)), seed=-1)

@@ -76,6 +76,10 @@ def test_config_range_errors():
         load_config('{"attention_mode": "bogus"}')
     with pytest.raises(ConfigRangeError):
         load_config('{"learning_rate": 0}')
+    with pytest.raises(ConfigRangeError):
+        load_config('{"seed": -1}')
+    with pytest.raises(ConfigRangeError):
+        TrainConfig(seed=-1)
     for key in ("lambda", "learning_rate", "beta"):     # json reads NaN and inf
         for value in ("NaN", "Infinity", "1e999"):
             with pytest.raises(ConfigRangeError):
@@ -436,9 +440,10 @@ def test_evaluate_one_forward_per_chunk(tiny_run, monkeypatch):
     evaluate_model(model, data, ks=(1,))
     chunks = math.ceil(len(data) / model.cfg.batch_size)
     assert len(data) % model.cfg.batch_size
-    # each document's row is read through predict_scores, without a forward of its own
+    # each document's row is read through predict_scores, without a forward of
+    # its own; the built model's label matrices are built once for all chunks
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "forward": chunks, "label_matrices": chunks, "predict_scores": len(data)}
+        "forward": chunks, "label_matrices": 1, "predict_scores": len(data)}
     assert not predicted
 
 
@@ -465,6 +470,83 @@ def test_scoring_block_serves_batch_rows(tiny_run, monkeypatch):
         assert len(forwards) == 2
     model.predict_scores(docs[0])                 # the rows are not kept after the block
     assert len(forwards) == 3
+
+
+def _counting_label_matrices(monkeypatch):
+    calls = []
+    fn = Model.label_matrices
+    monkeypatch.setattr(Model, "label_matrices", lambda self: calls.append(1) or fn(self))
+    return calls
+
+
+def test_served_label_matrices_equal_fresh_build(tiny_run):
+    tax, corpus, table, *_, cfg, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    uncached = Model(tax, table, cfg, params={k: v.copy() for k, v in model.params.items()})
+    for doc in corpus.documents[:4]:
+        got = model.predict_scores(doc)
+        want = uncached.predict_scores(doc)
+        assert got.fused_scores.tobytes() == want.fused_scores.tobytes()
+        assert got.global_scores.tobytes() == want.global_scores.tobytes()
+    cached = model._served_label_matrices()
+    assert cached is model._served_label_matrices()
+    for got, want in zip(cached, model.label_matrices(), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_served_label_matrices_built_once(tiny_run, monkeypatch):
+    tax, corpus, *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    calls = _counting_label_matrices(monkeypatch)
+    for i in range(20):
+        predict(model, corpus.documents[i % len(corpus)])
+    assert len(calls) == 1
+
+
+def test_built_model_params_are_read_only(tiny_run):
+    *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    assert not any(arr.flags.writeable for arr in model.params.values())
+    with pytest.raises(ValueError, match="read-only"):
+        model.params["embedding.vectors"] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.params["embedding.unk"][0] = 0.0
+
+
+def test_writable_params_rebuild_label_matrices(tiny_run, monkeypatch):
+    tax, corpus, table, *_, cfg, ckpt, hist = tiny_run
+    built, _ = ckpt.build_model()
+    model = Model(tax, table, cfg, params={k: v.copy() for k, v in built.params.items()})
+    doc = corpus.documents[0]
+    before = model.predict_scores(doc).fused_scores
+    calls = _counting_label_matrices(monkeypatch)
+    model.params["embedding.vectors"] *= 2.0        # in place, as grad_check perturbs
+    after = model.predict_scores(doc).fused_scores
+    fresh = Model(tax, table, cfg, params={k: v.copy() for k, v in model.params.items()})
+    assert len(calls) == 1
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == fresh.predict_scores(doc).fused_scores.tobytes()
+
+
+def test_new_params_rebuild_served_label_matrices(tiny_run, monkeypatch):
+    tax, corpus, table, *_, cfg, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    doc = corpus.documents[0]
+    before = model.predict_scores(doc).fused_scores
+    params = {k: v.copy() for k, v in model.params.items()}
+    params["embedding.vectors"] *= 2.0
+    want = Model(tax, table, cfg, params={k: v.copy() for k, v in params.items()}
+                 ).predict_scores(doc).fused_scores
+    for arr in params.values():
+        arr.setflags(write=False)
+    calls = _counting_label_matrices(monkeypatch)
+    model.params = params
+    after = model.predict_scores(doc).fused_scores
+    model.predict_scores(doc)
+    assert len(calls) == 1
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == want.tobytes()
 
 
 def test_predict_scores_batch_rows_match_single_documents(tiny_run):

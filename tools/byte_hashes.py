@@ -1,0 +1,82 @@
+"""Print SHA-256 hashes of what training and a served model produce, so two
+source trees can be compared byte for byte.
+
+    python3 tools/byte_hashes.py [--root DIR] > hashes.txt
+
+Imports ahmca from DIR/src and the benchmark specs from DIR/bench (default:
+the tree this file is in), and exits with an error if either resolves to
+another copy, so the same script can be run against another
+checkout and the two outputs diffed.  For each config it trains on the
+(3, 1, 1) split of its spec and prints one line per artifact: the
+save_checkpoint bytes, History.to_csv(), the predict outputs (fused-score
+bytes, top leaves and level sets) of every test document on the model that
+load_checkpoint -> build_model serves, at threshold 0.5 and at 0.0, where
+every label is picked, and evaluate_model(model, test, ks=(1, 3)).to_json().
+OpenBLAS is pinned to one thread, since the float32 products may round
+differently with more.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"       # before NumPy loads
+
+import argparse
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+
+def configs(workloads, TrainConfig):
+    ref = workloads.REFERENCE_CFG
+    yield "reference", workloads.REFERENCE_SPEC, ref
+    yield "reference-frozen", workloads.REFERENCE_SPEC, replace(ref, freeze_embeddings=True)
+    yield "reference-cosine", workloads.REFERENCE_SPEC, replace(ref, similarity="cosine")
+    yield "reference-softmax", workloads.REFERENCE_SPEC, replace(ref, attention_mode="softmax")
+    yield "reference-none", workloads.REFERENCE_SPEC, replace(ref, attention_mode="none")
+    yield "wide-2ep", workloads.WIDE_SPEC, TrainConfig(epochs=2)
+    yield "accept-1ep", workloads.ACCEPT_SPEC, TrainConfig(epochs=1)
+
+
+def sha(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                    help="source tree to import ahmca and bench/workloads.py from")
+    root = ap.parse_args().root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    sys.dont_write_bytecode = True      # leave both trees as they are
+
+    import ahmca
+    import workloads
+    from ahmca import corpus, training
+
+    for module, home in ((ahmca, root / "src"), (workloads, root / "bench")):
+        if not Path(module.__file__).resolve().is_relative_to(home):
+            sys.exit(f"byte_hashes: {module.__name__} resolved to {module.__file__}, "
+                     f"not under {home}")
+
+    for name, spec, cfg in configs(workloads, training.TrainConfig):
+        tax, data, table = corpus.generate_synthetic(spec)
+        tr, va, te = corpus.split(data, (3, 1, 1), seed=spec.seed)
+        ckpt, hist = training.train(cfg, tr, va, tax, table)
+        blob = training.save_checkpoint(ckpt)
+        model, _ = training.load_checkpoint(blob).build_model()
+        print(name, "checkpoint", sha(blob))
+        print(name, "history", sha(hist.to_csv()))
+        for threshold in (0.5, 0.0):
+            h = hashlib.sha256()
+            for doc in te:
+                out = training.predict(model, doc, threshold=threshold)
+                h.update(out["fused_scores"].tobytes())
+                h.update(json.dumps([out["top_leaves"], out["level_sets"]]).encode())
+            print(name, f"predict@{threshold}", h.hexdigest())
+        print(name, "evaluate", sha(training.evaluate_model(model, te, ks=(1, 3)).to_json()))
+
+
+if __name__ == "__main__":
+    main()
