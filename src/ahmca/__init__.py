@@ -2,11 +2,6 @@
 attention over a BiLSTM encoder and a global/local prediction head."""
 
 from . import errors
-from .attention import (
-    attention_forward,
-    splice_level,
-    token_weights,
-)
 from .corpus import (
     Corpus,
     Document,
@@ -23,8 +18,7 @@ from .embedding import (
     random_table,
     save_embeddings,
 )
-from .encoder import bilstm_encode
-from .hmcn import Prediction, fuse
+from .hmcn import Prediction
 from .metrics import (
     MetricsReport,
     hierarchy_violation_rate,
@@ -49,12 +43,10 @@ from .training import (
 
 __all__ = [
     "errors",
-    "attention_forward", "splice_level", "token_weights",
     "Corpus", "Document", "SynthSpec", "generate_synthetic", "load_corpus",
     "save_corpus", "split", "tokenize",
     "EmbeddingTable", "load_embeddings", "random_table", "save_embeddings",
-    "bilstm_encode",
-    "Prediction", "fuse",
+    "Prediction",
     "MetricsReport", "hierarchy_violation_rate", "macro_f1",
     "macro_precision_recall", "precision_at_k",
     "Model",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,15 @@ def _positive_ints(text):
     return tuple(_positive_int(x) for x in text.split(","))
 
 
+def _finite_float(text):
+    try:
+        if math.isfinite(float(text)):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="ahmca", description="Hierarchical multi-label "
                                 "text classifier with label-splicing attention")
@@ -78,7 +88,7 @@ def _build_parser():
     pr.add_argument("--model", required=True)
     pr.add_argument("--input", required=True, help="JSONL documents (labels optional)")
     pr.add_argument("--top", type=_positive_int, default=5)
-    pr.add_argument("--threshold", type=float, default=0.5)
+    pr.add_argument("--threshold", type=_finite_float, default=0.5)
 
     gs = sub.add_parser("gen-synth", help="generate a synthetic benchmark")
     gs.add_argument("--spec", required=True, help="SynthSpec JSON file")

@@ -337,8 +337,5 @@ def generate_synthetic(spec: SynthSpec):
     all_tokens = vocab + label_tokens
     vecs = rng.standard_normal((len(all_tokens), spec.embedding_dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    table = EmbeddingTable.from_pairs(
-        spec.embedding_dim,
-        list(zip(all_tokens, vecs.astype(np.float32))),
-    )
+    table = EmbeddingTable(spec.embedding_dim, all_tokens, vecs.astype(np.float32))
     return tax, corpus, table

@@ -22,22 +22,21 @@ from .errors import (
 
 @dataclass
 class EmbeddingTable:
+    """A (V, dim) vector table, its arrays held as given (not copied).  index
+    maps each token to its row; unk_vector defaults to the vocabulary mean
+    (zeros for an empty vocabulary)."""
     dim: int
     tokens: tuple[str, ...]           # stable row order
     vectors: np.ndarray               # (V, dim)
-    unk_vector: np.ndarray            # (dim,)
-    index: dict = field(default_factory=dict, repr=False)
+    unk_vector: np.ndarray | None = None    # (dim,)
+    index: dict = field(init=False, repr=False)
 
-    @classmethod
-    def from_pairs(cls, dim, pairs, unk=None):
-        tokens = tuple(t for t, _ in pairs)
-        vectors = np.asarray([v for _, v in pairs], dtype=np.float32).reshape(len(pairs), dim)
-        if unk is None:
-            unk = vectors.mean(axis=0) if len(pairs) else np.zeros(dim, dtype=np.float32)
-        table = cls(dim=dim, tokens=tokens, vectors=vectors,
-                    unk_vector=np.asarray(unk, dtype=np.float32))
-        table.index = {t: i for i, t in enumerate(tokens)}
-        return table
+    def __post_init__(self):
+        self.tokens = tuple(self.tokens)
+        self.index = {t: i for i, t in enumerate(self.tokens)}
+        if self.unk_vector is None:
+            self.unk_vector = (self.vectors.mean(axis=0) if self.tokens
+                               else np.zeros(self.dim, dtype=np.float32))
 
     def __len__(self):
         return len(self.tokens)
@@ -62,17 +61,15 @@ def load_embeddings(source: str) -> EmbeddingTable:
     if vocab_size < 1 or dim < 1:
         raise MalformedHeaderError(f"non-positive header values: {lines[0]!r}")
 
-    pairs = []
-    seen = set()
+    rows = {}                           # token -> vector, in file order
     with np.errstate(over="ignore"):    # beyond float32 range is caught below
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != dim + 1:
                 raise RowArityError(f"expected {dim} components: {ln!r}")
             tok = parts[0]
-            if tok in seen:
+            if tok in rows:
                 raise DuplicateTokenError(f"duplicate token {tok!r}")
-            seen.add(tok)
             try:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             except ValueError:
@@ -80,10 +77,10 @@ def load_embeddings(source: str) -> EmbeddingTable:
             if not np.isfinite(vec).all():
                 raise NonFiniteVectorError(f"row {tok!r} has a component that is NaN, "
                                            "infinite or beyond float32 range")
-            pairs.append((tok, vec))
-    if len(pairs) != vocab_size:
-        raise CountMismatchError(f"header says {vocab_size} rows, found {len(pairs)}")
-    return EmbeddingTable.from_pairs(dim, pairs)
+            rows[tok] = vec
+    if len(rows) != vocab_size:
+        raise CountMismatchError(f"header says {vocab_size} rows, found {len(rows)}")
+    return EmbeddingTable(dim, tuple(rows), np.stack(list(rows.values())))
 
 
 def save_embeddings(table: EmbeddingTable) -> str:
@@ -98,5 +95,5 @@ def random_table(tokens, dim, seed) -> EmbeddingTable:
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((len(tokens), dim))
     vecs /= np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-    return EmbeddingTable.from_pairs(dim, list(zip(tokens, vecs.astype(np.float32))))
+    return EmbeddingTable(dim, tokens, vecs.astype(np.float32))
 

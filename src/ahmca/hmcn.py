@@ -80,7 +80,7 @@ def fuse(local_scores, global_scores, beta):
 def child_parent_index_pairs(tax: Taxonomy):
     """(m, 2) array of (child, parent) positions in the concatenated
     level-1..H ordering, one row per non-root label."""
-    return np.array([(tax.global_index(lab.id), tax.global_index(lab.parent))
+    return np.array([(tax.position[lab.id], tax.position[lab.parent])
                      for lab in tax.labels if lab.parent is not None],
                     dtype=np.intp).reshape(-1, 2)
 

@@ -84,11 +84,6 @@ class Taxonomy:
             lab = self.by_id[lab.parent]
         return chain
 
-    def global_index(self, label_id: str) -> int:
-        """Position of a label in the level-1..H concatenated ordering."""
-        self.label(label_id)
-        return self.position[label_id]
-
     def serialize(self) -> str:
         recs = [
             {"id": l.id, "text": l.text, "level": l.level, "parent": l.parent}
@@ -104,16 +99,16 @@ def load_taxonomy(source) -> Taxonomy:
     """Parse and validate a taxonomy from a JSON string or a parsed dict.
 
     Raises DuplicateIdError, OrphanParentError, CycleError or LevelGapError
-    on any structural violation, and EmptyLabelTextError when a label's
-    text is not a string with at least one word; never repairs the input
-    silently.
+    on any structural violation, an empty label list included, and
+    EmptyLabelTextError when a label's text is not a string with at least
+    one word; never repairs the input silently.
     """
     if isinstance(source, (str, bytes)):
         obj = json.loads(source)
     else:
         obj = source
-    if not isinstance(obj, dict) or not isinstance(obj.get("labels"), list):
-        raise LevelGapError("taxonomy file must be an object with a 'labels' list")
+    if not (isinstance(obj, dict) and isinstance(obj.get("labels"), list) and obj["labels"]):
+        raise LevelGapError("taxonomy file must be an object with a non-empty 'labels' list")
 
     labels = []
     for rec in obj["labels"]:
@@ -152,7 +147,7 @@ def load_taxonomy(source) -> Taxonomy:
             seen.add(cur.parent)
             cur = by_id[cur.parent]
 
-    depth = max(l.level for l in labels) if labels else 0
+    depth = max(l.level for l in labels)
     for lab in labels:
         if lab.level == 1:
             if lab.parent is not None:

@@ -123,8 +123,10 @@ class Checkpoint:
     def build_model(self) -> tuple[Model, Taxonomy]:
         """The model and taxonomy this checkpoint holds, after checking them.
         The model's parameter arrays are its own copies, made read-only: it
-        serves, and builds its label matrices once.  To train it further,
-        give a Model copies of them."""
+        serves, and builds its label matrices once.  Its table holds the
+        model's own embedding.vectors and embedding.unk arrays, so the
+        vocabulary is held once.  To train it further, give a Model copies
+        of them."""
         tax = load_taxonomy(self.taxonomy_json)
         if tax.content_hash() != self.taxonomy_hash:
             raise TaxonomyMismatchError("embedded taxonomy does not match its hash")
@@ -143,14 +145,11 @@ class Checkpoint:
         for name in sorted(self.arrays):
             if not np.all(np.isfinite(self.arrays[name])):
                 raise CorruptPayloadError(f"array {name} contains NaN/Inf")
-        table = EmbeddingTable.from_pairs(
-            cfg.k,
-            list(zip(tokens, self.arrays["embedding.vectors"])),
-            unk=self.arrays["embedding.unk"],
-        )
         params = {k: v.copy() for k, v in self.arrays.items()}
         for arr in params.values():
             arr.setflags(write=False)
+        table = EmbeddingTable(cfg.k, tokens, params["embedding.vectors"],
+                               params["embedding.unk"])
         return Model(tax, table, cfg, params=params), tax
 
 
@@ -204,7 +203,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
             f"{k} ({t.__name__})" for k, t in _META_TYPES.items()))
     # the manifest lists the arrays back to back: they fill the payload exactly
     arrays = {}
-    payload = data[meta_end:]
+    payload_len = len(data) - meta_end
     offset = 0
     for ent in meta["arrays"]:
         if not isinstance(ent, dict) or not isinstance(ent.get("name"), str) \
@@ -212,14 +211,14 @@ def load_checkpoint(data: bytes) -> Checkpoint:
                 or not all(type(n) is int and n >= 0 for n in ent["shape"]) \
                 or type(ent.get("offset")) is not int or ent["offset"] != offset:
             raise CorruptPayloadError(f"bad manifest entry at offset {offset}: {ent!r}")
-        end = offset + 4 * math.prod(ent["shape"])
-        if end > len(payload):
+        n = math.prod(ent["shape"])
+        if offset + 4 * n > payload_len:
             raise CorruptPayloadError(f"array {ent['name']} truncated")
         arrays[ent["name"]] = np.frombuffer(
-            payload[offset:end], dtype="<f4").reshape(ent["shape"]).copy()
-        offset = end
-    if offset != len(payload):
-        raise CorruptPayloadError(f"{len(payload) - offset} bytes after the last array")
+            data, "<f4", count=n, offset=meta_end + offset).reshape(ent["shape"]).copy()
+        offset += 4 * n
+    if offset != payload_len:
+        raise CorruptPayloadError(f"{payload_len - offset} bytes after the last array")
     cfg = load_config(meta["config"])
     return Checkpoint(
         version=version, config=cfg,
@@ -309,9 +308,10 @@ def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
     training step.  Each document's scores are read through
     Model.predict_scores, as predict reads them, so whatever wraps or
     overrides it sees evaluation as it sees predict; they decode as
-    predict would without consistency pruning: top-1 is the first maximum
+    predict does before its consistency pruning: top-1 is the first maximum
     among the leaf columns, and the thresholded set is every class scoring
-    at least threshold."""
+    at least threshold, which must be finite."""
+    _check_threshold(threshold)
     tax = model.tax
     if data.taxonomy_hash != tax.content_hash():
         raise TaxonomyMismatchError("corpus bound to a different taxonomy")
@@ -348,11 +348,16 @@ def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
     )
 
 
-def predict(model: Model, doc: Document, top_n=5, threshold=0.5,
-            enforce_consistency=True):
-    """Decode a document: fused scores, top-n leaf labels, and thresholded
-    per-level label sets (optionally dropping children whose parent is
-    absent)."""
+def _check_threshold(threshold):
+    if not math.isfinite(threshold):
+        raise ConfigRangeError(f"threshold must be finite, got {threshold}")
+
+
+def predict(model: Model, doc: Document, top_n=5, threshold=0.5):
+    """Decode a document: fused scores, top-n leaf labels, and per-level
+    label sets: every class scoring at least threshold (finite), less each
+    child whose parent is not kept."""
+    _check_threshold(threshold)
     tax = model.tax
     pred = model.predict_scores(doc)
     leaf_classes = tax.labels_at_level(tax.depth)
@@ -360,15 +365,13 @@ def predict(model: Model, doc: Document, top_n=5, threshold=0.5,
     top = [(leaf_classes[int(i)], float(scores[int(i)]))
            for i in M.top_k_indices(scores, top_n)]
 
-    picked = [tax.order[j] for j in np.nonzero(pred.fused_scores >= threshold)[0]]
-    if enforce_consistency:
-        kept = set()
-        for lid in picked:      # class order puts every parent before its children
-            parent = tax.label(lid).parent
-            if parent is None or parent in kept:
-                kept.add(lid)
-        picked = kept
-    per_level = [sorted(l for l in picked if tax.label(l).level == i)
+    kept = set()
+    for j in np.nonzero(pred.fused_scores >= threshold)[0]:
+        lid = tax.order[j]      # class order puts every parent before its children
+        parent = tax.label(lid).parent
+        if parent is None or parent in kept:
+            kept.add(lid)
+    per_level = [sorted(l for l in kept if tax.label(l).level == i)
                  for i in range(1, tax.depth + 1)]
     return {
         "fused_scores": pred.fused_scores,

@@ -344,12 +344,13 @@ def evaluate_per_document(model, data, ks=(1, 3, 5), threshold=0.5):
 
     leaf_scores, leaf_truth, top1_sets, thresh_sets = [], [], [], []
     for doc in data:
-        out = predict(model, doc, top_n=1, threshold=threshold,
-                      enforce_consistency=False)
+        out = predict(model, doc, top_n=1, threshold=threshold)
         leaf_scores.append(out["fused_scores"][-len(leaf_classes):])
         leaf_truth.append(set(doc.leaf_labels))
         top1_sets.append({out["top_leaves"][0][0]})
-        thresh_sets.append({lid for level in out["level_sets"] for lid in level})
+        # the unpruned set: every class at or above threshold
+        thresh_sets.append({tax.order[j]
+                            for j in np.nonzero(out["fused_scores"] >= threshold)[0]})
 
     p_at_k = {}
     n_leaves = len(leaf_classes)

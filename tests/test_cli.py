@@ -101,6 +101,10 @@ def test_usage_error_exit_2(capsys):
         assert main(["eval", "--model", "m.bin", "--data", "d.jsonl", "--k", k]) == 2, k
     for top in ("-1", "0", "x"):
         assert main(["predict", "--model", "m.bin", "--input", "q.jsonl", "--top", top]) == 2, top
+    for threshold in ("nan", "inf", "-inf", "NaN", "x"):
+        assert main(["predict", "--model", "m.bin", "--input", "q.jsonl",
+                     f"--threshold={threshold}"]) == 2, threshold
+        assert "expected a finite number" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(tmp_path, capsys):
@@ -212,6 +216,20 @@ def test_bad_taxonomy_exit_3(workspace, tmp_path, capsys):
                    "--out", str(tmp_path / "m.bin"),
                    "--history", str(tmp_path / "h.csv")])
         assert rc == 3, second
+
+
+def test_empty_taxonomy_exit_3(workspace, tmp_path, capsys):
+    tax = tmp_path / "tax.json"
+    tax.write_text('{"labels": []}')
+    rc = main(["train", "--config", str(workspace / "config.json"),
+               "--train", str(workspace / "train.jsonl"),
+               "--val", str(workspace / "val.jsonl"),
+               "--taxonomy", str(tax),
+               "--out", str(tmp_path / "m.bin"),
+               "--history", str(tmp_path / "h.csv")])
+    assert rc == 3
+    assert "non-empty 'labels' list" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_empty_corpus_exit_3(workspace, tmp_path, capsys):

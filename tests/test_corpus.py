@@ -195,11 +195,11 @@ def test_synthspec_invalid():
     with pytest.raises(SpecInvalidError):
         SynthSpec(level_sizes=(2, 4), docs_per_leaf=0, doc_length=5,
                   keywords_per_doc=1, leaf_vocab_size=5, noise_rate=0.0,
-                  seed=0).validate()
+                  seed=0)
     with pytest.raises(SpecInvalidError):
         SynthSpec(level_sizes=(2, 4), docs_per_leaf=1, doc_length=5,
                   keywords_per_doc=1, leaf_vocab_size=5, noise_rate=1.5,
-                  seed=0).validate()
+                  seed=0)
     with pytest.raises(SpecInvalidError):
         SynthSpec(level_sizes=(2.5,), docs_per_leaf=1, doc_length=5,
                   keywords_per_doc=1, leaf_vocab_size=5, noise_rate=0.0, seed=0)

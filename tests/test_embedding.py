@@ -41,6 +41,19 @@ def test_unk_is_mean():
     assert np.allclose(t.unk_vector, [1 / 3, 1 / 3, 1 / 3, 0])
 
 
+def test_table_from_arrays():
+    vectors = np.array([[1.0, 0.0], [0.0, 3.0]], dtype=np.float32)
+    t = EmbeddingTable(2, ["a", "b"], vectors)
+    assert t.tokens == ("a", "b") and t.index == {"a": 0, "b": 1}
+    assert t.vectors is vectors
+    assert np.array_equal(t.unk_vector, [0.5, 1.5])
+    unk = np.ones(2, dtype=np.float32)
+    assert EmbeddingTable(2, ["a", "b"], vectors, unk).unk_vector is unk
+    empty = random_table([], 3, seed=0)
+    assert len(empty) == 0 and empty.vectors.shape == (0, 3)
+    assert np.array_equal(empty.unk_vector, np.zeros(3))
+
+
 def test_row_arity():
     with pytest.raises(RowArityError):
         load_embeddings("1 4\ncat 1 0 0\n")
@@ -117,10 +130,8 @@ def test_label_matrices_mean():
         {"id": "M", "text": "machine learning", "level": 1, "parent": None},
         {"id": "L", "text": "learning", "level": 1, "parent": None},
     ]})
-    table = EmbeddingTable.from_pairs(2, [
-        ("machine", np.array([1.0, 0.0])),
-        ("learning", np.array([0.0, 1.0])),
-    ])
+    table = EmbeddingTable(2, ("machine", "learning"),
+                           np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32))
     (T1,) = _model(tax, table).label_matrices()
     assert np.allclose(T1[0], [0.5, 0.5])     # multi-word mean
     assert np.allclose(T1[1], [0.0, 1.0])     # single word used directly

@@ -68,6 +68,9 @@ def test_level_gap():
         src = {"labels": [{"id": "A", "level": 1, "parent": None}, second]}
         with pytest.raises(LevelGapError):
             load_taxonomy(src)
+    for src in ('{"labels": []}', {"labels": []}):       # no level 1 at all
+        with pytest.raises(LevelGapError, match="non-empty 'labels' list"):
+            load_taxonomy(src)
 
 
 def test_duplicate_id():
@@ -102,10 +105,9 @@ def test_parent_level_invariant(two_level_tax):
             assert t.label(lab.parent).level == lab.level - 1
 
 
-def test_global_index_ordering(two_level_tax):
+def test_label_position_ordering(two_level_tax):
     t = two_level_tax
     order = [lid for i in (1, 2) for lid in t.labels_at_level(i)]
-    assert [t.global_index(lid) for lid in order] == list(range(5))
     assert t.order == tuple(order) and t.position == {lid: i for i, lid in enumerate(order)}
 
 

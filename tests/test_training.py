@@ -514,6 +514,14 @@ def test_built_model_params_are_read_only(tiny_run):
         model.params["embedding.unk"][0] = 0.0
 
 
+def test_built_model_table_shares_embedding_params(tiny_run):
+    *_, ckpt, hist = tiny_run
+    model, _ = load_checkpoint(save_checkpoint(ckpt)).build_model()
+    assert model.table.vectors is model.params["embedding.vectors"]
+    assert model.table.unk_vector is model.params["embedding.unk"]
+    assert model.table.index == {t: r for r, t in enumerate(ckpt.embedding_tokens)}
+
+
 def test_writable_params_rebuild_label_matrices(tiny_run, monkeypatch):
     tax, corpus, table, *_, cfg, ckpt, hist = tiny_run
     built, _ = ckpt.build_model()
@@ -584,13 +592,33 @@ def test_predict_decoding(tiny_run):
         assert parent is None or parent in kept
 
 
-def test_predict_consistency_toggle(tiny_run):
+def test_predict_drops_child_of_unpicked_parent(tiny_run):
+    """At a threshold between a child's score and its parent's lower one,
+    the child scores above it but is not kept."""
     tax, corpus, *_, ckpt, hist = tiny_run
     model, _ = ckpt.build_model()
-    doc = corpus.documents[1]
-    loose = predict(model, doc, threshold=0.0, enforce_consistency=False)
-    # threshold 0 keeps every label, so without pruning all levels are full
-    assert sorted(loose["level_sets"][0]) == sorted(tax.labels_at_level(1))
+    for doc in corpus:
+        fused = model.predict_scores(doc).fused_scores
+        for lab in tax.labels:
+            if lab.parent is None:
+                continue
+            child, parent = fused[tax.position[lab.id]], fused[tax.position[lab.parent]]
+            if child > parent:
+                out = predict(model, doc, threshold=float(child))
+                kept = {l for level in out["level_sets"] for l in level}
+                assert lab.id not in kept and lab.parent not in kept
+                return
+    pytest.fail("no document scores a child above its parent")
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_threshold_must_be_finite(tiny_run, threshold):
+    tax, corpus, *_, te, cfg, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    with pytest.raises(ConfigRangeError, match="threshold must be finite"):
+        predict(model, corpus.documents[0], threshold=threshold)
+    with pytest.raises(ConfigRangeError, match="threshold must be finite"):
+        evaluate_model(model, te, threshold=threshold)
 
 
 def test_rank_cutoff_must_be_positive(tiny_run):
