@@ -2,9 +2,12 @@
 against the spliced label+keyword matrix, and the level-specific document
 embeddings built from them.
 
-Both BiLSTM directions are one (2, N, k) stack, so each step runs once for
-both; each direction's slice rounds the same operands in the same order as a
-pass over it alone, bit for bit the per-direction oracle in tests/oracles.py.
+Both BiLSTM directions are one (2, N, k) stack, and G documents of equal
+token and keyword counts add a leading axis, (G, 2, N, k), unpadded, so
+each step runs once for all.  Each slice rounds as a pass over it alone: a
+stacked matmul makes the same BLAS call per item, reductions run row by row
+over the last axis, and each context row takes its gradient in the same
+order, bit for bit the per-direction oracle in tests/oracles.py.
 
 The global embedding (index 0) uses all-ones raw weights, so under
 sum normalization it is the per-direction mean of the hidden states.
@@ -26,38 +29,41 @@ _NORM_EPS = 1e-12
 
 
 def splice_level(Ti, Ke):
-    """Row-stack [labels; keywords]; with no keywords the context is just
-    the level's label matrix."""
+    """Row-stack [labels; keywords] for m x k keywords, or a (G, L + m, k)
+    stack for a (G, m, k) one; with no keywords, the level's label matrix."""
     Ti = np.asarray(Ti)
-    if Ke is None or len(Ke) == 0:
+    if Ke is None:
         return Ti.copy()
     Ke = np.asarray(Ke)
-    if Ti.shape[1] != Ke.shape[1]:
-        raise DimMismatchError(f"label dim {Ti.shape[1]} != keyword dim {Ke.shape[1]}")
-    return np.vstack([Ti, Ke])
+    if Ti.shape[1] != Ke.shape[-1]:
+        raise DimMismatchError(f"label dim {Ti.shape[1]} != keyword dim {Ke.shape[-1]}")
+    out = np.empty(Ke.shape[:-2] + (len(Ti) + Ke.shape[-2], Ti.shape[1]), np.result_type(Ti, Ke))
+    out[..., :len(Ti), :] = Ti
+    out[..., len(Ti):, :] = Ke
+    return out
 
 
 def token_weights(H, ctx, similarity="dot", with_argmax=False):
-    """Raw weight per token of H, N x k or a (..., N, k) stack: max over
-    context rows of the similarity with the token's hidden state.  Ties go
-    to the lowest row index."""
+    """Raw weight per token of H, N x k or a (..., N, k) stack: max over the
+    rows of ctx (M x k, or a (..., M, k) stack broadcast against H) of the
+    similarity with the token's hidden state.  Ties go to the lowest row."""
     H = np.asarray(H)
     ctx = np.asarray(ctx)
-    if ctx.ndim != 2 or ctx.shape[0] == 0:
+    if ctx.ndim < 2 or ctx.shape[-2] == 0:
         raise EmptyContextError("context matrix has no rows")
-    if H.shape[-1] != ctx.shape[1]:
-        raise DimMismatchError(f"hidden dim {H.shape[-1]} != context dim {ctx.shape[1]}")
+    if H.shape[-1] != ctx.shape[-1]:
+        raise DimMismatchError(f"hidden dim {H.shape[-1]} != context dim {ctx.shape[-1]}")
     if similarity == "dot":
-        S = H @ ctx.T
+        S = H @ ctx.swapaxes(-1, -2)
     elif similarity == "cosine":
         hn = np.maximum(np.linalg.norm(H, axis=-1, keepdims=True), _NORM_EPS)
-        tn = np.maximum(np.linalg.norm(ctx, axis=1, keepdims=True), _NORM_EPS)
-        S = (H / hn) @ (ctx / tn).T
+        tn = np.maximum(np.linalg.norm(ctx, axis=-1, keepdims=True), _NORM_EPS)
+        S = (H / hn) @ (ctx / tn).swapaxes(-1, -2)
     else:
         raise ConfigRangeError(f"similarity must be one of {SIMILARITIES}, "
                                f"got {similarity!r}")
     arg = S.argmax(axis=-1)
-    w = S[(*np.indices(arg.shape, sparse=True), arg)]
+    w = S.reshape(-1, S.shape[-1])[np.arange(arg.size), arg.reshape(-1)].reshape(arg.shape)
     return (w, arg) if with_argmax else w
 
 
@@ -95,19 +101,19 @@ def _normalize_backward(dw, weights, cache):
 
 
 def attention_forward(H_fwd, H_bwd, contexts, mode="sum_normalized", similarity="dot"):
-    """Compute x^0..x^H and a cache for the backward pass.  contexts is one
-    spliced matrix per level 1..H; x^0 uses all-ones raw weights over both
-    directions."""
-    H = np.array([H_fwd, H_bwd])
+    """x^0..x^H and a cache for the backward pass from N x k states and one
+    spliced M x k context per level 1..H, or from (G, N, k) and (G, M, k)
+    stacks of G documents (x^i G x 2k); x^0 has all-ones raw weights."""
+    H = np.concatenate([np.asarray(h)[..., None, :, :] for h in (H_fwd, H_bwd)], axis=-3)
     xs = []
     cache = {"H": H, "similarity": similarity, "levels": []}
-    for ctx in [None] + list(contexts):
+    for ctx in [None] + [np.asarray(c) for c in contexts]:
         if ctx is None:
-            raw, arg = np.ones(H.shape[:2], dtype=H.dtype), None
+            raw, arg = np.ones(H.shape[:-1], dtype=H.dtype), None
         else:
-            raw, arg = token_weights(H, ctx, similarity, with_argmax=True)
+            raw, arg = token_weights(H, ctx[..., None, :, :], similarity, with_argmax=True)
         w, c = normalize_weights(raw, mode)
-        xs.append((w[:, None] @ H).reshape(-1))
+        xs.append((w[..., None, :] @ H).reshape(H.shape[:-3] + (-1,)))
         cache["levels"].append({"ctx": ctx, "arg": arg, "w": w, "c": c})
     return xs, cache
 
@@ -130,9 +136,10 @@ def _similarity_backward(da, H_dir, ctx, arg, similarity, dH, dctx):
 
 
 def attention_backward(dxs, cache):
-    """Given dL/dx^i for i = 0..H (None entries allowed), return
-    (dH_fwd, dH_bwd, dcontexts).  dcontexts has one entry per level 1..H;
-    level 0 has constant raw weights, so nothing flows into a context."""
+    """Given dL/dx^i for i = 0..H (None entries allowed), shaped like x^i,
+    return (dH_fwd, dH_bwd, dcontexts) shaped like the forward's inputs.
+    dcontexts has one entry per level 1..H; level 0 has constant raw
+    weights, so nothing flows into a context."""
     H = cache["H"]
     k = H.shape[-1]
     dH = np.zeros_like(H)
@@ -140,14 +147,17 @@ def attention_backward(dxs, cache):
     for dx, lv in zip(dxs, cache["levels"]):
         ctx, w = lv["ctx"], lv["w"]
         if ctx is not None:
-            dcontexts.append(np.zeros_like(ctx))
+            dcontexts.append(np.zeros(ctx.shape, ctx.dtype))
         if dx is None:
             continue
-        half = dx.reshape(2, k, 1)          # the forward, then the backward half
-        dH += w[:, :, None] * half.transpose(0, 2, 1)
+        half = dx.reshape(dx.shape[:-1] + (2, k, 1))   # the forward, then the backward half
+        dH += w[..., None] * half.swapaxes(-1, -2)
         if ctx is not None:
             da = _normalize_backward((H @ half)[..., 0], w, lv["c"])
-            # one scatter: forward rows before backward rows
-            _similarity_backward(da.reshape(-1), H.reshape(-1, k), ctx, lv["arg"].reshape(-1),
-                                 cache["similarity"], dH.reshape(-1, k), dcontexts[-1])
-    return dH[0], dH[1], dcontexts
+            # one scatter: per document, forward rows before backward rows
+            arg = lv["arg"].reshape(-1, w.shape[-2] * w.shape[-1])
+            rows = arg + ctx.shape[-2] * np.arange(len(arg))[:, None]
+            _similarity_backward(da.reshape(-1), H.reshape(-1, k), ctx.reshape(-1, k),
+                                 rows.reshape(-1), cache["similarity"], dH.reshape(-1, k),
+                                 dcontexts[-1].reshape(-1, k))
+    return dH[..., 0, :, :], dH[..., 1, :, :], dcontexts

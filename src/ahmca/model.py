@@ -7,8 +7,12 @@ d_L, beta, lambda_, attention mode, similarity, x^0 in the global path and
 the init seed) are read from the TrainConfig it was built with, model.cfg,
 which has checked their ranges.  One loss_and_grads call serves a
 mini-batch: the encoder runs once on all its documents in one packed time
-loop, without padding, attention runs per document, and the head runs once
-on a B-row matrix per level, one row per document.  Scoring takes the same
+loop, without padding, attention runs once per shape group (documents of
+equal token and keyword counts, stacked), and the head runs once on a
+B-row matrix per level, one row per document in batch order.  The
+embedding gradient is one flat np.add.at over each document's rows in
+batch order, so no float moves with the grouping (tests/oracles.py keeps
+the per-document pass).  Scoring takes the same
 forward path: predict_scores_batch scores a batch of documents in one call,
 and predict_scores is a batch of one, or inside a scoring() block a
 document's row of the batch that block scored.
@@ -136,31 +140,33 @@ class Model:
     # --- forward ----------------------------------------------------------
 
     def forward(self, docs, label_mats):
-        """Head cache of a mini-batch under label_mats, the encoder cache and,
-        per document, the attention cache and the token and keyword rows.
-        The encoder runs once on the batch, attention per document and the
-        head once on the stacked rows."""
+        """Head cache of a mini-batch under label_mats, the encoder cache, and
+        (rows, groups): each document's token rows and, per shape group in
+        order of first appearance, its batch positions, x^i and attention
+        cache.  The encoder runs once, attention once per group, the head once."""
         if not docs:
             raise EmptyInputError("a mini-batch needs at least one document")
-        rows = []
-        for doc in docs:
+        rows, shapes = [], {}
+        for b, doc in enumerate(docs):
             if not doc.tokens:
                 raise EmptyTextError(f"document {doc.id!r} has no tokens")
             rows.append(self._rows(doc.tokens))
-        Xs = [self._gather(r) for r in rows]
+            shapes.setdefault((len(rows[b]), len(doc.keywords)), []).append(b)
+        X, ends = self._gather(np.concatenate(rows)), np.cumsum([len(r) for r in rows]).tolist()
+        Xs = [X[end - len(r):end] for r, end in zip(rows, ends)]
         (H_fwds, H_bwds), enc_cache = bilstm_encode(Xs, self.params)
-        doc_xs, caches = [], []
-        for doc, doc_rows, X, H_fwd, H_bwd in zip(docs, rows, Xs, H_fwds, H_bwds):
-            first_kw = len(doc_rows) - len(doc.keywords)    # the tokens end with the keywords
-            contexts = [splice_level(T, X[first_kw:]) for T in label_mats]
-            xs, att_cache = attention_forward(H_fwd, H_bwd, contexts,
-                                              mode=self.cfg.attention_mode,
-                                              similarity=self.cfg.similarity)
-            doc_xs.append(xs)
-            caches.append({"att": att_cache, "rows": doc_rows, "kw_rows": doc_rows[first_kw:]})
-        head_cache = head_forward([np.stack(x) for x in zip(*doc_xs)], self.params,
-                                  self.level_sizes, use_x0=self.cfg.use_x0_in_global)
-        return head_cache, enc_cache, caches
+        groups = []
+        for (n, m), pos in shapes.items():
+            kw = np.array([Xs[b][n - m:] for b in pos])     # the tokens end with the keywords
+            Hs = [np.array([H[b] for b in pos]) for H in (H_fwds, H_bwds)]
+            xs, att_cache = attention_forward(*Hs, [splice_level(T, kw) for T in label_mats],
+                                              self.cfg.attention_mode, self.cfg.similarity)
+            groups.append((pos, xs, att_cache))
+        # each level's group rows, put back in batch order
+        back = np.argsort(np.concatenate([g[0] for g in groups]))
+        xs = [np.concatenate(x)[back] for x in zip(*[g[1] for g in groups])]
+        head_cache = head_forward(xs, self.params, self.level_sizes, self.cfg.use_x0_in_global)
+        return head_cache, enc_cache, (rows, groups)
 
     def predict_scores_batch(self, docs) -> Prediction:
         """Scores of a batch of documents, one row per document in every
@@ -211,29 +217,34 @@ class Model:
         gradients go into [vectors; unk] in one scatter."""
         label_mats = self.label_matrices()
         Y = self.targets(docs)
-        head_cache, enc_cache, caches = self.forward(docs, label_mats)
+        head_cache, enc_cache, (rows, groups) = self.forward(docs, label_mats)
         losses = head_loss(head_cache, Y, self.pairs, self.cfg.lambda_)
         grads, dxs = head_backward(head_cache, Y, self.pairs, self.cfg.lambda_, self.params)
-        att_grads = [attention_backward([dx[r] for dx in dxs], extra["att"])
-                     for r, extra in enumerate(caches)]
-        dXs, lstm_grads = bilstm_backward([g[0] for g in att_grads],
-                                          [g[1] for g in att_grads], enc_cache, self.params)
+        dH_fwds, dH_bwds, ctx_vals = ([None] * len(docs) for _ in range(3))
+        for pos, _, att_cache in groups:
+            dH_fwd, dH_bwd, dctxs = attention_backward([dx[pos] for dx in dxs], att_cache)
+            # per level, the label-word shares and the keyword rows
+            parts = [part for (_, _, counts, div), dctx, n in zip(self._label_text, dctxs,
+                                                                  self.level_sizes)
+                     for part in (np.repeat(dctx[:, :n] / div, counts, axis=1), dctx[:, n:])]
+            for j, b in enumerate(pos):
+                dH_fwds[b], dH_bwds[b] = dH_fwd[j], dH_bwd[j]
+                ctx_vals[b] = [part[j] for part in parts]
+        dXs, lstm_grads = bilstm_backward(dH_fwds, dH_bwds, enc_cache, self.params)
         grads.update(lstm_grads)
-        # scatter rows and values: per document its token rows, then per
-        # level the label-word shares and the keyword rows
+        # scatter rows and values, per document in batch order: its token
+        # rows, then per level the label-word shares and the keyword rows
         idx, vals = [], []
-        for extra, dX, (_, _, dcontexts) in zip(caches, dXs, att_grads):
-            idx.append(extra["rows"])
-            vals.append(dX)
-            for (flat, _, counts, div), dctx, n in zip(self._label_text, dcontexts,
-                                                       self.level_sizes):
-                idx.append(flat)
-                vals.append(np.repeat(dctx[:n] / div, counts, axis=0))
-                idx.append(extra["kw_rows"])
-                vals.append(dctx[n:])
-        V = len(self.table)
-        dext = np.zeros((V + 1, self.cfg.k), dtype=self.params["embedding.vectors"].dtype)
-        np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
+        for doc, doc_rows, dX, doc_vals in zip(docs, rows, dXs, ctx_vals):
+            kw_rows = doc_rows[len(doc_rows) - len(doc.keywords):]
+            idx += [doc_rows] + [r for flat, *_ in self._label_text for r in (flat, kw_rows)]
+            vals += [dX] + doc_vals
+        V, k = len(self.table), self.cfg.k
+        dext = np.zeros((V + 1, k), dtype=self.params["embedding.vectors"].dtype)
+        # one flat scatter: each element takes its additions in row order,
+        # as the 2-D np.add.at over rows would
+        np.add.at(dext.reshape(-1), (np.concatenate(idx)[:, None] * k + np.arange(k)).reshape(-1),
+                  np.concatenate(vals).reshape(-1))
         grads["embedding.vectors"] = dext[:V]
         grads["embedding.unk"] = dext[V]
 

@@ -122,8 +122,9 @@ class Checkpoint:
 
     def build_model(self) -> tuple[Model, Taxonomy]:
         """The model and taxonomy this checkpoint holds, after checking them.
-        The model's parameter arrays are its own copies, made read-only: it
-        serves, and builds its label matrices once.  Its table holds the
+        The model's parameter arrays are read-only, so it builds its label
+        matrices once: it shares read-only arrays (load_checkpoint's) and
+        copies writable ones (a train() checkpoint's).  Its table holds the
         model's own embedding.vectors and embedding.unk arrays, so the
         vocabulary is held once.  To train it further, give a Model copies
         of them."""
@@ -145,7 +146,7 @@ class Checkpoint:
         for name in sorted(self.arrays):
             if not np.all(np.isfinite(self.arrays[name])):
                 raise CorruptPayloadError(f"array {name} contains NaN/Inf")
-        params = {k: v.copy() for k, v in self.arrays.items()}
+        params = {k: v.copy() if v.flags.writeable else v for k, v in self.arrays.items()}
         for arr in params.values():
             arr.setflags(write=False)
         table = EmbeddingTable(cfg.k, tokens, params["embedding.vectors"],
@@ -214,8 +215,10 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         n = math.prod(ent["shape"])
         if offset + 4 * n > payload_len:
             raise CorruptPayloadError(f"array {ent['name']} truncated")
-        arrays[ent["name"]] = np.frombuffer(
+        # a copy, as the offset may be unaligned; read-only, so build_model shares it
+        arr = arrays[ent["name"]] = np.frombuffer(
             data, "<f4", count=n, offset=meta_end + offset).reshape(ent["shape"]).copy()
+        arr.setflags(write=False)
         offset += 4 * n
     if offset != payload_len:
         raise CorruptPayloadError(f"{payload_len - offset} bytes after the last array")

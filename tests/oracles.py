@@ -12,9 +12,12 @@ BPTT, one direction and one document at a time, where the
 package's encoder runs a whole mini-batch and both directions in one
 packed time loop.  The direction-major packed loop is that same batched
 encoder with its buffers laid out direction by direction, the bitwise
-reference for the package's row-major loop.  The evaluation oracle decodes
-one document at a time through predict, where evaluate_model scores a chunk
-of documents per forward call and decodes the rows directly.  The Adam
+reference for the package's row-major loop.  The model oracle runs
+attention once per document and scatters the embedding gradient row by
+row, where the package's Model runs it once per group of equal-shape
+documents and scatters through one flat index.  The evaluation oracle
+decodes one document at a time through predict, where evaluate_model
+scores a chunk of documents per forward call and decodes the rows directly.  The Adam
 oracle is the update as one expression per array, where the package's
 optimizer overwrites its arrays in place, and the sigmoid oracle is the
 logistic function as one expression, where the package's writes into one
@@ -26,9 +29,21 @@ import warnings
 import numpy as np
 
 from ahmca import metrics as M
-from ahmca.attention import _similarity_backward
-from ahmca.encoder import _packing, _pair
-from ahmca.hmcn import Prediction, child_parent_index_pairs
+from ahmca.attention import (
+    _similarity_backward,
+    attention_backward,
+    attention_forward,
+    splice_level,
+)
+from ahmca.encoder import _packing, _pair, bilstm_backward, bilstm_encode
+from ahmca.hmcn import (
+    Prediction,
+    child_parent_index_pairs,
+    fuse,
+    head_backward,
+    head_forward,
+    head_loss,
+)
 from ahmca.metrics import MetricsReport
 from ahmca.numerics import relu
 from ahmca.taxonomy import Taxonomy
@@ -368,3 +383,66 @@ def evaluate_per_document(model, data, ks=(1, 3, 5), threshold=0.5):
         violation_rate=M.hierarchy_violation_rate(thresh_sets, tax),
         n_documents=len(data), n_classes=tax.total_classes,
     )
+
+
+def model_forward_per_document(model, docs, label_mats):
+    """Model.forward with one attention call per document: the head cache,
+    the encoder cache and per document its attention cache, token rows and
+    keyword rows."""
+    rows = [model._rows(doc.tokens) for doc in docs]
+    Xs = [model._gather(r) for r in rows]
+    (H_fwds, H_bwds), enc_cache = bilstm_encode(Xs, model.params)
+    doc_xs, caches = [], []
+    for doc, doc_rows, X, H_fwd, H_bwd in zip(docs, rows, Xs, H_fwds, H_bwds):
+        first_kw = len(doc_rows) - len(doc.keywords)
+        contexts = [splice_level(T, X[first_kw:]) for T in label_mats]
+        xs, att_cache = attention_forward(H_fwd, H_bwd, contexts, mode=model.cfg.attention_mode,
+                                          similarity=model.cfg.similarity)
+        doc_xs.append(xs)
+        caches.append({"att": att_cache, "rows": doc_rows, "kw_rows": doc_rows[first_kw:]})
+    head_cache = head_forward([np.stack(x) for x in zip(*doc_xs)], model.params,
+                              model.level_sizes, use_x0=model.cfg.use_x0_in_global)
+    return head_cache, enc_cache, caches
+
+
+def predict_scores_per_document(model, docs):
+    """Model.predict_scores_batch on model_forward_per_document."""
+    cache, _, _ = model_forward_per_document(model, docs, model.label_matrices())
+    locals_ = [lv["p"] for lv in cache["local"]]
+    return Prediction(global_scores=cache["p_g"], local_scores=locals_,
+                      fused_scores=fuse(locals_, cache["p_g"], model.cfg.beta))
+
+
+def loss_and_grads_per_document(model, docs):
+    """Model.loss_and_grads with one attention backward call per document and
+    the embedding gradient scattered with a 2-D np.add.at over rows."""
+    Y = model.targets(docs)
+    head_cache, enc_cache, caches = model_forward_per_document(model, docs,
+                                                               model.label_matrices())
+    lam = model.cfg.lambda_
+    losses = head_loss(head_cache, Y, model.pairs, lam)
+    grads, dxs = head_backward(head_cache, Y, model.pairs, lam, model.params)
+    att_grads = [attention_backward([dx[r] for dx in dxs], extra["att"])
+                 for r, extra in enumerate(caches)]
+    dXs, lstm_grads = bilstm_backward([g[0] for g in att_grads], [g[1] for g in att_grads],
+                                      enc_cache, model.params)
+    grads.update(lstm_grads)
+    idx, vals = [], []
+    for extra, dX, (_, _, dcontexts) in zip(caches, dXs, att_grads):
+        idx.append(extra["rows"])
+        vals.append(dX)
+        for (flat, _, counts, div), dctx, n in zip(model._label_text, dcontexts,
+                                                   model.level_sizes):
+            idx.append(flat)
+            vals.append(np.repeat(dctx[:n] / div, counts, axis=0))
+            idx.append(extra["kw_rows"])
+            vals.append(dctx[n:])
+    V = len(model.table)
+    dext = np.zeros((V + 1, model.cfg.k), dtype=model.params["embedding.vectors"].dtype)
+    np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
+    grads["embedding.vectors"] = dext[:V]
+    grads["embedding.unk"] = dext[V]
+    scale = 1.0 / len(docs)
+    for g in grads.values():
+        g *= scale
+    return losses.tolist(), grads

@@ -268,6 +268,78 @@ def test_direction_stack_is_bitwise_per_direction_oracle(dtype, mode, similarity
                 assert np.array_equal(a, b), (n, n_kw)
 
 
+def test_splice_keyword_stack_is_per_document_splices():
+    rng = np.random.default_rng(12)
+    Ti = rng.standard_normal((3, 4))
+    for m in (0, 2):
+        Ke = rng.standard_normal((5, m, 4))
+        got = splice_level(Ti, Ke)
+        assert got.shape == (5, 3 + m, 4) and got.flags.c_contiguous
+        for g in range(5):
+            assert np.array_equal(got[g], splice_level(Ti, Ke[g]))
+    with pytest.raises(DimMismatchError):
+        splice_level(Ti, np.ones((2, 2, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("similarity", SIMILARITIES)
+def test_document_stack_is_bitwise_single_documents(dtype, mode, similarity):
+    rng = np.random.default_rng(13)
+    k, G = 5, 4
+    labels = [rng.standard_normal((3, k)).astype(dtype), rng.standard_normal((7, k)).astype(dtype)]
+    for n in (1, 2, 33):
+        for n_kw in (0, 2):
+            H_fwd, H_bwd = (rng.standard_normal((G, n, k)).astype(dtype) for _ in range(2))
+            Ke = rng.standard_normal((G, n_kw, k)).astype(dtype)
+            contexts = [splice_level(T, Ke) for T in labels]
+            xs, cache = attention_forward(H_fwd, H_bwd, contexts, mode=mode,
+                                          similarity=similarity)
+            dxs = [rng.standard_normal((G, 2 * k)).astype(dtype) for _ in xs]
+            dxs[0] = None if n == 2 else dxs[0]
+            dH_fwd, dH_bwd, dctxs = attention_backward(dxs, cache)
+            assert all(x.shape == (G, 2 * k) for x in xs)
+            assert dH_fwd.shape == dH_bwd.shape == (G, n, k)
+            assert [d.shape for d in dctxs] == [c.shape for c in contexts]
+            for g in range(G):
+                one_xs, one_cache = attention_forward(H_fwd[g], H_bwd[g],
+                                                      [c[g] for c in contexts], mode=mode,
+                                                      similarity=similarity)
+                one = attention_backward([None if dx is None else dx[g] for dx in dxs],
+                                         one_cache)
+                got = [x[g] for x in xs] + [dH_fwd[g], dH_bwd[g]] + [d[g] for d in dctxs]
+                want = one_xs + list(one[:2]) + one[2]
+                assert len(got) == len(want) == 7
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (n, n_kw, g)
+
+
+def test_degenerate_fallback_warns_once_per_stacked_row():
+    # one context row: document 0's forward raw weights [1, -1 + 1e-9] and
+    # document 2's backward ones [2, -2] sum to about 0, the other rows do not
+    ctx = np.array([[1.0, 0.0]])
+    H_fwd = np.array([[[1.0, 0.0], [-1.0 + 1e-9, 0.0]], [[1.0, 0.0], [2.0, 1.0]],
+                      [[3.0, 0.0], [1.0, 0.0]]])
+    H_bwd = np.array([[[1.0, 0.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 0.0]],
+                      [[2.0, 0.0], [-2.0, 0.0]]])
+
+    def warned(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = call()
+        assert {str(w.message) for w in caught} <= {
+            "degenerate attention weights; falling back to uniform"}
+        return len(caught), out
+
+    count, (xs, _) = warned(lambda: attention_forward(H_fwd, H_bwd, [np.stack([ctx] * 3)]))
+    assert count == 2
+    singles = [warned(lambda g=g: attention_forward(H_fwd[g], H_bwd[g], [ctx])) for g in range(3)]
+    assert [c for c, _ in singles] == [1, 0, 1]
+    for g, (_, (one_xs, _)) in enumerate(singles):
+        assert all(x[g].tobytes() == y.tobytes() for x, y in zip(xs, one_xs))
+
+
 @pytest.mark.parametrize("mode", ["sum_normalized", "none", "softmax"])
 def test_attention_gradients(mode):
     # check dH and dctx against finite differences at a unique-argmax point

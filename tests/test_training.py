@@ -210,6 +210,50 @@ def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
         np.testing.assert_allclose(g, mean, rtol=1e-10, atol=1e-14, err_msg=name)
 
 
+def _ragged_batch(corpus):
+    """Two interleaved shape groups of two documents and more, two
+    keyword-less documents of one shape and a 1-token document."""
+    d = corpus.documents
+    short = {"title_tokens": d[1].title_tokens[:3], "abstract_tokens": d[1].abstract_tokens[:4]}
+    return [d[0], replace(d[1], **short), d[2], replace(d[3], keywords=()),
+            replace(d[4], **short), replace(d[5], title_tokens=d[5].title_tokens[:1],
+                                            abstract_tokens=(), keywords=()),
+            replace(d[6], keywords=()), d[7]]
+
+
+@pytest.mark.parametrize("mode", ["sum_normalized", "softmax", "none"])
+@pytest.mark.parametrize("similarity", ["dot", "cosine"])
+def test_grouped_attention_is_bitwise_per_document_oracle(small_synth, monkeypatch, mode,
+                                                          similarity):
+    tax, corpus, table = small_synth
+    model = Model(tax, table, TrainConfig(k=8, g=16, d_L=16, seed=1, attention_mode=mode,
+                                          similarity=similarity))
+    docs = _ragged_batch(corpus)
+    assert [(len(d.tokens), len(d.keywords)) for d in docs] == [
+        (22, 2), (9, 2), (22, 2), (20, 0), (9, 2), (1, 0), (20, 0), (22, 2)]
+    calls = {name: [] for name in ("attention_forward", "attention_backward")}
+    for name, seen in calls.items():
+        fn = getattr(model_module, name)
+        monkeypatch.setattr(model_module, name,
+                            lambda *a, _fn=fn, _seen=seen, **kw: _seen.append(1) or _fn(*a, **kw))
+    for batch in (docs, docs[5:6], docs[:1]):
+        losses, grads = model.loss_and_grads(batch)
+        want_losses, want_grads = oracles.loss_and_grads_per_document(model, batch)
+        assert losses == want_losses
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == want_grads[name].dtype
+            assert g.tobytes() == want_grads[name].tobytes(), name
+        got = model.predict_scores_batch(batch)
+        want = oracles.predict_scores_per_document(model, batch)
+        for a, b in zip([got.global_scores, got.fused_scores, *got.local_scores],
+                        [want.global_scores, want.fused_scores, *want.local_scores], strict=True):
+            assert a.tobytes() == b.tobytes()
+    # one attention pass each way per shape group: 4 groups, then 1 and 1
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "attention_forward": 4 + 4 + 1 + 1 + 1 + 1, "attention_backward": 4 + 1 + 1}
+
+
 def test_adam_is_bitwise_oracle_in_place():
     rng = np.random.default_rng(4)
     params = {"W": rng.standard_normal((5, 3)).astype(np.float32),
@@ -520,6 +564,25 @@ def test_built_model_table_shares_embedding_params(tiny_run):
     assert model.table.vectors is model.params["embedding.vectors"]
     assert model.table.unk_vector is model.params["embedding.unk"]
     assert model.table.index == {t: r for r, t in enumerate(ckpt.embedding_tokens)}
+
+
+def test_loaded_checkpoint_arrays_are_shared_with_model(tiny_run):
+    *_, ckpt, hist = tiny_run
+    blob = save_checkpoint(ckpt)
+    loaded = load_checkpoint(blob)
+    assert not any(arr.flags.writeable for arr in loaded.arrays.values())
+    model, _ = loaded.build_model()
+    for name, arr in loaded.arrays.items():
+        assert np.shares_memory(model.params[name], arr), name
+    assert save_checkpoint(loaded) == blob
+
+
+def test_trained_checkpoint_arrays_stay_writable_and_unshared(tiny_run):
+    *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    for name, arr in ckpt.arrays.items():
+        assert arr.flags.writeable, name
+        assert not np.shares_memory(model.params[name], arr), name
 
 
 def test_writable_params_rebuild_label_matrices(tiny_run, monkeypatch):

@@ -7,11 +7,13 @@ Imports ahmca from DIR/src and the benchmark specs from DIR/bench (default:
 the tree this file is in), and exits with an error if either resolves to
 another copy, so the same script can be run against another
 checkout and the two outputs diffed.  For each config it trains on the
-(3, 1, 1) split of its spec and prints one line per artifact: the
+(3, 1, 1) split of its data and prints one line per artifact: the
 save_checkpoint bytes, History.to_csv(), the predict outputs (fused-score
 bytes, top leaves and level sets) of every test document on the model that
 load_checkpoint -> build_model serves, at threshold 0.5 and at 0.0, where
 every label is picked, and evaluate_model(model, test, ks=(1, 3)).to_json().
+Every config but "ragged" trains on the documents of its spec, which all
+have one shape; "ragged" mixes token and keyword counts in every batch.
 OpenBLAS is pinned to one thread, since the float32 products may round
 differently with more.
 """
@@ -28,15 +30,33 @@ from dataclasses import replace
 from pathlib import Path
 
 
+def synthetic(spec, workloads, corpus):
+    return corpus.generate_synthetic(spec)
+
+
+def ragged(spec, workloads, corpus):
+    """spec's taxonomy and vocabulary with 60 documents of 3 to 24 tokens
+    (workloads.ragged_queries), every third without its keywords."""
+    tax, data, table = corpus.generate_synthetic(spec)
+    docs = workloads.ragged_queries(spec, 60, 2, 24, spec.seed).documents
+    docs = [replace(d, keywords=()) if i % 3 == 0 else d for i, d in enumerate(docs)]
+    return tax, replace(data, documents=tuple(docs)), table
+
+
 def configs(workloads, TrainConfig):
     ref = workloads.REFERENCE_CFG
-    yield "reference", workloads.REFERENCE_SPEC, ref
-    yield "reference-frozen", workloads.REFERENCE_SPEC, replace(ref, freeze_embeddings=True)
-    yield "reference-cosine", workloads.REFERENCE_SPEC, replace(ref, similarity="cosine")
-    yield "reference-softmax", workloads.REFERENCE_SPEC, replace(ref, attention_mode="softmax")
-    yield "reference-none", workloads.REFERENCE_SPEC, replace(ref, attention_mode="none")
-    yield "wide-2ep", workloads.WIDE_SPEC, TrainConfig(epochs=2)
-    yield "accept-1ep", workloads.ACCEPT_SPEC, TrainConfig(epochs=1)
+    yield "reference", workloads.REFERENCE_SPEC, ref, synthetic
+    yield ("reference-frozen", workloads.REFERENCE_SPEC, replace(ref, freeze_embeddings=True),
+           synthetic)
+    yield ("reference-cosine", workloads.REFERENCE_SPEC, replace(ref, similarity="cosine"),
+           synthetic)
+    yield ("reference-softmax", workloads.REFERENCE_SPEC, replace(ref, attention_mode="softmax"),
+           synthetic)
+    yield ("reference-none", workloads.REFERENCE_SPEC, replace(ref, attention_mode="none"),
+           synthetic)
+    yield "wide-2ep", workloads.WIDE_SPEC, TrainConfig(epochs=2), synthetic
+    yield "accept-1ep", workloads.ACCEPT_SPEC, TrainConfig(epochs=1), synthetic
+    yield "ragged", workloads.REFERENCE_SPEC, replace(ref, batch_size=8), ragged
 
 
 def sha(data):
@@ -60,8 +80,8 @@ def main():
             sys.exit(f"byte_hashes: {module.__name__} resolved to {module.__file__}, "
                      f"not under {home}")
 
-    for name, spec, cfg in configs(workloads, training.TrainConfig):
-        tax, data, table = corpus.generate_synthetic(spec)
+    for name, spec, cfg, make in configs(workloads, training.TrainConfig):
+        tax, data, table = make(spec, workloads, corpus)
         tr, va, te = corpus.split(data, (3, 1, 1), seed=spec.seed)
         ckpt, hist = training.train(cfg, tr, va, tax, table)
         blob = training.save_checkpoint(ckpt)
