@@ -11,20 +11,35 @@ length, longest first, and their rows laid out time-major, so the a_t
 documents still running at step t are a prefix of that order and their
 rows sit together.  The two directions' weights are stacked on a leading
 axis: one input projection X Wx^T + b covers every step of both, and each
-step adds h Wh^T for the (2, a_t, k) running states.  The cache is the
-packed input Xp (2, R, k), the activated gates G and the cell and hidden
-states C and H, all behind one block of B rows that holds the zero initial
-states.  G (R, gate, direction, k), C and H (R, direction, k) are
-row-major, so one step's rows are one contiguous slice, updated in place.
-BPTT reads them through direction-major views, runs the same loop
-backwards into one dZ buffer and turns it into the input and parameter
-gradients with four products after the loop.
+step adds h Wh^T for the (2, a_t, k) running states.  The i, f and o rows
+of the stacked Wx, Wh and b are halved, since sigmoid(z) = (tanh(z/2) + 1)
+/ 2: one tanh over a step's pre-activations then serves all four gates,
+and the step writes (t + 1) / 2 for i, f and o into a step buffer.  The
+step buffers (h Wh^T, the tanh, the gates, i * g) are allocated once per
+call and read through views built once per active count a_t, so a step
+is ten NumPy calls.  The cache is the packed input Xp (2, R, k), the
+activated gates G and the cell and hidden states C and H, all behind one
+block of B rows that holds the zero initial states.  G (R, gate,
+direction, k), C and H (R, direction, k) are row-major, so one step's
+rows are one contiguous slice, updated in place.  G holds the
+pre-activations during the loop and is activated after it in one pass,
+sigmoid for i, f, o and tanh for g.  BPTT reads them through
+direction-major views, runs the same loop backwards into one dZ buffer and
+turns it into the input and parameter gradients with four products after
+the loop.
 
-Bitwise contract: the layout changes no float.  Every product is the
-stacked direction-major one (h Wh^T takes a transposed view of H, and
-gemm sums the same way whatever the row stride), and every elementwise
-step rounds the same operands in the same order; tests/oracles.py keeps
-the direction-major loop, and the tests compare states and gradients with
+Bitwise contract: neither the layout nor the gate scaling changes a
+float.  Every product is the stacked direction-major one (h Wh^T takes a
+transposed view of H and writes into a step buffer, and gemm sums the
+same way whatever the row stride).  Halving is exact in binary floating
+point, so the halved products and sums are the halves of the unhalved
+ones, tanh sees the same z/2 that sigmoid computes, and (t + 1) / 2 is
+sigmoid's own last two operations; doubling back before the cache's
+sigmoid is exact too.  This holds while no weight, product or partial sum
+falls below the smallest normal number (2^-126 in float32), where halving
+can round.  Every other elementwise step rounds the same operands in the
+same order.  tests/oracles.py keeps the direction-major loop with
+unscaled weights, and the tests compare states, cache and gradients with
 it bit for bit.
 """
 
@@ -114,21 +129,26 @@ def bilstm_encode(Xs, params):
     if not Xs or any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
         raise EmptyInputError("encoder input must be a non-empty list of "
                               "non-empty N x k matrices")
-    # weights stacked transposed, and never fewer than two rows per product
-    # (the front block gives the projection its second row): numpy hands a
-    # one-row product to gemv, which sums in another order than gemm, and a
-    # document's states would depend on its batch
-    WxT = np.stack([W.T for W in _pair(params, "Wx")])
-    k = WxT.shape[1]
-    if any(X.shape[1] != k for X in Xs) or WxT.shape[2] != 4 * k:
-        raise DimMismatchError(f"encoder shapes: X {[X.shape for X in Xs]}, "
-                               f"Wx {params['lstm_fwd.Wx'].shape}")
-    WhT = np.stack([W.T for W in _pair(params, "Wh")])
+    Wx = params["lstm_fwd.Wx"]
+    k = Wx.shape[1]
+    if any(X.shape[1] != k for X in Xs) or Wx.shape[0] != 4 * k:
+        raise DimMismatchError(f"encoder shapes: X {[X.shape for X in Xs]}, Wx {Wx.shape}")
+    # Wx^T and Wh^T of both directions in one stack, the i, f and o rows
+    # halved (see the module docstring), and never fewer than two rows per
+    # product (the front block gives the projection its second row): numpy
+    # hands a one-row product to gemv, which sums in another order than
+    # gemm, and a document's states would depend on its batch
+    WT = np.stack([W.T for name in ("Wx", "Wh") for W in _pair(params, name)])
+    bias = np.array(_pair(params, "b"))
+    half = np.full(4 * k, 0.5, dtype=WT.dtype)
+    half[2 * k:3 * k] = 1
+    WT *= half
+    bias *= half
+    WxT, WhT = WT[:2], WT[2:]
     pack = _packing([len(X) for X in Xs])
     B = len(Xs)
     X = np.concatenate(Xs)
     Xp = X[pack.src]
-    bias = np.array(_pair(params, "b"))
     R = Xp.shape[1]
     # row-major: G[r, gate, direction], C[r, direction], H[r, direction];
     # HT is H as the (2, R, k) stack the products take
@@ -138,20 +158,41 @@ def bilstm_encode(Xs, params):
     C = np.zeros((R, 2, k), dtype=G.dtype)
     H = np.zeros_like(C)
     HT = H.transpose(1, 0, 2)
+    # step buffers, reused by every step: the product h Wh^T, the tanh of
+    # the pre-activations, the i, f, o gates (t + 1) / 2 (gate g's slot
+    # unused) and i * g; views of their first a rows are built once per a,
+    # and the ufuncs are bound to locals, looked up once instead of per step
+    P = np.empty((2, max(B, 2), 4 * k), dtype=G.dtype)
+    T = np.empty((B, 4, 2, k), dtype=G.dtype)
+    S = np.empty_like(T)
+    U = np.empty((B, 2, k), dtype=G.dtype)
+    views = {}
+    add, multiply, tanh, matmul = np.add, np.multiply, np.tanh, np.matmul
     for s0, s1, p0 in pack.steps:
         a = s1 - s0
+        if a not in views:
+            m = max(a, 2)
+            t, s = T[:a], S[:a]
+            views[a] = (m, P[:, :m], P[:, :a].reshape(2, a, 4, k).transpose(1, 2, 0, 3),
+                        t, s, U[:a], s[:, 0], s[:, 1], t[:, 2], s[:, 3])
+        m, p, pz, t, s, u, i, f, g, o = views[a]
+        matmul(HT[:, p0:p0 + m], WhT, out=p)
         z = G[s0:s1]
-        np.add(z, (HT[:, p0:p0 + max(a, 2)] @ WhT)[:, :a].reshape(2, a, 4, k)
-               .transpose(1, 2, 0, 3), z)
-        g = np.tanh(z[:, 2])        # before sigmoid overwrites z
-        sigmoid(z, out=z)
-        z[:, 2] = g
+        add(z, pz, z)
+        tanh(z, t)
+        add(t, 1, s)
+        multiply(s, 0.5, s)
         c = C[s0:s1]
-        np.multiply(z[:, 1], C[p0:p0 + a], c)
-        c += z[:, 0] * g
+        multiply(f, C[p0:p0 + a], c)
+        add(c, multiply(i, g, u), c)
         h = H[s0:s1]
-        np.tanh(c, h)
-        h *= z[:, 3]
+        tanh(c, h)
+        multiply(h, o, h)
+    # G still holds the pre-activations: activate them for the cache, the
+    # i, f and o rows doubled back (exact) for sigmoid
+    Gg = np.tanh(G[:, 2])
+    sigmoid(np.multiply(G, 2, G), out=G)
+    G[:, 2] = Gg
     out = np.empty((2,) + X.shape, dtype=H.dtype)
     out[0, pack.src[0, B:]] = H[B:, 0]
     out[1, pack.src[1, B:]] = H[B:, 1]

@@ -11,8 +11,10 @@ The LSTM oracles are one cell update and a per-document BiLSTM with its
 BPTT, one direction and one document at a time, where the
 package's encoder runs a whole mini-batch and both directions in one
 packed time loop.  The direction-major packed loop is that same batched
-encoder with its buffers laid out direction by direction, the bitwise
-reference for the package's row-major loop.  The model oracle runs
+encoder with its buffers laid out direction by direction and unscaled
+weights activated per step by sigmoid and tanh, the bitwise reference for
+the package's row-major loop, which halves the i, f and o weight rows to
+take one tanh per step.  The model oracle runs
 attention once per document and scatters the embedding gradient row by
 row, where the package's Model runs it once per group of equal-shape
 documents and scatters through one flat index.  The evaluation oracle
@@ -129,7 +131,8 @@ def bilstm_document_backward(dH_fwd, dH_bwd, caches, params):
 
 def packed_encode_direction_major(Xs, params):
     """bilstm_encode with G (2, R, 4k) and C, H (2, R, k): each direction's
-    rows contiguous, one step's rows strided.  Returns the same
+    rows contiguous, one step's rows strided, and the unscaled weights
+    activated per step by sigmoid and tanh.  Returns the same
     ((H_fwd, H_bwd), cache) in this layout."""
     WxT = np.stack([W.T for W in _pair(params, "Wx")])
     WhT = np.stack([W.T for W in _pair(params, "Wh")])

@@ -10,9 +10,11 @@ from oracles import (
     packed_encode_direction_major,
 )
 
+from ahmca.corpus import split
 from ahmca.encoder import bilstm_backward, bilstm_encode, init_lstm_params
 from ahmca.errors import DimMismatchError, EmptyInputError
-from ahmca.numerics import grad_check
+from ahmca.numerics import grad_check, sigmoid
+from ahmca.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 def _zero_params(k):
@@ -247,25 +249,26 @@ def _same_bits(got, want):
         got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("lengths", [[1], [2], [33], [256], [1, 2, 33, 256] * 4],
-                         ids=["B1-N1", "B1-N2", "B1-N33", "B1-N256", "B16-ragged"])
-def test_row_major_loop_is_bitwise_direction_major(lengths):
-    k = 32
-    rng = np.random.default_rng(len(lengths) + sum(lengths))
-    params = init_lstm_params(k, rng)
-    params = {name: p + rng.uniform(-0.1, 0.1, p.shape).astype(np.float32)
-              for name, p in params.items()}
-    lengths = rng.permutation(lengths).tolist()
-    Xs = [rng.standard_normal((n, k)).astype(np.float32) for n in lengths]
-    dH_fwd = [rng.standard_normal((n, k)).astype(np.float32) for n in lengths]
-    dH_bwd = [rng.standard_normal((n, k)).astype(np.float32) for n in lengths]
+def _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd):
+    """States, cache and BPTT results of bilstm_encode/bilstm_backward
+    equal the direction-major oracle's bit for bit, and params are left as
+    they were.  The cache is compared past the front block of G, whose
+    rows hold no step's gates and which BPTT never reads."""
     before = {name: p.copy() for name, p in params.items()}
-
     (H_fwd, H_bwd), cache = bilstm_encode(Xs, params)
     (ref_fwd, ref_bwd), ref_cache = packed_encode_direction_major(Xs, params)
     for got, want in zip(H_fwd + H_bwd, ref_fwd + ref_bwd):
-        assert got.dtype == np.float32
+        assert got.dtype == Xs[0].dtype
         assert _same_bits(got, want)
+
+    _, Xp, G, C, H = cache
+    _, ref_Xp, ref_G, ref_C, ref_H = ref_cache
+    B, (R, _, _, k) = len(Xs), G.shape
+    assert _same_bits(Xp, ref_Xp)
+    G_dm = np.ascontiguousarray(G.transpose(2, 0, 1, 3)).reshape(2, R, 4 * k)
+    assert _same_bits(np.ascontiguousarray(G_dm[:, B:]), np.ascontiguousarray(ref_G[:, B:]))
+    assert _same_bits(np.ascontiguousarray(C.transpose(1, 0, 2)), ref_C)
+    assert _same_bits(np.ascontiguousarray(H.transpose(1, 0, 2)), ref_H)
 
     dXs, grads = bilstm_backward(dH_fwd, dH_bwd, cache, params)
     ref_dXs, ref_grads = packed_backward_direction_major(dH_fwd, dH_bwd, ref_cache, params)
@@ -276,3 +279,89 @@ def test_row_major_loop_is_bitwise_direction_major(lengths):
         assert _same_bits(g, ref_grads[name]), name
     for name, p in params.items():
         assert _same_bits(p, before[name]), name
+
+
+def _inputs(lengths, k, rng, dtype):
+    return [[rng.standard_normal((n, k)).astype(dtype) for n in lengths] for _ in range(3)]
+
+
+_BATCHES = pytest.mark.parametrize(
+    "lengths", [[1], [2], [3], [33], [256], [1, 2, 33, 256] * 4, [3, 1, 3, 2, 1, 3], [1, 1],
+                [5, 1, 5, 1, 5]],
+    ids=["B1-N1", "B1-N2", "B1-N3", "B1-N33", "B1-N256", "B16-ragged", "B6-ties", "B2-ones",
+         "B5-ties-ones"])
+
+
+def _check_batch(lengths, dtype):
+    k = 32
+    rng = np.random.default_rng(len(lengths) + sum(lengths))
+    params = {name: p + rng.uniform(-0.1, 0.1, p.shape).astype(dtype)
+              for name, p in init_lstm_params(k, rng, dtype).items()}
+    lengths = rng.permutation(lengths).tolist()
+    Xs, dH_fwd, dH_bwd = _inputs(lengths, k, rng, dtype)
+    _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd)
+
+
+@_BATCHES
+def test_row_major_loop_is_bitwise_direction_major(lengths):
+    """B=1 at N=1..3 runs every step at a=1, where the h Wh^T product keeps
+    its second row; the ragged batches tie in length and end documents
+    after one step."""
+    _check_batch(lengths, np.float32)
+
+
+@_BATCHES
+def test_float64_loop_is_bitwise_direction_major(lengths):
+    """float64 parameters and inputs, the grad_check path."""
+    _check_batch(lengths, np.float64)
+
+
+def test_read_only_served_params_are_bitwise_direction_major(small_synth):
+    """The read-only parameter arrays a loaded checkpoint serves with."""
+    tax, corpus, table = small_synth
+    cfg = TrainConfig(k=table.dim, g=8, d_L=8, epochs=1, seed=0)
+    tr, va, _ = split(corpus, (2, 1, 1), seed=0)
+    ckpt, _ = train(cfg, tr, va, tax, table)
+    model, _ = load_checkpoint(save_checkpoint(ckpt)).build_model()
+    params = {name: p for name, p in model.params.items() if name.startswith("lstm_")}
+    assert not any(p.flags.writeable for p in params.values())
+    rng = np.random.default_rng(16)
+    for lengths in ([1], [2], [20], [20, 1, 7, 20]):
+        Xs, dH_fwd, dH_bwd = _inputs(lengths, table.dim, rng, np.float32)
+        _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_halved_gate_rows_give_sigmoid_bitwise(dtype):
+    """The encoder's gate scaling is exact: with the i, f and o rows of Wx,
+    Wh and b halved, tanh of the pre-activation then (t + 1) * 0.5 equals
+    numerics.sigmoid of the unhalved pre-activation bit for bit, g's tanh is
+    untouched, and sigmoid of the doubled-back pre-activation (the cache's
+    path) is the same again.  Over grids of weights from 1e-30 to 10 and
+    inputs from -4 to 4 in both dtypes.
+
+    Halving a binary float only lowers its exponent, so it commutes with
+    every product and sum as long as none of them is subnormal (below
+    2^-126 in float32, 2^-1022 in float64): there halving drops the last
+    bit and can round.  The last assertion shows it on the smallest
+    subnormal, which halves to zero."""
+    k = 16
+    mags = np.geomspace(1e-30, 10, 4 * k * k).reshape(4 * k, k)
+    signs = np.where(np.arange(4 * k * k).reshape(4 * k, k) % 3 == 0, -1, 1)
+    Wx = (signs * mags).astype(dtype)
+    Wh = (-signs * mags[::-1]).astype(dtype)
+    b = np.linspace(-3, 3, 4 * k).astype(dtype)
+    X = np.linspace(-4, 4, 40 * k).reshape(40, k).astype(dtype)
+    Hs = np.tanh(np.linspace(-5, 5, 40 * k)).reshape(40, k).astype(dtype)
+    half = np.full(4 * k, 0.5, dtype=dtype)
+    half[2 * k:3 * k] = 1
+    z = X @ Wx.T + b + Hs @ Wh.T
+    z_half = X @ (Wx * half[:, None]).T + b * half + Hs @ (Wh * half[:, None]).T
+    t = np.tanh(z_half)
+    gates = (t + 1) * 0.5
+    ifo = np.r_[0:2 * k, 3 * k:4 * k]
+    assert _same_bits(gates[:, ifo], sigmoid(z[:, ifo]))
+    assert _same_bits(t[:, 2 * k:3 * k], np.tanh(z[:, 2 * k:3 * k]))
+    assert _same_bits(sigmoid(z_half[:, ifo] * 2), sigmoid(z[:, ifo]))
+    tiny = np.array([np.finfo(dtype).smallest_subnormal], dtype=dtype)
+    assert tiny * 0.5 == 0
