@@ -30,10 +30,8 @@ _NORM_EPS = 1e-12
 
 def splice_level(Ti, Ke):
     """Row-stack [labels; keywords] for m x k keywords, or a (G, L + m, k)
-    stack for a (G, m, k) one; with no keywords, the level's label matrix."""
+    stack for a (G, m, k) one."""
     Ti = np.asarray(Ti)
-    if Ke is None:
-        return Ti.copy()
     Ke = np.asarray(Ke)
     if Ti.shape[1] != Ke.shape[-1]:
         raise DimMismatchError(f"label dim {Ti.shape[1]} != keyword dim {Ke.shape[-1]}")

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import (
@@ -168,7 +169,6 @@ def _cmd_predict(args):
 def _cmd_gen_synth(args):
     spec = SynthSpec.from_json(_read(args.spec))
     if args.seed is not None:
-        from dataclasses import replace
         spec = replace(spec, seed=args.seed)
     tax, corpus, table = generate_synthetic(spec)
     out = Path(args.out_dir)

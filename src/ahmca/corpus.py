@@ -13,6 +13,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .embedding import EmbeddingTable
 from .errors import (
     EmptyTextError,
     MalformedRecordError,
@@ -20,7 +21,7 @@ from .errors import (
     TooFewDocumentsError,
     UnknownLabelError,
 )
-from .taxonomy import Taxonomy, tokenize
+from .taxonomy import Taxonomy, load_taxonomy, tokenize
 
 
 @dataclass(frozen=True)
@@ -288,9 +289,6 @@ def generate_synthetic(spec: SynthSpec):
     reserved token per label, and embeddings are seeded random unit
     vectors.
     """
-    from .embedding import EmbeddingTable
-    from .taxonomy import load_taxonomy
-
     rng = np.random.default_rng(spec.seed)
 
     # taxonomy: children spread round-robin over the previous level

@@ -18,15 +18,15 @@ and the step writes (t + 1) / 2 for i, f and o into a step buffer.  The
 step buffers (h Wh^T, the tanh, the gates, i * g) are allocated once per
 call and read through views built once per active count a_t, so a step
 is ten NumPy calls.  The cache is the packed input Xp (2, R, k), the
-activated gates G and the cell and hidden states C and H, all behind one
-block of B rows that holds the zero initial states.  G (R, gate,
-direction, k), C and H (R, direction, k) are row-major, so one step's
-rows are one contiguous slice, updated in place.  G holds the
-pre-activations during the loop and is activated after it in one pass,
-sigmoid for i, f, o and tanh for g.  BPTT reads them through
-direction-major views, runs the same loop backwards into one dZ buffer and
-turns it into the input and parameter gradients with four products after
-the loop.
+gate pre-activations G (i, f and o halved) and the cell and hidden states
+C and H, all behind one block of B rows that holds the zero initial
+states.  G (R, gate, direction, k), C and H (R, direction, k) are
+row-major, so one step's rows are one contiguous slice, updated in place.
+The forward is the loop and nothing else: BPTT, the only reader of the
+activated gates, activates G in place (sigmoid for i, f, o, tanh for g)
+and so consumes the cache.  It reads the arrays through direction-major
+views, runs the same loop backwards into one dZ buffer and turns it into
+the input and parameter gradients with four products after the loop.
 
 Bitwise contract: neither the layout nor the gate scaling changes a
 float.  Every product is the stacked direction-major one (h Wh^T takes a
@@ -34,8 +34,8 @@ transposed view of H and writes into a step buffer, and gemm sums the
 same way whatever the row stride).  Halving is exact in binary floating
 point, so the halved products and sums are the halves of the unhalved
 ones, tanh sees the same z/2 that sigmoid computes, and (t + 1) / 2 is
-sigmoid's own last two operations; doubling back before the cache's
-sigmoid is exact too.  This holds while no weight, product or partial sum
+sigmoid's own last two operations; doubling back before BPTT's sigmoid
+is exact too.  This holds while no weight, product or partial sum
 falls below the smallest normal number (2^-126 in float32), where halving
 can round.  Every other elementwise step rounds the same operands in the
 same order.  tests/oracles.py keeps the direction-major loop with
@@ -137,7 +137,8 @@ def bilstm_encode(Xs, params):
     # halved (see the module docstring), and never fewer than two rows per
     # product (the front block gives the projection its second row): numpy
     # hands a one-row product to gemv, which sums in another order than
-    # gemm, and a document's states would depend on its batch
+    # gemm.  This does not make a document's states independent of its
+    # batch: OpenBLAS can round a row differently at another row count
     WT = np.stack([W.T for name in ("Wx", "Wh") for W in _pair(params, name)])
     bias = np.array(_pair(params, "b"))
     half = np.full(4 * k, 0.5, dtype=WT.dtype)
@@ -188,11 +189,6 @@ def bilstm_encode(Xs, params):
         h = H[s0:s1]
         tanh(c, h)
         multiply(h, o, h)
-    # G still holds the pre-activations: activate them for the cache, the
-    # i, f and o rows doubled back (exact) for sigmoid
-    Gg = np.tanh(G[:, 2])
-    sigmoid(np.multiply(G, 2, G), out=G)
-    G[:, 2] = Gg
     out = np.empty((2,) + X.shape, dtype=H.dtype)
     out[0, pack.src[0, B:]] = H[B:, 0]
     out[1, pack.src[1, B:]] = H[B:, 1]
@@ -203,8 +199,16 @@ def bilstm_encode(Xs, params):
 def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     """Gradients of a scalar loss wrt the inputs and LSTM parameters, given
     per document dL/dH for both directions (rows aligned to token
-    positions); the input gradients come back as a list like the inputs."""
+    positions); the input gradients come back as a list like the inputs.
+    Consumes the cache: its gates are activated in place and then frozen,
+    so a second call on it raises."""
     pack, Xp, G, C, H = cache
+    # activate the loop's pre-activations in place: tanh for g, sigmoid for
+    # i, f and o doubled back (exact)
+    Gg = np.tanh(G[:, 2])
+    sigmoid(np.multiply(G, 2, G), out=G)
+    G[:, 2] = Gg
+    G.flags.writeable = False
     B = len(pack.bounds)
     R, _, _, k = G.shape
     # direction-major views: G (2, R, 4, k), C and H (2, R, k); every

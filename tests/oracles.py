@@ -133,7 +133,8 @@ def packed_encode_direction_major(Xs, params):
     """bilstm_encode with G (2, R, 4k) and C, H (2, R, k): each direction's
     rows contiguous, one step's rows strided, and the unscaled weights
     activated per step by sigmoid and tanh.  Returns the same
-    ((H_fwd, H_bwd), cache) in this layout."""
+    ((H_fwd, H_bwd), cache) in this layout, its gates activated as
+    bilstm_backward leaves bilstm_encode's."""
     WxT = np.stack([W.T for W in _pair(params, "Wx")])
     WhT = np.stack([W.T for W in _pair(params, "Wh")])
     k = WxT.shape[1]

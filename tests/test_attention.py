@@ -65,7 +65,6 @@ def test_splice_shapes():
 
 def test_splice_no_keywords():
     Ti = np.arange(8.0).reshape(2, 4)
-    assert np.array_equal(splice_level(Ti, None), Ti)
     assert np.array_equal(splice_level(Ti, np.zeros((0, 4))), Ti)
 
 

@@ -10,6 +10,7 @@ from oracles import (
     packed_encode_direction_major,
 )
 
+from ahmca import encoder
 from ahmca.corpus import split
 from ahmca.encoder import bilstm_backward, bilstm_encode, init_lstm_params
 from ahmca.errors import DimMismatchError, EmptyInputError
@@ -235,6 +236,9 @@ def test_packed_batch_gradients():
 
 
 def test_document_states_do_not_depend_on_batch():
+    """At k = 8, each of three documents of 6, 1 and 4 tokens gets the same
+    states in the batch as alone.  Not a general claim: at k = 32 a
+    document's states can differ with its batch."""
     k = 8
     params, Xs = _ragged([6, 1, 4], k, 15)
     (H_fwds, H_bwds), _ = bilstm_encode(Xs, params)
@@ -252,8 +256,9 @@ def _same_bits(got, want):
 def _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd):
     """States, cache and BPTT results of bilstm_encode/bilstm_backward
     equal the direction-major oracle's bit for bit, and params are left as
-    they were.  The cache is compared past the front block of G, whose
-    rows hold no step's gates and which BPTT never reads."""
+    they were.  The cache's G is compared after bilstm_backward, which
+    activates it in place, and past the front block, whose rows hold no
+    step's gates and which BPTT never reads."""
     before = {name: p.copy() for name, p in params.items()}
     (H_fwd, H_bwd), cache = bilstm_encode(Xs, params)
     (ref_fwd, ref_bwd), ref_cache = packed_encode_direction_major(Xs, params)
@@ -265,12 +270,12 @@ def _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd):
     _, ref_Xp, ref_G, ref_C, ref_H = ref_cache
     B, (R, _, _, k) = len(Xs), G.shape
     assert _same_bits(Xp, ref_Xp)
-    G_dm = np.ascontiguousarray(G.transpose(2, 0, 1, 3)).reshape(2, R, 4 * k)
-    assert _same_bits(np.ascontiguousarray(G_dm[:, B:]), np.ascontiguousarray(ref_G[:, B:]))
     assert _same_bits(np.ascontiguousarray(C.transpose(1, 0, 2)), ref_C)
     assert _same_bits(np.ascontiguousarray(H.transpose(1, 0, 2)), ref_H)
 
     dXs, grads = bilstm_backward(dH_fwd, dH_bwd, cache, params)
+    G_dm = np.ascontiguousarray(G.transpose(2, 0, 1, 3)).reshape(2, R, 4 * k)
+    assert _same_bits(np.ascontiguousarray(G_dm[:, B:]), np.ascontiguousarray(ref_G[:, B:]))
     ref_dXs, ref_grads = packed_backward_direction_major(dH_fwd, dH_bwd, ref_cache, params)
     for got, want in zip(dXs, ref_dXs):
         assert _same_bits(got, want)
@@ -279,6 +284,32 @@ def _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd):
         assert _same_bits(g, ref_grads[name]), name
     for name, p in params.items():
         assert _same_bits(p, before[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lengths", [[9], [5, 1, 3, 5, 2]], ids=["B1", "ragged"])
+def test_forward_only_encode_calls_no_sigmoid(monkeypatch, dtype, lengths):
+    """A forward-only encode leaves its gates as pre-activations: only
+    bilstm_backward, their one reader, activates them."""
+    calls = []
+    monkeypatch.setattr(encoder, "sigmoid",
+                        lambda *a, **kw: calls.append(a) or sigmoid(*a, **kw))
+    params, Xs = _ragged(lengths, 4, 17)
+    params = {name: p.astype(dtype) for name, p in params.items()}
+    bilstm_encode([X.astype(dtype) for X in Xs], params)
+    assert calls == []
+
+
+def test_backward_consumes_its_cache():
+    """bilstm_backward activates the cache's gates in place, so a second
+    call on the same cache raises instead of returning wrong gradients."""
+    lengths = [5, 1, 3]
+    params, Xs = _ragged(lengths, 3, 18)
+    dH = [np.ones((n, 3)) for n in lengths]
+    _, cache = bilstm_encode(Xs, params)
+    bilstm_backward(dH, dH, cache, params)
+    with pytest.raises(ValueError, match="read-only"):
+        bilstm_backward(dH, dH, cache, params)
 
 
 def _inputs(lengths, k, rng, dtype):
