@@ -10,8 +10,9 @@ One call encodes a list of N_b x k documents in a single packed time loop
 length, longest first, and their rows laid out time-major, so the a_t
 documents still running at step t are a prefix of that order and their
 rows sit together.  The two directions' weights are stacked on a leading
-axis: one input projection X Wx^T + b covers every step of both, and each
-step adds h Wh^T for the (2, a_t, k) running states.  The i, f and o rows
+axis, copied into one C-order (4, k, 4k) array: one input projection
+X Wx^T + b covers every step of both, and each step adds h Wh^T for the
+(2, a_t, k) running states.  The i, f and o rows
 of the stacked Wx, Wh and b are halved, since sigmoid(z) = (tanh(z/2) + 1)
 / 2: one tanh over a step's pre-activations then serves all four gates,
 and the step writes (t + 1) / 2 for i, f and o into a step buffer.  The
@@ -41,6 +42,12 @@ can round.  Every other elementwise step rounds the same operands in the
 same order.  tests/oracles.py keeps the direction-major loop with
 unscaled weights, and the tests compare states, cache and gradients with
 it bit for bit.
+
+Batch contract: a document's states are bitwise the same alone as in any
+batch.  No product has fewer than two rows (numpy hands a one-row product
+to gemv, which sums in another order than gemm), and the weight stack is
+C-order: with the F-order stack of W^T views, OpenBLAS rounds a row
+differently at another row count.  BPTT has no such contract.
 """
 
 from __future__ import annotations
@@ -133,13 +140,15 @@ def bilstm_encode(Xs, params):
     k = Wx.shape[1]
     if any(X.shape[1] != k for X in Xs) or Wx.shape[0] != 4 * k:
         raise DimMismatchError(f"encoder shapes: X {[X.shape for X in Xs]}, Wx {Wx.shape}")
-    # Wx^T and Wh^T of both directions in one stack, the i, f and o rows
-    # halved (see the module docstring), and never fewer than two rows per
-    # product (the front block gives the projection its second row): numpy
-    # hands a one-row product to gemv, which sums in another order than
-    # gemm.  This does not make a document's states independent of its
-    # batch: OpenBLAS can round a row differently at another row count
-    WT = np.stack([W.T for name in ("Wx", "Wh") for W in _pair(params, name)])
+    # Wx^T and Wh^T of both directions copied into one C-order stack, the
+    # i, f and o rows halved (see the module docstring), and never fewer
+    # than two rows per product (the front block gives the projection its
+    # second row): two rows avoid gemv, and the C-order operand makes a
+    # document's states independent of its batch (the batch contract)
+    Ws = [W for name in ("Wx", "Wh") for W in _pair(params, name)]
+    WT = np.empty((4, k, 4 * k), dtype=np.result_type(*Ws))
+    for j, W in enumerate(Ws):
+        WT[j] = W.T
     bias = np.array(_pair(params, "b"))
     half = np.full(4 * k, 0.5, dtype=WT.dtype)
     half[2 * k:3 * k] = 1
@@ -201,7 +210,11 @@ def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     per document dL/dH for both directions (rows aligned to token
     positions); the input gradients come back as a list like the inputs.
     Consumes the cache: its gates are activated in place and then frozen,
-    so a second call on it raises."""
+    so a second call on it raises.  Unlike the forward states, the input
+    gradients depend on the batch, mostly because the step product dZ Wh
+    has a_t rows and no two-row rule: numpy hands it to gemv wherever one
+    document is left running, so a document's dX can differ in the last
+    bits between batches."""
     pack, Xp, G, C, H = cache
     # activate the loop's pre-activations in place: tanh for g, sigmoid for
     # i, f and o doubled back (exact)

@@ -15,7 +15,7 @@ batch order, so no float moves with the grouping (tests/oracles.py keeps
 the per-document pass).  Scoring takes the same
 forward path: predict_scores_batch scores a batch of documents in one call,
 and predict_scores is a batch of one, or inside a scoring() block a
-document's row of the batch that block scored.
+document's row of the chunk that block scored it in.
 
 loss_and_grads builds the label matrices afresh on every call.  Scoring
 builds them once when the embedding arrays are read-only, as every array
@@ -79,7 +79,7 @@ class Model:
             params["embedding.vectors"] = table.vectors.astype(dtype)
             params["embedding.unk"] = table.unk_vector.astype(dtype)
         self.params = params
-        self._scored = None         # (row of each document by id, Prediction) in scoring()
+        self._scored = None         # document id -> (its chunk's Prediction, row) in scoring()
         self._served_mats = None    # (vectors, unk, label matrices) of read-only embeddings
 
         # label text in row-index form: each level's label words flattened
@@ -179,24 +179,32 @@ class Model:
 
     @contextmanager
     def scoring(self, docs):
-        """Score docs with one predict_scores_batch call.  Inside the block,
-        predict_scores(doc) of one of them returns its row of that batch
-        instead of running forward again, so per-document callers share
-        one batched forward.  The parameters must not change inside it."""
-        pred = self.predict_scores_batch(docs)
-        self._scored = ({id(doc): r for r, doc in enumerate(docs)}, pred)
+        """Score docs in chunks of cfg.batch_size taken in a stable
+        longest-first order of token counts, one predict_scores_batch call
+        per chunk: a chunk's time loop runs as many steps as its longest
+        document.  Documents of one length keep the chunks
+        docs[i:i + batch_size].  Inside the block, predict_scores(doc) of
+        one of them returns its row of its chunk instead of running forward
+        again, so per-document callers, in any order, share the batched
+        forwards.  The parameters must not change inside it."""
+        ordered = sorted(docs, key=lambda doc: -len(doc.tokens))     # stable
+        size, scored = self.cfg.batch_size, {}
+        for start in range(0, len(ordered), size):
+            chunk = ordered[start:start + size]
+            pred = self.predict_scores_batch(chunk)
+            scored.update((id(doc), (pred, r)) for r, doc in enumerate(chunk))
+        self._scored = scored
         try:
             yield
         finally:
             self._scored = None
 
     def predict_scores(self, doc: Document) -> Prediction:
-        """Scores of one document: its row of the batch scored by the
+        """Scores of one document: its row of the chunk scored by the
         enclosing scoring() block, else row 0 of a batch of one."""
-        rows, pred = self._scored or ({}, None)
-        r = rows.get(id(doc))
-        if r is None:
-            pred, r = self.predict_scores_batch([doc]), 0
+        pred, r = (self._scored or {}).get(id(doc), (None, 0))
+        if pred is None:
+            pred = self.predict_scores_batch([doc])
         return Prediction(global_scores=pred.global_scores[r],
                           local_scores=[p[r] for p in pred.local_scores],
                           fused_scores=pred.fused_scores[r])

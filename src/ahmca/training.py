@@ -306,11 +306,13 @@ def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
                    threshold=0.5) -> MetricsReport:
     """Macro P/R/F1 of the top-1 leaf, P@k over the leaf scores and the
     hierarchy violation rate of the thresholded label sets.  The documents
-    are scored in chunks of cfg.batch_size, one batched forward per chunk
-    (Model.scoring), so evaluation holds no more rows at once than a
-    training step.  Each document's scores are read through
-    Model.predict_scores, as predict reads them, so whatever wraps or
-    overrides it sees evaluation as it sees predict; they decode as
+    are scored in chunks of cfg.batch_size taken in a stable longest-first
+    length order, one batched forward per chunk (Model.scoring), so
+    evaluation holds no more rows at once than a training step and each
+    chunk's time loop runs no longer than its longest document needs.
+    Each document's scores are then read through Model.predict_scores in
+    corpus order, as predict reads them, so whatever wraps or overrides
+    it sees evaluation as it sees predict; they decode as
     predict does before its consistency pruning: top-1 is the first maximum
     among the leaf columns, and the thresholded set is every class scoring
     at least threshold, which must be finite."""
@@ -321,17 +323,15 @@ def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
     leaf_classes = tax.labels_at_level(tax.depth)
     n_leaves = len(leaf_classes)
 
-    docs, size = data.documents, model.cfg.batch_size
+    docs = data.documents
     leaf_scores, top1_sets, thresh_sets = [], [], []
-    for start in range(0, len(docs), size):
-        chunk = docs[start:start + size]
-        with model.scoring(chunk):
-            fused = np.stack([model.predict_scores(doc).fused_scores for doc in chunk])
-        leaves = fused[:, -n_leaves:]             # leaves come last
-        leaf_scores.extend(leaves)
-        top1_sets.extend({leaf_classes[i]} for i in np.argmax(leaves, axis=1))
-        thresh_sets.extend({tax.order[j] for j in np.nonzero(row >= threshold)[0]}
-                           for row in fused)
+    with model.scoring(docs):
+        for doc in docs:
+            fused = model.predict_scores(doc).fused_scores
+            leaves = fused[-n_leaves:]            # leaves come last
+            leaf_scores.append(leaves)
+            top1_sets.append({leaf_classes[int(np.argmax(leaves))]})
+            thresh_sets.append({tax.order[j] for j in np.nonzero(fused >= threshold)[0]})
     leaf_truth = [set(doc.leaf_labels) for doc in docs]
 
     p_at_k = {}

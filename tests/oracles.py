@@ -134,9 +134,10 @@ def packed_encode_direction_major(Xs, params):
     rows contiguous, one step's rows strided, and the unscaled weights
     activated per step by sigmoid and tanh.  Returns the same
     ((H_fwd, H_bwd), cache) in this layout, its gates activated as
-    bilstm_backward leaves bilstm_encode's."""
-    WxT = np.stack([W.T for W in _pair(params, "Wx")])
-    WhT = np.stack([W.T for W in _pair(params, "Wh")])
+    bilstm_backward leaves bilstm_encode's.  The products take C-order
+    stacks of W^T, the operand layout bilstm_encode multiplies with."""
+    WxT = np.ascontiguousarray(np.stack([W.T for W in _pair(params, "Wx")]))
+    WhT = np.ascontiguousarray(np.stack([W.T for W in _pair(params, "Wh")]))
     k = WxT.shape[1]
     pack = _packing([len(X) for X in Xs])
     B = len(Xs)

@@ -236,16 +236,25 @@ def test_packed_batch_gradients():
 
 
 def test_document_states_do_not_depend_on_batch():
-    """At k = 8, each of three documents of 6, 1 and 4 tokens gets the same
-    states in the batch as alone.  Not a general claim: at k = 32 a
-    document's states can differ with its batch."""
-    k = 8
-    params, Xs = _ragged([6, 1, 4], k, 15)
-    (H_fwds, H_bwds), _ = bilstm_encode(Xs, params)
-    for X, H_fwd, H_bwd in zip(Xs, H_fwds, H_bwds):
-        ([alone_fwd], [alone_bwd]), _ = bilstm_encode([X], params)
-        assert np.array_equal(H_fwd, alone_fwd)
-        assert np.array_equal(H_bwd, alone_bwd)
+    """At k = 32, in float32 and float64, each of 16 documents of 1 to 30
+    tokens (two of 30) gets bitwise the same states alone as in every
+    batch of 2, 3, 4, 8 and 16 consecutive documents that holds it."""
+    k = 32
+    lengths = [7, 30, 1, 12, 30, 5, 19, 2, 25, 9, 14, 3, 22, 11, 6, 17]
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(5)
+        params = {name: (p + rng.uniform(-0.1, 0.1, p.shape)).astype(dtype)
+                  for name, p in init_lstm_params(k, rng, dtype).items()}
+        Xs = [rng.standard_normal((n, k)).astype(dtype) for n in lengths]
+        alone = [bilstm_encode([X], params)[0] for X in Xs]
+        for size in (2, 3, 4, 8, 16):
+            for start in range(0, len(Xs), size):
+                (H_fwds, H_bwds), _ = bilstm_encode(Xs[start:start + size], params)
+                for j, (H_fwd, H_bwd) in enumerate(zip(H_fwds, H_bwds)):
+                    [alone_fwd], [alone_bwd] = alone[start + j]
+                    assert H_fwd.dtype == dtype
+                    assert H_fwd.tobytes() == alone_fwd.tobytes(), (dtype, size, start + j)
+                    assert H_bwd.tobytes() == alone_bwd.tobytes(), (dtype, size, start + j)
 
 
 def _same_bits(got, want):

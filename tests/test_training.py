@@ -495,25 +495,68 @@ def test_scoring_block_serves_batch_rows(tiny_run, monkeypatch):
     tax, corpus, *_, ckpt, hist = tiny_run
     model, _ = ckpt.build_model()
     docs, other = corpus.documents[:5], corpus.documents[5]
-    batch = model.predict_scores_batch(docs)
+    # documents of one length: the chunks are docs[:4] and docs[4:]
+    size = model.cfg.batch_size
+    assert size == 4 and len({len(d.tokens) for d in docs}) == 1
+    chunks = [model.predict_scores_batch(docs[:size]), model.predict_scores_batch(docs[size:])]
     alone = model.predict_scores(other)
     forwards = []
     fn = Model.forward
     monkeypatch.setattr(Model, "forward", lambda self, *a: forwards.append(1) or fn(self, *a))
     with model.scoring(docs):
-        assert len(forwards) == 1
-        for r, doc in enumerate(docs):
-            pred = model.predict_scores(doc)
+        assert len(forwards) == 2
+        for i, doc in enumerate(docs):
+            pred, batch, r = model.predict_scores(doc), chunks[i // size], i % size
             assert np.array_equal(pred.fused_scores, batch.fused_scores[r])
             assert np.array_equal(pred.global_scores, batch.global_scores[r])
             for got, want in zip(pred.local_scores, batch.local_scores, strict=True):
                 assert np.array_equal(got, want[r])
-        assert len(forwards) == 1
-        # a document outside the block's batch is scored on its own
-        assert np.array_equal(model.predict_scores(other).fused_scores, alone.fused_scores)
         assert len(forwards) == 2
+        # a document outside the block's chunks is scored on its own
+        assert np.array_equal(model.predict_scores(other).fused_scores, alone.fused_scores)
+        assert len(forwards) == 3
     model.predict_scores(docs[0])                 # the rows are not kept after the block
-    assert len(forwards) == 3
+    assert len(forwards) == 4
+
+
+def test_evaluate_chunks_follow_length_order(tiny_run, monkeypatch):
+    """evaluate_model scores a ragged corpus in chunks of batch_size taken
+    in a stable longest-first order of token counts, then reads each
+    document's own row through predict_scores once, in corpus order;
+    documents of one length keep the chunks docs[i:i + batch_size]."""
+    tax, corpus, *_, ckpt, hist = tiny_run
+    model, _ = ckpt.build_model()
+    # token counts 4, 7, 2, 7, 5, 3, 5 (the keyword included), ties at 7 and 5
+    ragged = [replace(d, title_tokens=(d.title_tokens * 2)[:n])
+              for d, n in zip(corpus.documents, (3, 6, 1, 6, 4, 2, 4))]
+    assert [len(d.tokens) for d in ragged] == [4, 7, 2, 7, 5, 3, 5]
+    one_length = list(corpus.documents[:6])
+    assert len({len(d.tokens) for d in one_length}) == 1
+    chunks, reads = [], []
+    forward, predict_scores = Model.forward, Model.predict_scores
+
+    def recording_forward(self, docs, label_mats):
+        chunks.append(list(docs))
+        return forward(self, docs, label_mats)
+
+    def recording_predict_scores(self, doc):
+        reads.append((doc, predict_scores(self, doc)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(Model, "forward", recording_forward)
+    monkeypatch.setattr(Model, "predict_scores", recording_predict_scores)
+    for docs, want in ((ragged, [[1, 3, 4, 6], [0, 5, 2]]),
+                       (one_length, [[0, 1, 2, 3], [4, 5]])):
+        chunks.clear()
+        reads.clear()
+        evaluate_model(model, Corpus(tuple(docs), corpus.taxonomy_hash), ks=(1,))
+        assert len(want) == math.ceil(len(docs) / model.cfg.batch_size)
+        assert [[id(doc) for doc in chunk] for chunk in chunks] == \
+            [[id(docs[b]) for b in run] for run in want]
+        assert [id(doc) for doc, _ in reads] == [id(doc) for doc in docs]
+        for doc, pred in reads:                   # its own row, not a neighbour's
+            alone = predict_scores(model, doc)
+            np.testing.assert_allclose(pred.fused_scores, alone.fused_scores, atol=1e-6)
 
 
 def _counting_label_matrices(monkeypatch):
