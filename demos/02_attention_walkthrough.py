@@ -27,8 +27,9 @@ model = Model(tax, table, TrainConfig(k=table.dim, g=16, d_L=16), dtype=np.float
 
 # embed and encode
 X = model.embed(doc.tokens)
-# the encoder takes a list of documents; this batch holds one
-([H_fwd], [H_bwd]), _ = bilstm_encode([X], model.params)
+# the encoder takes a batch's token rows and its document lengths; this
+# batch holds one document
+(H_fwd, H_bwd), _ = bilstm_encode(X, [len(X)], model.params)
 print(f"{len(doc.tokens)} tokens -> hidden states {H_fwd.shape} per direction")
 
 # per-level contexts: label-text matrix spliced with the keyword vectors

@@ -122,17 +122,21 @@ def make_unlabeled_document(rec: dict, tax: Taxonomy) -> Document:
     return _document(rec, (), tuple(frozenset() for _ in range(tax.depth)))
 
 
+def read_jsonl(source: str):
+    """(line number, record) per non-blank line; MalformedRecordError on bad JSON."""
+    for ln, line in enumerate(source.splitlines(), 1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise MalformedRecordError(f"line {ln}: invalid JSON ({e})") from None
+            yield ln, rec
+
+
 def load_corpus(source: str, tax: Taxonomy) -> Corpus:
     """Parse a JSON Lines corpus and validate every record against tax."""
-    docs = []
-    seen = set()
-    for ln, line in enumerate(source.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedRecordError(f"line {ln}: invalid JSON ({e})") from None
+    docs, seen = [], set()
+    for ln, rec in read_jsonl(source):
         doc = make_document(rec, tax)
         if doc.id in seen:
             raise MalformedRecordError(f"line {ln}: duplicate document id {doc.id!r}")

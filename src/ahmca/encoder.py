@@ -5,16 +5,18 @@ states; the backward direction is the same recurrence run over the
 reversed sequence with its own parameters, rows re-aligned to original
 token positions.  Gate order inside stacked parameters is i, f, g, o.
 
-One call encodes a list of N_b x k documents in a single packed time loop
-(pack_padded_sequence style, no padding): the documents are sorted by
-length, longest first, and their rows laid out time-major, so the a_t
-documents still running at step t are a prefix of that order and their
-rows sit together.  The two directions' weights are stacked on a leading
-axis, copied into one C-order (4, k, 4k) array: one input projection
-X Wx^T + b covers every step of both, and each step adds h Wh^T for the
-(2, a_t, k) running states.  The i, f and o rows
-of the stacked Wx, Wh and b are halved, since sigmoid(z) = (tanh(z/2) + 1)
-/ 2: one tanh over a step's pre-activations then serves all four gates,
+One call encodes a batch in a single packed time loop: the documents'
+token rows come as one sum N_b x k matrix X, document after document,
+with their lengths N_b, and each direction's states come back as one
+matrix aligned to X's rows (pack_padded_sequence style, no padding).  The
+documents are sorted by length, longest first, and their rows laid out
+time-major, so the a_t documents still running at step t are a prefix of
+that order and their rows sit together.  The two directions' weights are
+stacked on a leading axis, copied into one C-order (4, k, 4k) array: one
+input projection X Wx^T + b covers every step of both, and each step adds
+h Wh^T for the (2, a_t, k) running states.  The i, f and o rows of the
+stacked Wx, Wh and b are halved, since sigmoid(z) = (tanh(z/2) + 1) / 2:
+one tanh over a step's pre-activations then serves all four gates,
 and the step writes (t + 1) / 2 for i, f and o into a step buffer.  The
 step buffers (h Wh^T, the tanh, the gates, i * g) are allocated once per
 call and read through views built once per active count a_t, so a step
@@ -88,14 +90,12 @@ class Packing(NamedTuple):
     steps: per step t, (s0, s1, p0): its buffer rows s0:s1 and the buffer
         row p0 where the previous step's rows start (the zero block at t=0);
     src: (2, B + sum N), per direction and buffer row, the row of the
-        concatenated input read there (any row for the front block);
-    prev: per packed row, the buffer row of its previous states;
-    bounds: per document, its (start, end) rows in the concatenated input.
+        input X read there (any row for the front block);
+    prev: per packed row, the buffer row of its previous states.
     """
     steps: list
     src: np.ndarray
     prev: np.ndarray
-    bounds: list
 
 
 def _packing(lengths):
@@ -105,7 +105,7 @@ def _packing(lengths):
         fwd = np.arange(-1, N)
         fwd[0] = 0              # the front row may read any input row
         return Packing(list(zip(range(1, N + 1), range(2, N + 2), range(N))),
-                       np.array([fwd, N - 1 - fwd]), fwd[1:], [(0, N)])
+                       np.array([fwd, N - 1 - fwd]), fwd[1:])
     lengths = np.asarray(lengths)
     T = lengths.max()
     order = np.argsort(-lengths, kind="stable")
@@ -120,31 +120,31 @@ def _packing(lengths):
     src[0, B:] = first[doc] + t
     src[1, B:] = first[doc + 1] - 1 - t
     steps = list(zip(start[:-1].tolist(), start[1:].tolist(), prev_start.tolist()))
-    bounds = list(zip(first[:-1].tolist(), first[1:].tolist()))
-    return Packing(steps, src, prev_start[t] + j, bounds)
+    return Packing(steps, src, prev_start[t] + j)
 
 
 def _pair(params, name):
     return params[f"lstm_fwd.{name}"], params[f"lstm_bwd.{name}"]
 
 
-def bilstm_encode(Xs, params):
-    """Encode a list of N_b x k matrices; returns ((H_fwd, H_bwd), cache),
-    per direction a list of the documents' hidden states aligned to token
-    positions."""
-    Xs = [np.asarray(X) for X in Xs]
-    if not Xs or any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
-        raise EmptyInputError("encoder input must be a non-empty list of "
-                              "non-empty N x k matrices")
+def bilstm_encode(X, lengths, params):
+    """Encode the sum N_b x k token rows X of documents of the given lengths,
+    in order; returns ((H_fwd, H_bwd), cache), per direction the hidden
+    states as one matrix aligned to X's rows."""
+    X = np.asarray(X)
+    if X.ndim != 2 or len(lengths) == 0 or min(lengths) < 1:
+        raise EmptyInputError("encoder input must be one or more non-empty documents")
     Wx = params["lstm_fwd.Wx"]
     k = Wx.shape[1]
-    if any(X.shape[1] != k for X in Xs) or Wx.shape[0] != 4 * k:
-        raise DimMismatchError(f"encoder shapes: X {[X.shape for X in Xs]}, Wx {Wx.shape}")
+    if X.shape != (sum(lengths), k) or Wx.shape[0] != 4 * k:
+        raise DimMismatchError(f"encoder shapes: X {X.shape}, rows {sum(lengths)}, Wx {Wx.shape}")
     # Wx^T and Wh^T of both directions copied into one C-order stack, the
-    # i, f and o rows halved (see the module docstring), and never fewer
-    # than two rows per product (the front block gives the projection its
-    # second row): two rows avoid gemv, and the C-order operand makes a
-    # document's states independent of its batch (the batch contract)
+    # i, f and o rows halved, and never fewer than two rows per product
+    # (the front block gives the projection its second row; see the batch
+    # contract).  Both dtypes need two rows: a one-row (2, 1, k) @ (2, k, 4k)
+    # product differed from row 0 of the 2- to 40-row products in every
+    # trial at float64 (k = 8, 32, 64) and float32 k = 64, at 1 and 2 BLAS
+    # threads; only float32 with k <= 32 matched
     Ws = [W for name in ("Wx", "Wh") for W in _pair(params, name)]
     WT = np.empty((4, k, 4 * k), dtype=np.result_type(*Ws))
     for j, W in enumerate(Ws):
@@ -155,9 +155,8 @@ def bilstm_encode(Xs, params):
     WT *= half
     bias *= half
     WxT, WhT = WT[:2], WT[2:]
-    pack = _packing([len(X) for X in Xs])
-    B = len(Xs)
-    X = np.concatenate(Xs)
+    pack = _packing(lengths)
+    B = len(lengths)
     Xp = X[pack.src]
     R = Xp.shape[1]
     # row-major: G[r, gate, direction], C[r, direction], H[r, direction];
@@ -201,16 +200,15 @@ def bilstm_encode(Xs, params):
     out = np.empty((2,) + X.shape, dtype=H.dtype)
     out[0, pack.src[0, B:]] = H[B:, 0]
     out[1, pack.src[1, B:]] = H[B:, 1]
-    return (tuple([out[d, a:b] for a, b in pack.bounds] for d in range(2)),
-            (pack, Xp, G, C, H))
+    return (out[0], out[1]), (pack, Xp, G, C, H)
 
 
 def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     """Gradients of a scalar loss wrt the inputs and LSTM parameters, given
-    per document dL/dH for both directions (rows aligned to token
-    positions); the input gradients come back as a list like the inputs.
-    Consumes the cache: its gates are activated in place and then frozen,
-    so a second call on it raises.  Unlike the forward states, the input
+    dL/dH for both directions as matrices aligned to the input rows; the
+    input gradient dX comes back as one matrix of that shape.  Consumes
+    the cache: its gates are activated in place and then frozen, so a
+    second call on it raises.  Unlike the forward states, the input
     gradients depend on the batch, mostly because the step product dZ Wh
     has a_t rows and no two-row rule: numpy hands it to gemv wherever one
     document is left running, so a document's dX can differ in the last
@@ -222,15 +220,15 @@ def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     sigmoid(np.multiply(G, 2, G), out=G)
     G[:, 2] = Gg
     G.flags.writeable = False
-    B = len(pack.bounds)
+    B = pack.steps[0][0]        # the first step's rows follow the front block
     R, _, _, k = G.shape
     # direction-major views: G (2, R, 4, k), C and H (2, R, k); every
     # array built from them below is laid out direction-major
     G, C, H = G.transpose(2, 0, 1, 3), C.transpose(1, 0, 2), H.transpose(1, 0, 2)
     fwd, bwd = pack.src[:, B:]
     dHp = np.empty((2, R, k), dtype=G.dtype)
-    dHp[0, B:] = np.concatenate(dH_fwd)[fwd]
-    dHp[1, B:] = np.concatenate(dH_bwd)[bwd]
+    dHp[0, B:] = dH_fwd[fwd]
+    dHp[1, B:] = dH_bwd[bwd]
     I, F, Gg, O = (G[:, :, j] for j in range(4))
     TC = np.tanh(C, order="C")
     # dz of gates i, f, g is dc (dz_o: dh) times A, the factor the gate
@@ -264,6 +262,5 @@ def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     dX[bwd] += dXp[1]
     dZT = dZ.transpose(0, 2, 1)
     grads = {"Wx": dZT @ Xp[:, B:], "Wh": dZT @ H[:, pack.prev], "b": dZ.sum(axis=1)}
-    return [dX[a:b] for a, b in pack.bounds], {f"lstm_{direction}.{name}": g[d]
-                                               for d, direction in enumerate(("fwd", "bwd"))
-                                               for name, g in grads.items()}
+    return dX, {f"lstm_{direction}.{name}": g[d]
+                for d, direction in enumerate(("fwd", "bwd")) for name, g in grads.items()}

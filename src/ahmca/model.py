@@ -6,22 +6,20 @@ the parameter dict (embedding vectors included).  Its hyperparameters (k, g,
 d_L, beta, lambda_, attention mode, similarity, x^0 in the global path and
 the init seed) are read from the TrainConfig it was built with, model.cfg,
 which has checked their ranges.  One loss_and_grads call serves a
-mini-batch: the encoder runs once on all its documents in one packed time
-loop, without padding, attention runs once per shape group (documents of
-equal token and keyword counts, stacked), and the head runs once on a
-B-row matrix per level, one row per document in batch order.  The
-embedding gradient is one flat np.add.at over each document's rows in
-batch order, so no float moves with the grouping (tests/oracles.py keeps
-the per-document pass).  Scoring takes the same
-forward path: predict_scores_batch scores a batch of documents in one call,
-and predict_scores is a batch of one, or inside a scoring() block a
-document's row of the chunk that block scored it in.
+mini-batch: the encoder runs once on the batch's token matrix in one packed
+time loop, without padding, attention runs once per shape group (documents
+of equal token and keyword counts, stacked through one row index), and the
+head runs once on a B-row matrix per level, one row per document in batch
+order.  The embedding gradient is one flat np.add.at over each document's
+rows in batch order, so no float moves with the grouping (tests/oracles.py
+keeps the per-document pass).  Scoring takes the same forward path:
+predict_scores_batch scores a batch of documents in one call, and
+predict_scores is a batch of one, or inside a scoring() block a document's
+row of the chunk that block scored it in.
 
-loss_and_grads builds the label matrices afresh on every call.  Scoring
-builds them once when the embedding arrays are read-only, as every array
-of a model from Checkpoint.build_model is, and reuses them until params
-holds other arrays; with writable arrays it rebuilds them on every call,
-so an in-place change is always seen.
+forward takes its label matrices from _served_label_matrices(): built once
+for a served model's read-only embeddings, and on every call for writable
+ones (training, grad_check), so an in-place change is always seen.
 """
 
 from __future__ import annotations
@@ -139,39 +137,43 @@ class Model:
 
     # --- forward ----------------------------------------------------------
 
-    def forward(self, docs, label_mats):
-        """Head cache of a mini-batch under label_mats, the encoder cache, and
-        (rows, groups): each document's token rows and, per shape group in
-        order of first appearance, its batch positions, x^i and attention
-        cache.  The encoder runs once, attention once per group, the head once."""
+    def forward(self, docs):
+        """Head cache of a mini-batch, the encoder cache, and (rows, groups):
+        the batch's rows of [vectors; unk] and, per shape group in order of
+        first appearance, its batch positions, (G, n) row index, keyword
+        part of that index, x^i and attention cache.  The encoder runs
+        once, attention once per group, the head once."""
         if not docs:
             raise EmptyInputError("a mini-batch needs at least one document")
-        rows, shapes = [], {}
+        shapes = {}
         for b, doc in enumerate(docs):
             if not doc.tokens:
                 raise EmptyTextError(f"document {doc.id!r} has no tokens")
-            rows.append(self._rows(doc.tokens))
-            shapes.setdefault((len(rows[b]), len(doc.keywords)), []).append(b)
-        X, ends = self._gather(np.concatenate(rows)), np.cumsum([len(r) for r in rows]).tolist()
-        Xs = [X[end - len(r):end] for r, end in zip(rows, ends)]
-        (H_fwds, H_bwds), enc_cache = bilstm_encode(Xs, self.params)
+            shapes.setdefault((len(doc.tokens), len(doc.keywords)), []).append(b)
+        lengths = [len(doc.tokens) for doc in docs]
+        first = np.cumsum([0] + lengths[:-1])       # each document's first row
+        rows = self._rows([t for doc in docs for t in doc.tokens])
+        X = self._gather(rows)
+        (H_fwd, H_bwd), enc_cache = bilstm_encode(X, lengths, self.params)
+        label_mats = self._served_label_matrices()
         groups = []
         for (n, m), pos in shapes.items():
-            kw = np.array([Xs[b][n - m:] for b in pos])     # the tokens end with the keywords
-            Hs = [np.array([H[b] for b in pos]) for H in (H_fwds, H_bwds)]
-            xs, att_cache = attention_forward(*Hs, [splice_level(T, kw) for T in label_mats],
+            idx = first[pos][:, None] + np.arange(n)
+            kw = idx[:, n - m:]                     # the tokens end with the keywords
+            xs, att_cache = attention_forward(H_fwd[idx], H_bwd[idx],
+                                              [splice_level(T, X[kw]) for T in label_mats],
                                               self.cfg.attention_mode, self.cfg.similarity)
-            groups.append((pos, xs, att_cache))
+            groups.append((pos, idx, kw, xs, att_cache))
         # each level's group rows, put back in batch order
         back = np.argsort(np.concatenate([g[0] for g in groups]))
-        xs = [np.concatenate(x)[back] for x in zip(*[g[1] for g in groups])]
+        xs = [np.concatenate(x)[back] for x in zip(*[g[3] for g in groups])]
         head_cache = head_forward(xs, self.params, self.level_sizes, self.cfg.use_x0_in_global)
         return head_cache, enc_cache, (rows, groups)
 
     def predict_scores_batch(self, docs) -> Prediction:
         """Scores of a batch of documents, one row per document in every
-        array: forward runs once, under _served_label_matrices()."""
-        cache, _, _ = self.forward(docs, self._served_label_matrices())
+        array: forward runs once."""
+        cache, _, _ = self.forward(docs)
         p_g = cache["p_g"]
         locals_ = [lv["p"] for lv in cache["local"]]
         return Prediction(global_scores=p_g, local_scores=locals_,
@@ -220,42 +222,38 @@ class Model:
 
     def loss_and_grads(self, docs):
         """Per-document losses of a mini-batch and the gradient of their mean
-        for every group in params; the label matrices are built once, the
-        head runs once on the batch's rows and the batch's embedding
-        gradients go into [vectors; unk] in one scatter."""
-        label_mats = self.label_matrices()
+        for every group in params; the head runs once on the batch's rows
+        and the batch's embedding gradients go into [vectors; unk] in one
+        scatter."""
         Y = self.targets(docs)
-        head_cache, enc_cache, (rows, groups) = self.forward(docs, label_mats)
+        head_cache, enc_cache, (rows, groups) = self.forward(docs)
         losses = head_loss(head_cache, Y, self.pairs, self.cfg.lambda_)
         grads, dxs = head_backward(head_cache, Y, self.pairs, self.cfg.lambda_, self.params)
-        dH_fwds, dH_bwds, ctx_vals = ([None] * len(docs) for _ in range(3))
-        for pos, _, att_cache in groups:
-            dH_fwd, dH_bwd, dctxs = attention_backward([dx[pos] for dx in dxs], att_cache)
-            # per level, the label-word shares and the keyword rows
-            parts = [part for (_, _, counts, div), dctx, n in zip(self._label_text, dctxs,
-                                                                  self.level_sizes)
-                     for part in (np.repeat(dctx[:, :n] / div, counts, axis=1), dctx[:, n:])]
-            for j, b in enumerate(pos):
-                dH_fwds[b], dH_bwds[b] = dH_fwd[j], dH_bwd[j]
-                ctx_vals[b] = [part[j] for part in parts]
-        dXs, lstm_grads = bilstm_backward(dH_fwds, dH_bwds, enc_cache, self.params)
+        k = self.cfg.k
+        # attention's state gradients, written through each group's row index
+        # (the groups cover every row), in the dtype of the cached states H
+        dH_fwd, dH_bwd = np.empty((2, len(rows), k), dtype=enc_cache[-1].dtype)
+        # scatter rows, values and batch positions: the token rows, then per
+        # group and document the label-word shares and keyword rows per level
+        idx, vals = [rows], [None]
+        keys = [np.repeat(np.arange(len(docs)), [len(doc.tokens) for doc in docs])]
+        for pos, group_idx, kw, _, att_cache in groups:
+            dH_fwd[group_idx], dH_bwd[group_idx], dctxs = attention_backward(
+                [dx[pos] for dx in dxs], att_cache)
+            for (flat, _, counts, div), dctx, n in zip(self._label_text, dctxs, self.level_sizes):
+                idx += [np.broadcast_to(flat, (len(pos), len(flat))), rows[kw]]
+                vals += [np.repeat(dctx[:, :n] / div, counts, axis=1), dctx[:, n:]]
+                keys += [np.repeat(pos, len(flat)), np.repeat(pos, kw.shape[1])]
+        vals[0], lstm_grads = bilstm_backward(dH_fwd, dH_bwd, enc_cache, self.params)
         grads.update(lstm_grads)
-        # scatter rows and values, per document in batch order: its token
-        # rows, then per level the label-word shares and the keyword rows
-        idx, vals = [], []
-        for doc, doc_rows, dX, doc_vals in zip(docs, rows, dXs, ctx_vals):
-            kw_rows = doc_rows[len(doc_rows) - len(doc.keywords):]
-            idx += [doc_rows] + [r for flat, *_ in self._label_text for r in (flat, kw_rows)]
-            vals += [dX] + doc_vals
-        V, k = len(self.table), self.cfg.k
-        dext = np.zeros((V + 1, k), dtype=self.params["embedding.vectors"].dtype)
-        # one flat scatter: each element takes its additions in row order,
-        # as the 2-D np.add.at over rows would
-        np.add.at(dext.reshape(-1), (np.concatenate(idx)[:, None] * k + np.arange(k)).reshape(-1),
-                  np.concatenate(vals).reshape(-1))
-        grads["embedding.vectors"] = dext[:V]
-        grads["embedding.unk"] = dext[V]
-
+        # one flat scatter in batch order (a stable sort on the positions), so
+        # each element takes its additions in the per-document 2-D order
+        order = np.argsort(np.concatenate(keys), kind="stable")
+        idx = np.concatenate([r.reshape(-1) for r in idx])[order]
+        dext = np.zeros((len(self.table) + 1, k), dtype=self.params["embedding.vectors"].dtype)
+        np.add.at(dext.reshape(-1), (idx[:, None] * k + np.arange(k)).reshape(-1),
+                  np.concatenate([v.reshape(-1, k) for v in vals])[order].reshape(-1))
+        grads["embedding.vectors"], grads["embedding.unk"] = dext[:-1], dext[-1]
         # every gradient is an array of its own or a disjoint view of one
         scale = 1.0 / len(docs)
         for g in grads.values():

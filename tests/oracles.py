@@ -129,7 +129,7 @@ def bilstm_document_backward(dH_fwd, dH_bwd, caches, params):
     return dX, grads
 
 
-def packed_encode_direction_major(Xs, params):
+def packed_encode_direction_major(X, lengths, params):
     """bilstm_encode with G (2, R, 4k) and C, H (2, R, k): each direction's
     rows contiguous, one step's rows strided, and the unscaled weights
     activated per step by sigmoid and tanh.  Returns the same
@@ -139,9 +139,8 @@ def packed_encode_direction_major(Xs, params):
     WxT = np.ascontiguousarray(np.stack([W.T for W in _pair(params, "Wx")]))
     WhT = np.ascontiguousarray(np.stack([W.T for W in _pair(params, "Wh")]))
     k = WxT.shape[1]
-    pack = _packing([len(X) for X in Xs])
-    B = len(Xs)
-    X = np.concatenate(Xs)
+    pack = _packing(lengths)
+    B = len(lengths)
     Xp = X[pack.src]
     G = Xp @ WxT + np.array(_pair(params, "b"))[:, None]
     C = np.zeros((2, G.shape[1], k), dtype=G.dtype)
@@ -157,19 +156,18 @@ def packed_encode_direction_major(Xs, params):
     out = np.empty((2,) + X.shape, dtype=H.dtype)
     out[0, pack.src[0, B:]] = H[0, B:]
     out[1, pack.src[1, B:]] = H[1, B:]
-    return (tuple([out[d, a:b] for a, b in pack.bounds] for d in range(2)),
-            (pack, Xp, G, C, H))
+    return (out[0], out[1]), (pack, Xp, G, C, H)
 
 
 def packed_backward_direction_major(dH_fwd, dH_bwd, cache, params):
     """bilstm_backward on packed_encode_direction_major's cache."""
     pack, Xp, G, C, H = cache
-    B = len(pack.bounds)
+    B = pack.steps[0][0]
     k = H.shape[2]
     fwd, bwd = pack.src[:, B:]
     dHp = np.empty_like(H)
-    dHp[0, B:] = np.concatenate(dH_fwd)[fwd]
-    dHp[1, B:] = np.concatenate(dH_bwd)[bwd]
+    dHp[0, B:] = dH_fwd[fwd]
+    dHp[1, B:] = dH_bwd[bwd]
     I, F, Gg, O = (G[..., j * k:(j + 1) * k] for j in range(4))
     TC = np.tanh(C)
     C_prev = np.empty_like(C)
@@ -198,9 +196,8 @@ def packed_backward_direction_major(dH_fwd, dH_bwd, cache, params):
     dX[bwd] += dXp[1]
     dZT = dZ.transpose(0, 2, 1)
     grads = {"Wx": dZT @ Xp[:, B:], "Wh": dZT @ H[:, pack.prev], "b": dZ.sum(axis=1)}
-    return [dX[a:b] for a, b in pack.bounds], {f"lstm_{direction}.{name}": g[d]
-                                               for d, direction in enumerate(("fwd", "bwd"))
-                                               for name, g in grads.items()}
+    return dX, {f"lstm_{direction}.{name}": g[d]
+                for d, direction in enumerate(("fwd", "bwd")) for name, g in grads.items()}
 
 
 def adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -390,15 +387,23 @@ def evaluate_per_document(model, data, ks=(1, 3, 5), threshold=0.5):
     )
 
 
-def model_forward_per_document(model, docs, label_mats):
+def _split_rows(M, docs):
+    """The rows of a batch matrix, one matrix per document."""
+    return np.split(M, np.cumsum([len(doc.tokens) for doc in docs])[:-1])
+
+
+def model_forward_per_document(model, docs):
     """Model.forward with one attention call per document: the head cache,
     the encoder cache and per document its attention cache, token rows and
     keyword rows."""
     rows = [model._rows(doc.tokens) for doc in docs]
     Xs = [model._gather(r) for r in rows]
-    (H_fwds, H_bwds), enc_cache = bilstm_encode(Xs, model.params)
+    (H_fwds, H_bwds), enc_cache = bilstm_encode(np.concatenate(Xs), [len(r) for r in rows],
+                                                model.params)
+    label_mats = model.label_matrices()
     doc_xs, caches = [], []
-    for doc, doc_rows, X, H_fwd, H_bwd in zip(docs, rows, Xs, H_fwds, H_bwds):
+    for doc, doc_rows, X, H_fwd, H_bwd in zip(docs, rows, Xs, _split_rows(H_fwds, docs),
+                                              _split_rows(H_bwds, docs)):
         first_kw = len(doc_rows) - len(doc.keywords)
         contexts = [splice_level(T, X[first_kw:]) for T in label_mats]
         xs, att_cache = attention_forward(H_fwd, H_bwd, contexts, mode=model.cfg.attention_mode,
@@ -412,7 +417,7 @@ def model_forward_per_document(model, docs, label_mats):
 
 def predict_scores_per_document(model, docs):
     """Model.predict_scores_batch on model_forward_per_document."""
-    cache, _, _ = model_forward_per_document(model, docs, model.label_matrices())
+    cache, _, _ = model_forward_per_document(model, docs)
     locals_ = [lv["p"] for lv in cache["local"]]
     return Prediction(global_scores=cache["p_g"], local_scores=locals_,
                       fused_scores=fuse(locals_, cache["p_g"], model.cfg.beta))
@@ -422,18 +427,18 @@ def loss_and_grads_per_document(model, docs):
     """Model.loss_and_grads with one attention backward call per document and
     the embedding gradient scattered with a 2-D np.add.at over rows."""
     Y = model.targets(docs)
-    head_cache, enc_cache, caches = model_forward_per_document(model, docs,
-                                                               model.label_matrices())
+    head_cache, enc_cache, caches = model_forward_per_document(model, docs)
     lam = model.cfg.lambda_
     losses = head_loss(head_cache, Y, model.pairs, lam)
     grads, dxs = head_backward(head_cache, Y, model.pairs, lam, model.params)
     att_grads = [attention_backward([dx[r] for dx in dxs], extra["att"])
                  for r, extra in enumerate(caches)]
-    dXs, lstm_grads = bilstm_backward([g[0] for g in att_grads], [g[1] for g in att_grads],
-                                      enc_cache, model.params)
+    dX, lstm_grads = bilstm_backward(np.concatenate([g[0] for g in att_grads]),
+                                     np.concatenate([g[1] for g in att_grads]),
+                                     enc_cache, model.params)
     grads.update(lstm_grads)
     idx, vals = [], []
-    for extra, dX, (_, _, dcontexts) in zip(caches, dXs, att_grads):
+    for extra, dX, (_, _, dcontexts) in zip(caches, _split_rows(dX, docs), att_grads):
         idx.append(extra["rows"])
         vals.append(dX)
         for (flat, _, counts, div), dctx, n in zip(model._label_text, dcontexts,

@@ -257,3 +257,11 @@ def test_malformed_query_exit_3(workspace, tmp_path, capsys):
         q.write_text(json.dumps(rec) + "\n")
         rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
         assert rc == 3, rec
+
+
+def test_invalid_json_query_names_the_line_exit_3(workspace, tmp_path, capsys):
+    q = tmp_path / "query.jsonl"
+    q.write_text(json.dumps({"id": "q1", "title": "x"}) + "\nnot json\n")
+    rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
+    assert rc == 3
+    assert "line 2: invalid JSON" in capsys.readouterr().err

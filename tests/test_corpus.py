@@ -64,6 +64,14 @@ def test_malformed_record(two_level_tax):
             load_corpus(line, two_level_tax)
 
 
+@pytest.mark.parametrize("second, message", [
+    ("not json", r"line 3: invalid JSON \(Expecting value"),
+    (_rec(), "line 3: duplicate document id 'd1'")])
+def test_load_corpus_names_the_bad_line(two_level_tax, second, message):
+    with pytest.raises(MalformedRecordError, match=message):
+        load_corpus("\n".join([_rec(), "", second]), two_level_tax)
+
+
 def test_empty_text(two_level_tax):
     rec = json.dumps({"id": "x", "title": "", "abstract": "", "keywords": [],
                       "labels": ["A1"]})

@@ -74,7 +74,7 @@ def test_lstm_step_matches_scalar_oracle():
 
 def test_bilstm_dim_mismatch():
     with pytest.raises(DimMismatchError):
-        bilstm_encode([np.zeros((4, 2))], _zero_params(3))
+        bilstm_encode(np.zeros((4, 2)), [4], _zero_params(3))
 
 
 def test_bilstm_matches_step_oracle():
@@ -83,7 +83,7 @@ def test_bilstm_matches_step_oracle():
     params = {name: rng.standard_normal(v.shape)
               for name, v in init_lstm_params(k, rng, dtype=np.float64).items()}
     X = rng.standard_normal((N, k))
-    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, [N], params)
     for d, H, seq in (("fwd", H_fwd, X), ("bwd", H_bwd[::-1], X[::-1])):
         h, c = np.zeros(k), np.zeros(k)
         for n in range(N):
@@ -97,19 +97,19 @@ def test_bilstm_shapes():
     rng = np.random.default_rng(1)
     params = init_lstm_params(k, rng)
     X = rng.standard_normal((6, k)).astype(np.float32)
-    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, [6], params)
     assert H_fwd.shape == (6, k)
     assert H_bwd.shape == (6, k)
 
 
 def test_bilstm_empty_input():
     with pytest.raises(EmptyInputError):
-        bilstm_encode([np.zeros((0, 3))], _zero_params(3))
+        bilstm_encode(np.zeros((0, 3)), [0], _zero_params(3))
 
 
 def test_bilstm_empty_batch():
     with pytest.raises(EmptyInputError):
-        bilstm_encode([], _zero_params(3))
+        bilstm_encode(np.zeros((0, 3)), [], _zero_params(3))
 
 
 def test_backward_direction_is_reversed_forward():
@@ -117,12 +117,12 @@ def test_backward_direction_is_reversed_forward():
     rng = np.random.default_rng(2)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((5, k))
-    (_, [H_bwd]), _ = bilstm_encode([X], params)
+    (_, H_bwd), _ = bilstm_encode(X, [len(X)], params)
     # run the backward parameter set as a forward recurrence on reverse(X)
     swapped = dict(params)
     for n in ("Wx", "Wh", "b"):
         swapped[f"lstm_fwd.{n}"] = params[f"lstm_bwd.{n}"]
-    ([H_rev], _), _ = bilstm_encode([X[::-1]], swapped)
+    (H_rev, _), _ = bilstm_encode(X[::-1], [len(X)], swapped)
     assert np.allclose(H_bwd, H_rev[::-1], atol=1e-12)
 
 
@@ -131,7 +131,7 @@ def test_single_token():
     rng = np.random.default_rng(3)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((1, k))
-    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, [1], params)
     assert H_fwd.shape == H_bwd.shape == (1, k)
 
 
@@ -141,10 +141,10 @@ def test_position_alignment():
     rng = np.random.default_rng(5)
     params = init_lstm_params(k, rng, dtype=np.float64)
     X = rng.standard_normal((6, k))
-    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, [6], params)
     Y = X.copy()
     Y[4] += 10.0
-    ([G_fwd], [G_bwd]), _ = bilstm_encode([Y], params)
+    (G_fwd, G_bwd), _ = bilstm_encode(Y, [6], params)
     assert np.allclose(G_fwd[:4], H_fwd[:4])
     assert not np.allclose(G_fwd[4:], H_fwd[4:])
     assert np.allclose(G_bwd[5:], H_bwd[5:])
@@ -156,7 +156,7 @@ def test_hidden_bounded():
     rng = np.random.default_rng(6)
     params = {key: (v * 10) for key, v in init_lstm_params(k, rng, np.float64).items()}
     X = 5 * rng.standard_normal((8, k))
-    ([H_fwd], [H_bwd]), _ = bilstm_encode([X], params)
+    (H_fwd, H_bwd), _ = bilstm_encode(X, [8], params)
     assert np.abs(H_fwd).max() <= 1.0
     assert np.abs(H_bwd).max() <= 1.0
 
@@ -169,9 +169,9 @@ def test_bilstm_gradients():
     Wb = rng.standard_normal((4, k))
 
     def f(params):
-        ([H_fwd], [H_bwd]), caches = bilstm_encode([X], params)
+        (H_fwd, H_bwd), caches = bilstm_encode(X, [4], params)
         loss = float(np.sum(Wf * H_fwd) + np.sum(Wb * H_bwd))
-        _, grads = bilstm_backward([Wf], [Wb], caches, params)
+        _, grads = bilstm_backward(Wf, Wb, caches, params)
         return loss, grads
 
     point = init_lstm_params(k, rng, dtype=np.float64)
@@ -186,12 +186,17 @@ def _ragged(lengths, k, seed):
     return params, [rng.standard_normal((n, k)) for n in lengths]
 
 
+def _split(M, lengths):
+    """A batch matrix's rows, one matrix per document."""
+    return np.split(M, np.cumsum(lengths)[:-1])
+
+
 def test_packed_batch_matches_document_oracle():
     k, lengths = 3, [5, 1, 3, 5, 2]
     params, Xs = _ragged(lengths, k, 10)
-    (H_fwds, H_bwds), _ = bilstm_encode(Xs, params)
-    assert [len(H) for H in H_fwds] == [len(H) for H in H_bwds] == lengths
-    for X, H_fwd, H_bwd in zip(Xs, H_fwds, H_bwds):
+    (H_fwds, H_bwds), _ = bilstm_encode(np.concatenate(Xs), lengths, params)
+    assert H_fwds.shape == H_bwds.shape == (sum(lengths), k)
+    for X, H_fwd, H_bwd in zip(Xs, _split(H_fwds, lengths), _split(H_bwds, lengths)):
         ref_fwd, ref_bwd, _ = bilstm_document(X, params)
         np.testing.assert_allclose(H_fwd, ref_fwd, rtol=0, atol=1e-12)
         np.testing.assert_allclose(H_bwd, ref_bwd, rtol=0, atol=1e-12)
@@ -203,11 +208,12 @@ def test_packed_backward_is_sum_of_document_oracles():
     rng = np.random.default_rng(12)
     dH_fwd = [rng.standard_normal((n, k)) for n in lengths]
     dH_bwd = [rng.standard_normal((n, k)) for n in lengths]
-    _, cache = bilstm_encode(Xs, params)
-    dXs, grads = bilstm_backward(dH_fwd, dH_bwd, cache, params)
+    _, cache = bilstm_encode(np.concatenate(Xs), lengths, params)
+    dX, grads = bilstm_backward(np.concatenate(dH_fwd), np.concatenate(dH_bwd), cache, params)
+    assert dX.shape == (sum(lengths), k)
     assert grads.keys() == params.keys()
     total = {name: 0 for name in params}
-    for X, dX, df, db in zip(Xs, dXs, dH_fwd, dH_bwd):
+    for X, dX, df, db in zip(Xs, _split(dX, lengths), dH_fwd, dH_bwd):
         _, _, caches = bilstm_document(X, params)
         ref_dX, ref = bilstm_document_backward(df, db, caches, params)
         np.testing.assert_allclose(dX, ref_dX, rtol=1e-10, atol=1e-14)
@@ -225,9 +231,10 @@ def test_packed_batch_gradients():
     Wb = [rng.standard_normal((n, k)) for n in lengths]
 
     def f(params):
-        (H_fwd, H_bwd), cache = bilstm_encode(Xs, params)
-        loss = float(sum(np.sum(w * H) for w, H in zip(Wf + Wb, H_fwd + H_bwd)))
-        _, grads = bilstm_backward(Wf, Wb, cache, params)
+        (H_fwd, H_bwd), cache = bilstm_encode(np.concatenate(Xs), lengths, params)
+        loss = float(sum(np.sum(w * H) for w, H in zip(Wf + Wb, _split(H_fwd, lengths)
+                                                        + _split(H_bwd, lengths))))
+        _, grads = bilstm_backward(np.concatenate(Wf), np.concatenate(Wb), cache, params)
         return loss, grads
 
     point = init_lstm_params(k, rng, dtype=np.float64)
@@ -246,12 +253,15 @@ def test_document_states_do_not_depend_on_batch():
         params = {name: (p + rng.uniform(-0.1, 0.1, p.shape)).astype(dtype)
                   for name, p in init_lstm_params(k, rng, dtype).items()}
         Xs = [rng.standard_normal((n, k)).astype(dtype) for n in lengths]
-        alone = [bilstm_encode([X], params)[0] for X in Xs]
+        alone = [bilstm_encode(X, [len(X)], params)[0] for X in Xs]
         for size in (2, 3, 4, 8, 16):
             for start in range(0, len(Xs), size):
-                (H_fwds, H_bwds), _ = bilstm_encode(Xs[start:start + size], params)
-                for j, (H_fwd, H_bwd) in enumerate(zip(H_fwds, H_bwds)):
-                    [alone_fwd], [alone_bwd] = alone[start + j]
+                part = lengths[start:start + size]
+                (H_fwds, H_bwds), _ = bilstm_encode(np.concatenate(Xs[start:start + size]),
+                                                    part, params)
+                for j, (H_fwd, H_bwd) in enumerate(zip(_split(H_fwds, part),
+                                                       _split(H_bwds, part))):
+                    alone_fwd, alone_bwd = alone[start + j]
                     assert H_fwd.dtype == dtype
                     assert H_fwd.tobytes() == alone_fwd.tobytes(), (dtype, size, start + j)
                     assert H_bwd.tobytes() == alone_bwd.tobytes(), (dtype, size, start + j)
@@ -269,10 +279,12 @@ def _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd):
     activates it in place, and past the front block, whose rows hold no
     step's gates and which BPTT never reads."""
     before = {name: p.copy() for name, p in params.items()}
-    (H_fwd, H_bwd), cache = bilstm_encode(Xs, params)
-    (ref_fwd, ref_bwd), ref_cache = packed_encode_direction_major(Xs, params)
-    for got, want in zip(H_fwd + H_bwd, ref_fwd + ref_bwd):
-        assert got.dtype == Xs[0].dtype
+    X, lengths = np.concatenate(Xs), [len(x) for x in Xs]
+    dH_fwd, dH_bwd = np.concatenate(dH_fwd), np.concatenate(dH_bwd)
+    (H_fwd, H_bwd), cache = bilstm_encode(X, lengths, params)
+    (ref_fwd, ref_bwd), ref_cache = packed_encode_direction_major(X, lengths, params)
+    for got, want in ((H_fwd, ref_fwd), (H_bwd, ref_bwd)):
+        assert got.dtype == X.dtype and got.shape == X.shape
         assert _same_bits(got, want)
 
     _, Xp, G, C, H = cache
@@ -282,12 +294,12 @@ def _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd):
     assert _same_bits(np.ascontiguousarray(C.transpose(1, 0, 2)), ref_C)
     assert _same_bits(np.ascontiguousarray(H.transpose(1, 0, 2)), ref_H)
 
-    dXs, grads = bilstm_backward(dH_fwd, dH_bwd, cache, params)
+    dX, grads = bilstm_backward(dH_fwd, dH_bwd, cache, params)
     G_dm = np.ascontiguousarray(G.transpose(2, 0, 1, 3)).reshape(2, R, 4 * k)
     assert _same_bits(np.ascontiguousarray(G_dm[:, B:]), np.ascontiguousarray(ref_G[:, B:]))
-    ref_dXs, ref_grads = packed_backward_direction_major(dH_fwd, dH_bwd, ref_cache, params)
-    for got, want in zip(dXs, ref_dXs):
-        assert _same_bits(got, want)
+    ref_dX, ref_grads = packed_backward_direction_major(dH_fwd, dH_bwd, ref_cache, params)
+    assert dX.shape == X.shape
+    assert _same_bits(dX, ref_dX)
     assert grads.keys() == ref_grads.keys() == params.keys()
     for name, g in grads.items():
         assert _same_bits(g, ref_grads[name]), name
@@ -305,7 +317,7 @@ def test_forward_only_encode_calls_no_sigmoid(monkeypatch, dtype, lengths):
                         lambda *a, **kw: calls.append(a) or sigmoid(*a, **kw))
     params, Xs = _ragged(lengths, 4, 17)
     params = {name: p.astype(dtype) for name, p in params.items()}
-    bilstm_encode([X.astype(dtype) for X in Xs], params)
+    bilstm_encode(np.concatenate(Xs).astype(dtype), lengths, params)
     assert calls == []
 
 
@@ -314,8 +326,8 @@ def test_backward_consumes_its_cache():
     call on the same cache raises instead of returning wrong gradients."""
     lengths = [5, 1, 3]
     params, Xs = _ragged(lengths, 3, 18)
-    dH = [np.ones((n, 3)) for n in lengths]
-    _, cache = bilstm_encode(Xs, params)
+    dH = np.ones((sum(lengths), 3))
+    _, cache = bilstm_encode(np.concatenate(Xs), lengths, params)
     bilstm_backward(dH, dH, cache, params)
     with pytest.raises(ValueError, match="read-only"):
         bilstm_backward(dH, dH, cache, params)

@@ -280,9 +280,25 @@ def test_empty_batch_raises(tiny_synth):
     tax, _, table = tiny_synth
     model = Model(tax, table, TrainConfig(k=4, g=8, d_L=8, seed=0))
     with pytest.raises(EmptyInputError):
-        model.forward([], model.label_matrices())
+        model.forward([])
     with pytest.raises(EmptyInputError):
         model.loss_and_grads([])
+
+
+def test_early_stopping_keeps_the_best_epoch(tiny_synth):
+    """With patience 1, train() stops at the first epoch whose val
+    macro-F1 does not beat the best so far, and returns the best epoch's
+    parameters (this run's val F1 reads 1/3, 1, 1/3)."""
+    tax, corpus, table = tiny_synth
+    tr, va, _ = split(corpus, (2, 1, 1), seed=0)
+    cfg = _tiny_cfg(epochs=10, learning_rate=0.03, seed=1, early_stop_patience=1)
+    ckpt, hist = train(cfg, tr, va, tax, table)
+    f1 = [r["val_macro_f1_at_1"] for r in hist.records]
+    stop = next(e for e in range(1, cfg.epochs) if f1[e] <= max(f1[:e]))
+    assert len(f1) == stop + 1 < cfg.epochs
+    assert f1[-1] < max(f1)
+    model, _ = ckpt.build_model()
+    assert evaluate_model(model, va, ks=(1,)).macro_f1 == max(f1)
 
 
 def test_training_nonfinite_gradient(tiny_synth, monkeypatch):
@@ -535,9 +551,9 @@ def test_evaluate_chunks_follow_length_order(tiny_run, monkeypatch):
     chunks, reads = [], []
     forward, predict_scores = Model.forward, Model.predict_scores
 
-    def recording_forward(self, docs, label_mats):
+    def recording_forward(self, docs):
         chunks.append(list(docs))
-        return forward(self, docs, label_mats)
+        return forward(self, docs)
 
     def recording_predict_scores(self, doc):
         reads.append((doc, predict_scores(self, doc)))
