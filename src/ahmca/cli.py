@@ -18,7 +18,7 @@ from .corpus import (
     generate_synthetic,
     load_corpus,
     make_unlabeled_document,
-    read_jsonl,
+    read_documents,
     save_corpus,
 )
 from .embedding import load_embeddings, random_table, save_embeddings
@@ -153,8 +153,7 @@ def _cmd_eval(args):
 def _cmd_predict(args):
     ckpt = load_checkpoint(_read_bytes(args.model))
     model, tax = ckpt.build_model()
-    for _, rec in read_jsonl(_read(args.input)):
-        doc = make_unlabeled_document(rec, tax)
+    for _, doc in read_documents(_read(args.input), tax, make_unlabeled_document):
         out = decode_prediction(model, doc, top_n=args.top, threshold=args.threshold)
         print(json.dumps({
             "id": doc.id,

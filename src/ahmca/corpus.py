@@ -122,22 +122,23 @@ def make_unlabeled_document(rec: dict, tax: Taxonomy) -> Document:
     return _document(rec, (), tuple(frozenset() for _ in range(tax.depth)))
 
 
-def read_jsonl(source: str):
-    """(line number, record) per non-blank line; MalformedRecordError on bad JSON."""
+def read_documents(source: str, tax: Taxonomy, make):
+    """(line number, make(record, tax)) per non-blank line; every error names the line."""
     for ln, line in enumerate(source.splitlines(), 1):
         if line.strip():
             try:
-                rec = json.loads(line)
+                doc = make(json.loads(line), tax)
             except json.JSONDecodeError as e:
                 raise MalformedRecordError(f"line {ln}: invalid JSON ({e})") from None
-            yield ln, rec
+            except (UnknownLabelError, EmptyTextError, MalformedRecordError) as e:
+                raise type(e)(f"line {ln}: {e}") from None
+            yield ln, doc
 
 
 def load_corpus(source: str, tax: Taxonomy) -> Corpus:
     """Parse a JSON Lines corpus and validate every record against tax."""
     docs, seen = [], set()
-    for ln, rec in read_jsonl(source):
-        doc = make_document(rec, tax)
+    for ln, doc in read_documents(source, tax, make_document):
         if doc.id in seen:
             raise MalformedRecordError(f"line {ln}: duplicate document id {doc.id!r}")
         seen.add(doc.id)

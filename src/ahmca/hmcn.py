@@ -153,9 +153,10 @@ def head_loss(cache, Y, pairs, lam):
     return total + violation_penalty(cache["p_g"], pairs, lam)
 
 
-def head_backward(cache, Y, pairs, lam, params):
+def head_backward(cache, Y, pairs, lam, params, out=None):
     """Gradients of the summed head_loss rows wrt head params and the
-    embeddings xs."""
+    embeddings xs; a parameter's goes into out[name] where out has it (same floats)."""
+    at = (out or {}).get
     H = len(cache["level_sizes"])
     Ys = _level_targets(cache, Y)
 
@@ -167,8 +168,8 @@ def head_backward(cache, Y, pairs, lam, params):
     dz_out = (p_g - Y) / Y.shape[1] + dp_g * p_g * (1 - p_g)
 
     grads = {}
-    grads["global.Wout"] = dz_out.T @ cache["out_in"]
-    grads["global.bout"] = dz_out.sum(0)
+    grads["global.Wout"] = np.matmul(dz_out.T, cache["out_in"], out=at("global.Wout"))
+    grads["global.bout"] = dz_out.sum(0, out=at("global.bout"))
     d_out_in = dz_out @ params["global.Wout"]
 
     g = cache["A"][1].shape[1]
@@ -185,18 +186,18 @@ def head_backward(cache, Y, pairs, lam, params):
         lv = cache["local"][h - 1]
         y = Ys[h - 1]
         dzc = (lv["p"] - y) / y.shape[1]
-        grads[f"local.Wc{h}"] = dzc.T @ lv["a_l"]
-        grads[f"local.bc{h}"] = dzc.sum(0)
+        grads[f"local.Wc{h}"] = np.matmul(dzc.T, lv["a_l"], out=at(f"local.Wc{h}"))
+        grads[f"local.bc{h}"] = dzc.sum(0, out=at(f"local.bc{h}"))
         da_l = dzc @ params[f"local.Wc{h}"]
         dzt = da_l * (lv["zt"] > 0)
-        grads[f"local.Wt{h}"] = dzt.T @ cache["A"][h]
-        grads[f"local.bt{h}"] = dzt.sum(0)
+        grads[f"local.Wt{h}"] = np.matmul(dzt.T, cache["A"][h], out=at(f"local.Wt{h}"))
+        grads[f"local.bt{h}"] = dzt.sum(0, out=at(f"local.bt{h}"))
         dA[h] += dzt @ params[f"local.Wt{h}"]
 
     for h in range(H, 0, -1):
         dz = dA[h] * (cache["zs"][h - 1] > 0)
-        grads[f"global.W{h}"] = dz.T @ cache["inputs"][h - 1]
-        grads[f"global.b{h}"] = dz.sum(0)
+        grads[f"global.W{h}"] = np.matmul(dz.T, cache["inputs"][h - 1], out=at(f"global.W{h}"))
+        grads[f"global.b{h}"] = dz.sum(0, out=at(f"global.b{h}"))
         dinp = dz @ params[f"global.W{h}"]
         if h == 1:
             dxs[1] = dinp

@@ -10,9 +10,12 @@ mini-batch: the encoder runs once on the batch's token matrix in one packed
 time loop, without padding, attention runs once per shape group (documents
 of equal token and keyword counts, stacked through one row index), and the
 head runs once on a B-row matrix per level, one row per document in batch
-order.  The embedding gradient is one flat np.add.at over each document's
-rows in batch order, so no float moves with the grouping (tests/oracles.py
-keeps the per-document pass).  Scoring takes the same forward path:
+order.  Its gradients fill a new Arena, laid out as shapes; the embedding
+gradient, the tail, is one flat np.add.at over each document's rows in batch
+order, so no float moves with the grouping (tests/oracles.py keeps the
+per-document pass).  It skips label-word and keyword rows whose gradient is
+zero (most labels, on a wide taxonomy): every element starts at +0.0, so
+adding +-0.0 would change nothing.  Scoring takes the same forward path:
 predict_scores_batch scores a batch of documents in one call, and
 predict_scores is a batch of one, or inside a scoring() block a document's
 row of the chunk that block scored it in.
@@ -24,6 +27,7 @@ ones (training, grad_check), so an in-place change is always seen.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -57,6 +61,17 @@ def param_shapes(level_sizes, vocab_size, cfg: TrainConfig):
             "embedding.vectors": (vocab_size, cfg.k), "embedding.unk": (cfg.k,)}
 
 
+class Arena(dict):
+    """Name -> C-order view of flat, a 1-D buffer, cut to each entry of
+    shapes in order: the views fill flat from its start."""
+
+    def __init__(self, shapes, flat):
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        super().__init__((name, flat[end - math.prod(shape):end].reshape(shape))
+                         for (name, shape), end in zip(shapes.items(), ends))
+        self.flat = flat
+
+
 class Model:
     def __init__(self, tax: Taxonomy, table: EmbeddingTable, cfg: TrainConfig, *,
                  dtype=np.float32, params=None):
@@ -68,6 +83,10 @@ class Model:
         self.dtype = dtype
         self.level_sizes = tax.level_sizes()
         self.pairs = child_parent_index_pairs(tax)
+        # an Arena's layout (embeddings last), its length, and what train() steps
+        self.shapes = param_shapes(self.level_sizes, len(table), cfg)
+        self.arena_size = sum(math.prod(shape) for shape in self.shapes.values())
+        self.trainable = self.arena_size - (len(table) + 1) * cfg.k * cfg.freeze_embeddings
 
         if params is None:
             rng = np.random.default_rng(cfg.seed)
@@ -80,16 +99,17 @@ class Model:
         self._scored = None         # document id -> (its chunk's Prediction, row) in scoring()
         self._served_mats = None    # (vectors, unk, label matrices) of read-only embeddings
 
-        # label text in row-index form: each level's label words flattened
-        # into rows of [vectors; unk], a run of counts[i] words per label,
-        # and the counts as the column the word-vector sums are divided by
+        # label text in row-index form, per level: the label words' rows of
+        # [vectors; unk], where each label's run starts, each word's label,
+        # and the word counts, the column the word-vector sums are divided by
         self._label_text = []
         for i in range(1, tax.depth + 1):
             words = [tokenize(tax.label(lid).text) for lid in tax.labels_at_level(i)]
             counts = np.array([len(w) for w in words])
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
             flat = self._rows([w for ws in words for w in ws])
-            self._label_text.append((flat, starts, counts, counts.astype(dtype)[:, None]))
+            self._label_text.append((flat, starts, np.repeat(np.arange(len(words)), counts),
+                                     counts.astype(dtype)[:, None]))
 
     # --- embedding access -------------------------------------------------
 
@@ -163,7 +183,7 @@ class Model:
             xs, att_cache = attention_forward(H_fwd[idx], H_bwd[idx],
                                               [splice_level(T, X[kw]) for T in label_mats],
                                               self.cfg.attention_mode, self.cfg.similarity)
-            groups.append((pos, idx, kw, xs, att_cache))
+            groups.append((np.array(pos), idx, kw, xs, att_cache))
         # each level's group rows, put back in batch order
         back = np.argsort(np.concatenate([g[0] for g in groups]))
         xs = [np.concatenate(x)[back] for x in zip(*[g[3] for g in groups])]
@@ -222,40 +242,41 @@ class Model:
 
     def loss_and_grads(self, docs):
         """Per-document losses of a mini-batch and the gradient of their mean
-        for every group in params; the head runs once on the batch's rows
-        and the batch's embedding gradients go into [vectors; unk] in one
-        scatter."""
+        for every group in params, as an Arena of self.shapes on a new buffer,
+        which the head's products and one scatter write into."""
         Y = self.targets(docs)
         head_cache, enc_cache, (rows, groups) = self.forward(docs)
         losses = head_loss(head_cache, Y, self.pairs, self.cfg.lambda_)
-        grads, dxs = head_backward(head_cache, Y, self.pairs, self.cfg.lambda_, self.params)
+        grads = Arena(self.shapes,
+                      np.empty(self.arena_size, self.params["embedding.vectors"].dtype))
+        _, dxs = head_backward(head_cache, Y, self.pairs, self.cfg.lambda_, self.params, grads)
         k = self.cfg.k
         # attention's state gradients, written through each group's row index
         # (the groups cover every row), in the dtype of the cached states H
         dH_fwd, dH_bwd = np.empty((2, len(rows), k), dtype=enc_cache[-1].dtype)
-        # scatter rows, values and batch positions: the token rows, then per
-        # group and document the label-word shares and keyword rows per level
+        # scatter rows, values and batch positions: the token rows, then per group
+        # and level, by document, the nonzero label-word and keyword rows
         idx, vals = [rows], [None]
         keys = [np.repeat(np.arange(len(docs)), [len(doc.tokens) for doc in docs])]
         for pos, group_idx, kw, _, att_cache in groups:
             dH_fwd[group_idx], dH_bwd[group_idx], dctxs = attention_backward(
                 [dx[pos] for dx in dxs], att_cache)
-            for (flat, _, counts, div), dctx, n in zip(self._label_text, dctxs, self.level_sizes):
-                idx += [np.broadcast_to(flat, (len(pos), len(flat))), rows[kw]]
-                vals += [np.repeat(dctx[:, :n] / div, counts, axis=1), dctx[:, n:]]
-                keys += [np.repeat(pos, len(flat)), np.repeat(pos, kw.shape[1])]
+            for (flat, _, lab, div), dctx, n in zip(self._label_text, dctxs, self.level_sizes):
+                g, w = np.nonzero(dctx[:, :n].any(axis=-1)[:, lab])     # picked labels' words
+                gk, i = np.nonzero(dctx[:, n:].any(axis=-1))
+                idx += [flat[w], rows[kw[gk, i]]]
+                vals += [dctx[g, lab[w]] / div[lab[w]], dctx[gk, n + i]]
+                keys += [pos[g], pos[gk]]
         vals[0], lstm_grads = bilstm_backward(dH_fwd, dH_bwd, enc_cache, self.params)
-        grads.update(lstm_grads)
+        for name, g in lstm_grads.items():
+            grads[name][...] = g
         # one flat scatter in batch order (a stable sort on the positions), so
         # each element takes its additions in the per-document 2-D order
         order = np.argsort(np.concatenate(keys), kind="stable")
-        idx = np.concatenate([r.reshape(-1) for r in idx])[order]
-        dext = np.zeros((len(self.table) + 1, k), dtype=self.params["embedding.vectors"].dtype)
-        np.add.at(dext.reshape(-1), (idx[:, None] * k + np.arange(k)).reshape(-1),
-                  np.concatenate([v.reshape(-1, k) for v in vals])[order].reshape(-1))
-        grads["embedding.vectors"], grads["embedding.unk"] = dext[:-1], dext[-1]
-        # every gradient is an array of its own or a disjoint view of one
-        scale = 1.0 / len(docs)
-        for g in grads.values():
-            g *= scale
+        idx = np.concatenate(idx)[order]
+        dext = grads.flat[self.arena_size - (len(self.table) + 1) * k:]
+        dext[...] = 0
+        np.add.at(dext, (idx[:, None] * k + np.arange(k)).reshape(-1),
+                  np.concatenate(vals)[order].reshape(-1))
+        grads.flat *= 1.0 / len(docs)
         return losses.tolist(), grads

@@ -7,6 +7,9 @@ predict decodes one document, a batch of one.  Checkpoint.build_model
 makes every parameter array of the model it returns read-only, so that a
 served model builds its label matrices once for all its queries; train()
 steps a Model of its own, whose writable arrays rebuild them every step.
+They are views of one float32 Arena of Model.shapes, as the gradients of
+Model.loss_and_grads are: one finite check covers a step's before any
+parameter moves, then Adam steps the prefix Model.trainable of the buffer.
 
 Runs are fully deterministic given the config seed: shuffling uses one
 seeded generator, gradients are reduced in example order, and history /
@@ -41,7 +44,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .metrics import MetricsReport
-from .model import Model, param_shapes
+from .model import Arena, Model, param_shapes
 from .numerics import check_finite
 from .taxonomy import Taxonomy, load_taxonomy
 
@@ -50,6 +53,7 @@ CHECKPOINT_VERSION = 1
 # the metadata object's keys and the JSON type of each value
 _META_TYPES = {"config": dict, "taxonomy": str, "taxonomy_hash": str,
                "label_order": list, "embedding_tokens": list, "arrays": list}
+_CHUNK = 1 << 16     # elements per pass of Adam.step, so that a pass stays in cache
 
 
 @dataclass(frozen=True)
@@ -270,34 +274,37 @@ class History:
 # --- optimizer ----------------------------------------------------------
 
 class Adam:
+    """Adam on a flat buffer with a flat m and v, _CHUNK elements at a time
+    through two scratch chunks, rounding as m = b1 m + (1 - b1) g, v = b2 v +
+    (1 - b2) g g, p = p - lr (m / b1t) / (sqrt(v / b2t) + eps) in that order."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m, self.v = np.zeros((2, len(params)), params.dtype)
+        self._scratch = np.empty((2, min(_CHUNK, len(params))), params.dtype)
 
     def step(self, params, grads):
-        """Update every parameter named in grads in place, and its moments:
-        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, then
-        p = p - lr (m / b1t) / (sqrt(v / b2t) + eps), each product and sum
-        rounded in that order."""
+        """Step params, m and v in place by grads, cast to params' dtype."""
         self.t += 1
         b1t = 1 - self.b1 ** self.t
         b2t = 1 - self.b2 ** self.t
-        for name in grads:
-            p, m, v = params[name], self.m[name], self.v[name]
-            g = grads[name].astype(p.dtype, copy=False)
+        for a in range(0, len(params), _CHUNK):
+            p, m, v = params[a:a + _CHUNK], self.m[a:a + _CHUNK], self.v[a:a + _CHUNK]
+            g = grads[a:a + _CHUNK].astype(p.dtype, copy=False)
+            s, u = self._scratch[:, :len(p)]
             np.multiply(m, self.b1, out=m)
-            m += (1 - self.b1) * g
+            m += np.multiply(g, 1 - self.b1, out=s)
             np.multiply(v, self.b2, out=v)
-            v += (1 - self.b2) * g * g
-            denom = np.divide(v, b2t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update = np.divide(m, b1t)
-            update *= self.lr
-            update /= denom
-            p -= update
+            np.multiply(g, 1 - self.b2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(v, b2t, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, b1t, out=u)
+            u *= self.lr
+            u /= s
+            p -= u
 
 
 # --- evaluation / prediction -------------------------------------------
@@ -387,10 +394,9 @@ def predict(model: Model, doc: Document, top_n=5, threshold=0.5):
 
 def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
           table: EmbeddingTable, log=None):
-    """Mini-batch Adam over the whole pipeline; returns the
-    best-validation checkpoint and the per-epoch history.  With
-    cfg.freeze_embeddings the embedding gradients are dropped before each
-    step, so the table stays as given."""
+    """Mini-batch Adam over the whole pipeline, on one parameter Arena (see
+    the module docstring); returns the best-validation checkpoint and the
+    per-epoch history.  With cfg.freeze_embeddings the table stays as given."""
     for name, c in (("train", train_c), ("validation", val_c)):
         if c.taxonomy_hash != tax.content_hash():
             raise TaxonomyMismatchError("corpus bound to a different taxonomy")
@@ -398,12 +404,14 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
             raise TooFewDocumentsError(f"the {name} corpus has no documents")
 
     model = Model(tax, table, cfg)
-    opt = Adam(model.params, cfg.learning_rate)
+    flat = np.concatenate([model.params[name].reshape(-1) for name in model.shapes])
+    model.params = Arena(model.shapes, flat)
+    opt = Adam(flat[:model.trainable], cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     docs = list(train_c.documents)
     history = History()
     best_f1 = -1.0
-    best_params = None
+    best = None
     stale = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -416,11 +424,11 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
             if not np.all(np.isfinite(batch_losses)):
                 raise NonFiniteLossError(f"loss diverged at epoch {epoch}")
             losses.extend(batch_losses)
-            if cfg.freeze_embeddings:
-                grads = {n: g for n, g in grads.items() if not n.startswith("embedding.")}
-            for name, g in grads.items():
-                check_finite(g, f"gradient {name} at epoch {epoch}")
-            opt.step(model.params, grads)
+            g = grads.flat[:model.trainable]
+            if not np.isfinite(g).all():    # name the first group, in layout order
+                for name in model.shapes:
+                    check_finite(grads[name], f"gradient {name} at epoch {epoch}")
+            opt.step(flat[:model.trainable], g)
 
         report = evaluate_model(model, val_c, ks=(1,))
         train_loss = float(np.mean(losses))
@@ -432,12 +440,12 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
 
         if report.macro_f1 > best_f1:
             best_f1 = report.macro_f1
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best = flat.copy()
             stale = 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 break
 
-    model.params = best_params
+    flat[...] = best
     return _checkpoint_from_model(model), history

@@ -441,10 +441,10 @@ def loss_and_grads_per_document(model, docs):
     for extra, dX, (_, _, dcontexts) in zip(caches, _split_rows(dX, docs), att_grads):
         idx.append(extra["rows"])
         vals.append(dX)
-        for (flat, _, counts, div), dctx, n in zip(model._label_text, dcontexts,
-                                                   model.level_sizes):
+        for (flat, _, lab, div), dctx, n in zip(model._label_text, dcontexts,
+                                                model.level_sizes):
             idx.append(flat)
-            vals.append(np.repeat(dctx[:n] / div, counts, axis=0))
+            vals.append((dctx[:n] / div)[lab])
             idx.append(extra["kw_rows"])
             vals.append(dctx[n:])
     V = len(model.table)

@@ -265,3 +265,11 @@ def test_invalid_json_query_names_the_line_exit_3(workspace, tmp_path, capsys):
     rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
     assert rc == 3
     assert "line 2: invalid JSON" in capsys.readouterr().err
+
+
+def test_bad_query_record_names_the_line_exit_3(workspace, tmp_path, capsys):
+    q = tmp_path / "query.jsonl"
+    q.write_text(json.dumps({"id": "q1", "title": "x"}) + "\n" + json.dumps({"id": "q2"}) + "\n")
+    rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
+    assert rc == 3
+    assert "line 2: record 'q2' has no text" in capsys.readouterr().err

@@ -72,6 +72,16 @@ def test_load_corpus_names_the_bad_line(two_level_tax, second, message):
         load_corpus("\n".join([_rec(), "", second]), two_level_tax)
 
 
+@pytest.mark.parametrize("second, error, message", [
+    (_rec(i="d2", labels=("NOPE",)), UnknownLabelError, "line 2: unknown label 'NOPE'"),
+    (_rec(i="d2", title="", abstract="", keywords=[]), EmptyTextError,
+     "line 2: record 'd2' has no text"),
+    (json.dumps({"title": "t"}), MalformedRecordError, "line 2: record missing id/labels")])
+def test_record_errors_name_their_line(two_level_tax, second, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        load_corpus("\n".join([_rec(), second]), two_level_tax)
+
+
 def test_empty_text(two_level_tax):
     rec = json.dumps({"id": "x", "title": "", "abstract": "", "keywords": [],
                       "labels": ["A1"]})

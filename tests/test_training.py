@@ -7,7 +7,7 @@ import oracles
 import pytest
 from checkpoint_cases import BUILD_CASES, LOAD_CASES
 
-from ahmca.corpus import Corpus, make_unlabeled_document, split
+from ahmca.corpus import Corpus, SynthSpec, generate_synthetic, make_unlabeled_document, split
 from ahmca.errors import (
     BadMagicError,
     ConfigRangeError,
@@ -25,7 +25,8 @@ from ahmca.errors import (
 from ahmca import model as model_module
 from ahmca import training as training_module
 from ahmca.metrics import MetricsReport
-from ahmca.model import Model
+from ahmca.model import Arena, Model
+from ahmca.taxonomy import load_taxonomy
 from ahmca.training import (
     CHECKPOINT_MAGIC,
     Adam,
@@ -254,26 +255,105 @@ def test_grouped_attention_is_bitwise_per_document_oracle(small_synth, monkeypat
         "attention_forward": 4 + 4 + 1 + 1 + 1 + 1, "attention_backward": 4 + 1 + 1}
 
 
-def test_adam_is_bitwise_oracle_in_place():
+def test_sparse_scatter_with_most_labels_unpicked(monkeypatch):
+    """On 2/8/32 labels at k = 8, with label texts of 1 to 3 words (some
+    out of vocabulary), most label rows take no gradient and the scatter
+    drops them; the embedding gradients still equal the per-document
+    oracle's dense scatter byte for byte."""
+    spec = SynthSpec(level_sizes=(2, 8, 32), docs_per_leaf=1, doc_length=6, keywords_per_doc=2,
+                     leaf_vocab_size=4, noise_rate=0.1, seed=5, embedding_dim=8)
+    tax, corpus, table = generate_synthetic(spec)
+    records = json.loads(tax.serialize())
+    for i, lab in enumerate(records["labels"]):
+        lab["text"] = " ".join([lab["text"], "w_l1_0_0", "oov"][:1 + i % 3])
+    tax = load_taxonomy(json.dumps(records))
+    model = Model(tax, table, TrainConfig(k=8, g=16, d_L=16, seed=1))
+    picked = []
+    backward = model_module.attention_backward
+
+    def recording(*args):
+        out = backward(*args)
+        picked.extend((dctx[:, :n].any(axis=-1).sum(), dctx[:, :n, 0].size)
+                      for dctx, n in zip(out[2], model.level_sizes))
+        return out
+
+    monkeypatch.setattr(model_module, "attention_backward", recording)
+    docs = [replace(d, keywords=()) if i % 3 == 0 else d
+            for i, d in enumerate(corpus.documents[::4])]
+    losses, grads = model.loss_and_grads(docs)
+    want_losses, want_grads = oracles.loss_and_grads_per_document(model, docs)
+    assert losses == want_losses
+    for name in ("embedding.vectors", "embedding.unk"):
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+    assert all(g.tobytes() == want_grads[name].tobytes() for name, g in grads.items())
+    nonzero, rows = np.sum(picked, axis=0)
+    assert 2 * nonzero < rows, (nonzero, rows)       # most label rows go unpicked
+
+
+_ADAM_SHAPES = {"W": (5, 3), "b": (3,), "embedding.vectors": (4, 3), "embedding.unk": (3,)}
+
+
+def _adam_run(steps, frozen=False):
+    """Steps of Adam on one arena of _ADAM_SHAPES beside oracles.adam_step:
+    after every step, per group, (name, param, m, v) and the oracle's
+    (param, m, v).  Frozen, Adam steps the prefix before the embeddings, as
+    train() does, and they have no m and v (None)."""
     rng = np.random.default_rng(4)
-    params = {"W": rng.standard_normal((5, 3)).astype(np.float32),
-              "b": rng.standard_normal(3).astype(np.float32)}
-    opt = Adam(params, lr=0.01)
+    flat = rng.standard_normal(33).astype(np.float32)
+    params = Arena(_ADAM_SHAPES, flat)
+    shapes = {name: shape for name, shape in _ADAM_SHAPES.items()
+              if not (frozen and name.startswith("embedding."))}
+    n = sum(math.prod(shape) for shape in shapes.values())
+    opt = Adam(flat[:n], lr=0.01)
+    moments = opt.m, opt.v
+    m, v = Arena(shapes, opt.m), Arena(shapes, opt.v)
+    ref = {name: p.copy() for name, p in params.items()}
     ref_m = {name: np.zeros_like(p) for name, p in params.items()}
     ref_v = {name: np.zeros_like(p) for name, p in params.items()}
-    arrays = {name: (params[name], opt.m[name], opt.v[name]) for name in params}
-    ref = {name: p.copy() for name, p in params.items()}
-    for t in range(1, 4):
-        # a float64 gradient is cast to the parameter's float32
-        grads = {"W": rng.standard_normal((5, 3)).astype(np.float32),
-                 "b": rng.standard_normal(3)}
-        opt.step(params, grads)
-        ref, ref_m, ref_v = oracles.adam_step(ref, grads, ref_m, ref_v, t, 0.01)
-        for name, (p, m, v) in arrays.items():
-            assert params[name] is p and opt.m[name] is m and opt.v[name] is v
-            for got, want in ((p, ref[name]), (m, ref_m[name]), (v, ref_v[name])):
-                assert got.dtype == want.dtype == np.float32
-                assert got.tobytes() == want.tobytes(), (name, t)
+    for t in range(1, steps + 1):
+        # at even steps a float64 gradient is cast to the parameters' float32
+        grads = rng.standard_normal(len(flat)).astype(np.float32 if t % 2 else np.float64)
+        opt.step(flat[:n], grads[:n])
+        assert opt.m is moments[0] and opt.v is moments[1]      # stepped in place
+        stepped = {name: g for name, g in Arena(_ADAM_SHAPES, grads).items() if name in shapes}
+        ref, ref_m, ref_v = oracles.adam_step(ref, stepped, ref_m, ref_v, t, 0.01)
+        yield [((name, params[name], m.get(name), v.get(name)),
+                (ref[name], ref_m[name], ref_v[name])) for name in _ADAM_SHAPES]
+
+
+def _assert_adam_is_oracle(steps):
+    for step in steps:
+        for (name, *got), want in step:
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype == np.float32
+                assert a.tobytes() == b.tobytes(), name
+
+
+def test_adam_is_bitwise_oracle_in_place():
+    """Flat Adam equals the per-group oracle bit for bit."""
+    _assert_adam_is_oracle(_adam_run(3))
+
+
+def test_adam_chunks_are_bitwise_oracle(monkeypatch):
+    """So it does in chunks of 4 elements, which W (15 elements) and the
+    embeddings straddle."""
+    monkeypatch.setattr(training_module, "_CHUNK", 4)
+    _assert_adam_is_oracle(_adam_run(3))
+
+
+def test_adam_with_frozen_embeddings_steps_the_prefix(monkeypatch):
+    """Stepping the prefix before the embeddings leaves their bytes
+    unchanged and steps every other group as the oracle does."""
+    monkeypatch.setattr(training_module, "_CHUNK", 4)
+    for step in _adam_run(3, frozen=True):
+        for (name, p, m, v), (ref, ref_m, ref_v) in step:
+            if name.startswith("embedding."):
+                # the oracle, given no gradient for them, keeps the start bytes
+                assert p.tobytes() == ref.tobytes(), name
+                assert m is None and v is None     # Adam has no moments for them
+            else:
+                for a, b in ((p, ref), (m, ref_m), (v, ref_v)):
+                    assert a.tobytes() == b.tobytes(), name
 
 
 def test_empty_batch_raises(tiny_synth):
