@@ -29,10 +29,10 @@ from .errors import (
     CorpusError,
     EmbeddingError,
     TaxonomyError,
-    TaxonomyMismatchError,
 )
 from .taxonomy import load_taxonomy
 from .training import (
+    CHECKPOINT_VERSION,
     TrainConfig,
     evaluate_model,
     load_checkpoint,
@@ -97,7 +97,7 @@ def _build_parser():
     gs.add_argument("--out-dir", required=True)
     gs.add_argument("--seed", type=int, help="override the spec's seed")
 
-    ins = sub.add_parser("inspect", help="print a checkpoint manifest")
+    ins = sub.add_parser("inspect", help="check a checkpoint, print its parameter shapes")
     ins.add_argument("--model", required=True)
     return p
 
@@ -179,13 +179,13 @@ def _cmd_gen_synth(args):
 
 def _cmd_inspect(args):
     ckpt = load_checkpoint(_read_bytes(args.model))
-    ckpt.build_model()          # the checks eval and predict run
-    print(f"version: {ckpt.version}")
+    model, _ = ckpt.build_model()       # the checks eval and predict run
+    print(f"version: {CHECKPOINT_VERSION}")
     print(f"taxonomy_hash: {ckpt.taxonomy_hash}")
     print(f"labels: {len(ckpt.label_order)}")
     print(f"config: {json.dumps(ckpt.config.to_dict(), sort_keys=True)}")
-    for name in sorted(ckpt.arrays):
-        print(f"array {name} shape={list(ckpt.arrays[name].shape)}")
+    for name, shape in model.shapes.items():
+        print(f"array {name} shape={list(shape)}")
     return 0
 
 
@@ -208,10 +208,10 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    except (TaxonomyError, CorpusError, TaxonomyMismatchError) as e:
+    except (TaxonomyError, CorpusError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, EmbeddingError, CheckpointError, json.JSONDecodeError) as e:
+    except (ConfigError, EmbeddingError, CheckpointError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except AhmcaError as e:

@@ -280,7 +280,10 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, source: str) -> "SynthSpec":
-        obj = json.loads(source)
+        try:
+            obj = json.loads(source)
+        except ValueError as e:
+            raise SpecInvalidError(f"spec is not valid JSON: {e}") from None
         return cls(**fields_from_json(cls, obj, SpecInvalidError, SpecInvalidError))
 
 

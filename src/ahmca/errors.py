@@ -61,6 +61,10 @@ class SpecInvalidError(CorpusError):
     pass
 
 
+class TaxonomyMismatchError(CorpusError):
+    pass
+
+
 # --- numerics ---
 
 class DimMismatchError(AhmcaError):
@@ -152,6 +156,3 @@ class VersionMismatchError(CheckpointError):
 class CorruptPayloadError(CheckpointError):
     pass
 
-
-class TaxonomyMismatchError(CheckpointError):
-    pass

@@ -20,6 +20,7 @@ from .errors import (
     LevelGapError,
     LevelOutOfRangeError,
     OrphanParentError,
+    TaxonomyError,
     UnknownLabelError,
 )
 
@@ -98,15 +99,16 @@ class Taxonomy:
 def load_taxonomy(source) -> Taxonomy:
     """Parse and validate a taxonomy from a JSON string or a parsed dict.
 
-    Raises DuplicateIdError, OrphanParentError, CycleError or LevelGapError
-    on any structural violation, an empty label list included, and
-    EmptyLabelTextError when a label's text is not a string with at least
-    one word; never repairs the input silently.
+    Raises TaxonomyError on text that is not JSON, DuplicateIdError,
+    OrphanParentError, CycleError or LevelGapError on any structural
+    violation, an empty label list included, and EmptyLabelTextError when a
+    label's text is not a string with at least one word; never repairs the
+    input silently.
     """
-    if isinstance(source, (str, bytes)):
-        obj = json.loads(source)
-    else:
-        obj = source
+    try:
+        obj = json.loads(source) if isinstance(source, (str, bytes)) else source
+    except ValueError as e:
+        raise TaxonomyError(f"taxonomy is not valid JSON: {e}") from None
     if not (isinstance(obj, dict) and isinstance(obj.get("labels"), list) and obj["labels"]):
         raise LevelGapError("taxonomy file must be an object with a non-empty 'labels' list")
 

@@ -3,13 +3,14 @@ the binary checkpoint container.
 
 Evaluation scores its corpus a mini-batch at a time through the forward
 path training uses, reading each document's row through predict_scores;
-predict decodes one document, a batch of one.  Checkpoint.build_model
-makes every parameter array of the model it returns read-only, so that a
-served model builds its label matrices once for all its queries; train()
-steps a Model of its own, whose writable arrays rebuild them every step.
-They are views of one float32 Arena of Model.shapes, as the gradients of
-Model.loss_and_grads are: one finite check covers a step's before any
+predict decodes one document, a batch of one.  train() steps a Model whose
+parameters, like the gradients of Model.loss_and_grads, are views of one
+float32 Arena of Model.shapes: one finite check covers a step's before any
 parameter moves, then Adam steps the prefix Model.trainable of the buffer.
+A checkpoint is magic, version, the metadata JSON's length and text, that
+buffer as little-endian float32 (Model.shapes follows from the metadata),
+and a CRC-32 of all of it.  Checkpoint.build_model cuts a read-only Arena
+from it, so a served model builds its label matrices once for all queries.
 
 Runs are fully deterministic given the config seed: shuffling uses one
 seeded generator, gradients are reduced in example order, and history /
@@ -18,12 +19,12 @@ checkpoint files are byte-stable.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
 import time
 import warnings
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
     ConfigTypeError,
     CorruptPayloadError,
     NonFiniteLossError,
+    TaxonomyError,
     TaxonomyMismatchError,
     TooFewDocumentsError,
     UnknownConfigKeyError,
@@ -49,10 +51,10 @@ from .numerics import check_finite
 from .taxonomy import Taxonomy, load_taxonomy
 
 CHECKPOINT_MAGIC = b"AHMCAMDL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # the metadata object's keys and the JSON type of each value
 _META_TYPES = {"config": dict, "taxonomy": str, "taxonomy_hash": str,
-               "label_order": list, "embedding_tokens": list, "arrays": list}
+               "label_order": list, "embedding_tokens": list}
 _CHUNK = 1 << 16     # elements per pass of Adam.step, so that a pass stays in cache
 
 
@@ -104,7 +106,10 @@ class TrainConfig:
 def load_config(source) -> TrainConfig:
     """Build a TrainConfig from a JSON object; unknown keys are rejected,
     missing keys take their defaults.  lambda_ may be spelled "lambda"."""
-    obj = json.loads(source) if isinstance(source, (str, bytes)) else dict(source)
+    try:
+        obj = json.loads(source) if isinstance(source, (str, bytes)) else dict(source)
+    except ValueError as e:
+        raise ConfigTypeError(f"config is not a JSON object: {e}") from None
     if isinstance(obj, dict) and "lambda" in obj:
         if "lambda_" in obj:
             raise UnknownConfigKeyError("give one of the TrainConfig keys "
@@ -116,88 +121,82 @@ def load_config(source) -> TrainConfig:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    version: int
     config: TrainConfig
     taxonomy_json: str
     taxonomy_hash: str
     label_order: tuple
     embedding_tokens: tuple
-    arrays: dict                 # name -> float32 ndarray (includes embedding.*)
+    flat: np.ndarray             # float32 parameters, one Arena of Model.shapes
 
     def build_model(self) -> tuple[Model, Taxonomy]:
         """The model and taxonomy this checkpoint holds, after checking them.
-        The model's parameter arrays are read-only, so it builds its label
-        matrices once: it shares read-only arrays (load_checkpoint's) and
-        copies writable ones (a train() checkpoint's).  Its table holds the
-        model's own embedding.vectors and embedding.unk arrays, so the
+        The model's parameters are an Arena of flat, read-only, so it builds
+        its label matrices once: it shares a read-only flat (load_checkpoint's)
+        and copies a writable one (a train() checkpoint's).  Its table holds
+        the model's own embedding.vectors and embedding.unk arrays, so the
         vocabulary is held once.  To train it further, give a Model copies
         of them."""
-        tax = load_taxonomy(self.taxonomy_json)
+        try:
+            tax = load_taxonomy(self.taxonomy_json)
+        except TaxonomyError as e:
+            raise CorruptPayloadError(f"bad embedded taxonomy: {e}") from None
         if tax.content_hash() != self.taxonomy_hash:
-            raise TaxonomyMismatchError("embedded taxonomy does not match its hash")
+            raise CorruptPayloadError("embedded taxonomy does not match its hash")
         if tuple(self.label_order) != tax.order:
             raise CorruptPayloadError("label_order does not match the embedded taxonomy")
         tokens = self.embedding_tokens
         if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
             raise CorruptPayloadError("embedding_tokens must be distinct strings")
         cfg = self.config
-        want = param_shapes(tax.level_sizes(), len(tokens), cfg)
-        got = {name: arr.shape for name, arr in self.arrays.items()}
-        bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
-        if bad:
-            raise CorruptPayloadError(f"arrays missing, unexpected or misshapen for "
-                                      f"this config and taxonomy: {bad}")
-        for name in sorted(self.arrays):
-            if not np.all(np.isfinite(self.arrays[name])):
-                raise CorruptPayloadError(f"array {name} contains NaN/Inf")
-        params = {k: v.copy() if v.flags.writeable else v for k, v in self.arrays.items()}
-        for arr in params.values():
-            arr.setflags(write=False)
+        shapes = param_shapes(tax.level_sizes(), len(tokens), cfg)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if len(self.flat) != size:
+            raise CorruptPayloadError(f"payload holds {len(self.flat)} floats; this config "
+                                      f"and taxonomy need {size}")
+        if not np.isfinite(self.flat).all():    # name the first group, in layout order
+            for name, arr in Arena(shapes, self.flat).items():
+                if not np.isfinite(arr).all():
+                    raise CorruptPayloadError(f"array {name} contains NaN/Inf")
+        flat = self.flat.copy() if self.flat.flags.writeable else self.flat
+        flat.setflags(write=False)
+        params = Arena(shapes, flat)
         table = EmbeddingTable(cfg.k, tokens, params["embedding.vectors"],
                                params["embedding.unk"])
         return Model(tax, table, cfg, params=params), tax
 
 
 def save_checkpoint(ckpt: Checkpoint) -> bytes:
-    names = sorted(ckpt.arrays)
-    manifest = []
-    offset = 0
-    blobs = []
-    for name in names:
-        arr = np.ascontiguousarray(ckpt.arrays[name], dtype="<f4")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blob = arr.tobytes()
-        offset += len(blob)
-        blobs.append(blob)
     meta = {
         "config": ckpt.config.to_dict(),
         "taxonomy": ckpt.taxonomy_json,
         "taxonomy_hash": ckpt.taxonomy_hash,
         "label_order": list(ckpt.label_order),
         "embedding_tokens": list(ckpt.embedding_tokens),
-        "arrays": manifest,
     }
     meta_bytes = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<I", ckpt.version))
-    out.write(struct.pack("<Q", len(meta_bytes)))
-    out.write(meta_bytes)
-    for blob in blobs:
-        out.write(blob)
-    return out.getvalue()
+    parts = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(meta_bytes)),
+             meta_bytes, np.ascontiguousarray(ckpt.flat, dtype="<f4")]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack("<I", crc)])
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
-    if len(data) < 20 or data[:8] != CHECKPOINT_MAGIC:
+    if len(data) < 24 or data[:8] != CHECKPOINT_MAGIC:
         raise BadMagicError("not a checkpoint file")
     (version,) = struct.unpack_from("<I", data, 8)
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"unsupported checkpoint version {version}")
+        raise VersionMismatchError(f"checkpoint version {version} is not supported: retrain "
+                                   f"the model to write version {CHECKPOINT_VERSION}")
+    if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise CorruptPayloadError("checksum mismatch: the file is damaged or truncated")
     (meta_len,) = struct.unpack_from("<Q", data, 12)
     meta_end = 20 + meta_len
-    if meta_end > len(data):
-        raise CorruptPayloadError("metadata block truncated")
+    payload_len = len(data) - 4 - meta_end
+    if payload_len < 0 or payload_len % 4:
+        raise CorruptPayloadError(f"metadata length {meta_len} leaves no payload of whole "
+                                  f"float32s in a {len(data)}-byte file")
     try:
         meta = json.loads(data[20:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -206,46 +205,13 @@ def load_checkpoint(data: bytes) -> Checkpoint:
             or any(not isinstance(meta.get(k), t) for k, t in _META_TYPES.items()):
         raise CorruptPayloadError("metadata must be an object with " + ", ".join(
             f"{k} ({t.__name__})" for k, t in _META_TYPES.items()))
-    # the manifest lists the arrays back to back: they fill the payload exactly
-    arrays = {}
-    payload_len = len(data) - meta_end
-    offset = 0
-    for ent in meta["arrays"]:
-        if not isinstance(ent, dict) or not isinstance(ent.get("name"), str) \
-                or ent["name"] in arrays or not isinstance(ent.get("shape"), list) \
-                or not all(type(n) is int and n >= 0 for n in ent["shape"]) \
-                or type(ent.get("offset")) is not int or ent["offset"] != offset:
-            raise CorruptPayloadError(f"bad manifest entry at offset {offset}: {ent!r}")
-        n = math.prod(ent["shape"])
-        if offset + 4 * n > payload_len:
-            raise CorruptPayloadError(f"array {ent['name']} truncated")
-        # a copy, as the offset may be unaligned; read-only, so build_model shares it
-        arr = arrays[ent["name"]] = np.frombuffer(
-            data, "<f4", count=n, offset=meta_end + offset).reshape(ent["shape"]).copy()
-        arr.setflags(write=False)
-        offset += 4 * n
-    if offset != payload_len:
-        raise CorruptPayloadError(f"{payload_len - offset} bytes after the last array")
-    cfg = load_config(meta["config"])
+    # a copy, as the offset may be unaligned; read-only, so build_model shares it
+    flat = np.frombuffer(data, "<f4", count=payload_len // 4, offset=meta_end).copy()
+    flat.setflags(write=False)
     return Checkpoint(
-        version=version, config=cfg,
-        taxonomy_json=meta["taxonomy"], taxonomy_hash=meta["taxonomy_hash"],
-        label_order=tuple(meta["label_order"]),
-        embedding_tokens=tuple(meta["embedding_tokens"]),
-        arrays=arrays,
-    )
-
-
-def _checkpoint_from_model(model: Model) -> Checkpoint:
-    tax = model.tax
-    arrays = {k: np.asarray(v, dtype=np.float32) for k, v in model.params.items()}
-    return Checkpoint(
-        version=CHECKPOINT_VERSION, config=model.cfg,
-        taxonomy_json=tax.serialize(), taxonomy_hash=tax.content_hash(),
-        label_order=tax.order,
-        embedding_tokens=model.table.tokens,
-        arrays=arrays,
-    )
+        config=load_config(meta["config"]), taxonomy_json=meta["taxonomy"],
+        taxonomy_hash=meta["taxonomy_hash"], label_order=tuple(meta["label_order"]),
+        embedding_tokens=tuple(meta["embedding_tokens"]), flat=flat)
 
 
 # --- history ------------------------------------------------------------
@@ -447,5 +413,7 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
             if stale >= cfg.early_stop_patience:
                 break
 
-    flat[...] = best
-    return _checkpoint_from_model(model), history
+    flat[...] = best    # return the arena: a late copy held past train() pins the heap
+    return Checkpoint(config=cfg, taxonomy_json=tax.serialize(),
+                      taxonomy_hash=tax.content_hash(), label_order=tax.order,
+                      embedding_tokens=table.tokens, flat=flat), history

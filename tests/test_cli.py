@@ -1,9 +1,16 @@
 import json
+import struct
+from dataclasses import fields
 
+import numpy as np
 import pytest
-from checkpoint_cases import BUILD_CASES, LOAD_CASES
+from checkpoint_cases import BUILD_CASES, LOAD_CASES, edit_meta, reseal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahmca.cli import main
+from ahmca.errors import AhmcaError, CheckpointError
+from ahmca.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig, load_checkpoint
 
 SPEC = {
     "level_sizes": [2, 2], "docs_per_leaf": 4, "doc_length": 5,
@@ -89,7 +96,7 @@ def test_inspect(workspace, capsys):
     rc = main(["inspect", "--model", str(workspace / "model.bin")])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "version: 1" in out
+    assert f"version: {CHECKPOINT_VERSION}" in out
     assert "taxonomy_hash:" in out
     assert "array " in out
 
@@ -127,6 +134,73 @@ def test_bad_checkpoint_exit_2(workspace, tmp_path, capsys):
         rc = main(["predict", "--model", str(bad), "--input", str(workspace / "val.jsonl")])
         assert rc == 2, case
         assert main(["inspect", "--model", str(bad)]) == 2, case
+    bad.write_bytes(good[:8] + struct.pack("<I", 1) + good[12:])
+    assert main(["inspect", "--model", str(bad)]) == 2
+    assert "retrain" in capsys.readouterr().err
+
+
+def test_every_single_bit_flip_is_rejected(workspace, tmp_path):
+    good = (workspace / "model.bin").read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", good, 12)
+    regions = [(0, 20), (20, 20 + meta_len), (20 + meta_len, len(good) - 4),
+               (len(good) - 4, len(good))]       # header, metadata, payload, trailer
+    rng = np.random.default_rng(0)
+    bad = tmp_path / "flipped.bin"
+    for lo, hi in regions:
+        for pos in rng.choice(np.arange(lo, hi), 16, replace=hi - lo < 16):
+            flipped = bytearray(good)
+            flipped[pos] ^= 1 << int(rng.integers(8))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bytes(flipped)).build_model()
+            bad.write_bytes(flipped)
+            assert main(["inspect", "--model", str(bad)]) == 2, pos
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+_META_KEYS = ["config", "taxonomy", "taxonomy_hash", "label_order", "embedding_tokens"]
+_CONFIG_KEYS = sorted({f.name for f in fields(TrainConfig)} | {"lambda"})
+
+
+def _set(key, value, in_config=False):
+    def edit(meta):
+        (meta["config"] if in_config else meta)[key] = value
+        return meta
+    return edit
+
+
+_EDITS = st.one_of(
+    st.builds(_set, st.sampled_from(_META_KEYS), _JSON),
+    st.builds(_set, st.just("taxonomy"), _JSON.map(json.dumps)),
+    st.builds(_set, st.sampled_from(_CONFIG_KEYS),
+              _JSON | st.integers(-2 ** 70, 2 ** 70), st.just(True)))
+_HEADER = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+_TAILS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda meta, payload: struct.pack("<Q", len(meta)) + meta + payload,
+              st.binary(max_size=32) | _JSON.map(lambda v: json.dumps(v).encode()),
+              st.binary(max_size=32)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(edit=st.none() | _EDITS, tail=_TAILS)
+def test_checkpoint_loader_fails_only_with_its_own_errors(workspace, edit, tail):
+    """A resealed edit of the metadata, or resealed random bytes after a
+    valid header: building either works or raises an AhmcaError, and
+    inspect exits 0 or 2 accordingly."""
+    good = (workspace / "model.bin").read_bytes()
+    blob = reseal(_HEADER + tail) if edit is None else edit_meta(good, edit)
+    try:
+        load_checkpoint(blob).build_model()
+        want = 0
+    except AhmcaError:
+        want = 2
+    bad = workspace / "fuzzed.bin"
+    bad.write_bytes(blob)
+    assert main(["inspect", "--model", str(bad)]) == want
 
 
 def _train_args(workspace, tmp_path, **paths):
@@ -173,6 +247,7 @@ def test_bad_config_exit_2(workspace, tmp_path, capsys):
         ('{"learning_rate": 1e999}', []),
         ('{"lambda": Infinity}', []),
         ('{"seed": -1}', []),
+        ('{', []),
         # embeddings of width 4 against k=8: Model's width check
         ('{"k": 8}', ["--embeddings", str(workspace / "data" / "embeddings.txt")]),
     ):
@@ -216,6 +291,16 @@ def test_bad_taxonomy_exit_3(workspace, tmp_path, capsys):
                    "--out", str(tmp_path / "m.bin"),
                    "--history", str(tmp_path / "h.csv")])
         assert rc == 3, second
+
+
+def test_non_json_taxonomy_and_spec_exit_3(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(_train_args(workspace, tmp_path, **{"--taxonomy": bad})) == 3
+    assert "taxonomy is not valid JSON" in capsys.readouterr().err
+    assert main(["gen-synth", "--spec", str(bad), "--out-dir", str(tmp_path / "out")]) == 3
+    assert "spec is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists() and not (tmp_path / "out").exists()
 
 
 def test_empty_taxonomy_exit_3(workspace, tmp_path, capsys):

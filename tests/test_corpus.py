@@ -235,5 +235,7 @@ def test_synthspec_invalid():
             SynthSpec.from_json(json.dumps({k: v for k, v in good.items() if k != missing}))
     with pytest.raises(SpecInvalidError):
         SynthSpec.from_json("5")
+    with pytest.raises(SpecInvalidError, match="not valid JSON"):
+        SynthSpec.from_json("[")
     with pytest.raises(SpecInvalidError):       # gen-synth --seed goes through replace
         replace(SynthSpec.from_json(json.dumps(good)), seed=-1)

@@ -73,6 +73,12 @@ def test_level_gap():
             load_taxonomy(src)
 
 
+def test_invalid_json_is_a_taxonomy_error():
+    for src in ("x", "{", b"\xff"):
+        with pytest.raises(TaxonomyError, match="not valid JSON"):
+            load_taxonomy(src)
+
+
 def test_duplicate_id():
     src = {"labels": [
         {"id": "A", "level": 1, "parent": None},

@@ -113,6 +113,8 @@ def test_config_type_errors():
         load_config('{"freeze_embeddings": 1}')
     with pytest.raises(ConfigTypeError):
         load_config('[1, 2]')
+    with pytest.raises(ConfigTypeError, match="not a JSON object"):
+        load_config("{")
     with pytest.raises(ConfigTypeError):
         load_config('{"beta": true}')
     with pytest.raises(ConfigTypeError):
@@ -173,17 +175,17 @@ def test_training_frozen_embeddings(tiny_synth):
     tax, corpus, table = tiny_synth
     tr, va, _ = split(corpus, (2, 1, 1), seed=0)
     frozen, _ = train(_tiny_cfg(epochs=2, freeze_embeddings=True), tr, va, tax, table)
-    vectors, unk = frozen.arrays["embedding.vectors"], frozen.arrays["embedding.unk"]
+    m1, _ = frozen.build_model()
+    vectors, unk = m1.params["embedding.vectors"], m1.params["embedding.unk"]
     assert vectors.dtype == table.vectors.dtype and unk.dtype == table.unk_vector.dtype
     assert vectors.tobytes() == table.vectors.tobytes()
     assert unk.tobytes() == table.unk_vector.tobytes()
-    m1, _ = frozen.build_model()
     m2, _ = load_checkpoint(save_checkpoint(frozen)).build_model()
     for doc in corpus:
         assert np.array_equal(m1.predict_scores(doc).fused_scores,
                               m2.predict_scores(doc).fused_scores)
     tuned, _ = train(_tiny_cfg(epochs=2), tr, va, tax, table)
-    assert not np.array_equal(tuned.arrays["embedding.vectors"], table.vectors)
+    assert not np.array_equal(tuned.build_model()[0].params["embedding.vectors"], table.vectors)
 
 
 def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
@@ -434,10 +436,7 @@ def test_checkpoint_roundtrip(tiny_run):
     back = load_checkpoint(blob)
     assert back.config == ckpt.config
     assert back.label_order == ckpt.label_order
-    assert set(back.arrays) == set(ckpt.arrays)
-    for name in ckpt.arrays:
-        assert np.array_equal(back.arrays[name],
-                              np.asarray(ckpt.arrays[name], dtype=np.float32))
+    assert back.flat.dtype == np.float32 and back.flat.tobytes() == ckpt.flat.tobytes()
 
 
 def test_checkpoint_rebuilt_model_same_scores(tiny_run):
@@ -457,9 +456,10 @@ def test_checkpoint_bad_magic():
 def test_checkpoint_bad_version(tiny_run):
     *_, ckpt, hist = tiny_run
     blob = bytearray(save_checkpoint(ckpt))
-    blob[8:12] = (99).to_bytes(4, "little")
-    with pytest.raises(VersionMismatchError):
-        load_checkpoint(bytes(blob))
+    for version in (1, 99):         # version 1 held a per-array manifest
+        blob[8:12] = version.to_bytes(4, "little")
+        with pytest.raises(VersionMismatchError, match=f"version {version} .*retrain"):
+            load_checkpoint(bytes(blob))
 
 
 def test_checkpoint_truncated(tiny_run):
@@ -486,11 +486,12 @@ def test_checkpoint_arrays_must_fit_model(tiny_run, case):
 
 def test_checkpoint_names_first_nonfinite_array(tiny_run):
     *_, ckpt, hist = tiny_run
-    arrays = {name: arr.copy() for name, arr in ckpt.arrays.items()}
+    model, _ = ckpt.build_model()
+    arrays = Arena(model.shapes, ckpt.flat.copy())
     arrays["lstm_fwd.b"][0] = np.inf
     arrays["global.Wout"][1, 2] = np.nan
-    with pytest.raises(CorruptPayloadError, match=r"array global\.Wout contains NaN/Inf"):
-        replace(ckpt, arrays=arrays).build_model()
+    with pytest.raises(CorruptPayloadError, match=r"array lstm_fwd\.b contains NaN/Inf"):
+        replace(ckpt, flat=arrays.flat).build_model()
 
 
 # --- evaluation / prediction -------------------------------------------
@@ -709,19 +710,17 @@ def test_loaded_checkpoint_arrays_are_shared_with_model(tiny_run):
     *_, ckpt, hist = tiny_run
     blob = save_checkpoint(ckpt)
     loaded = load_checkpoint(blob)
-    assert not any(arr.flags.writeable for arr in loaded.arrays.values())
+    assert not loaded.flat.flags.writeable
     model, _ = loaded.build_model()
-    for name, arr in loaded.arrays.items():
-        assert np.shares_memory(model.params[name], arr), name
+    assert np.shares_memory(model.params.flat, loaded.flat)
     assert save_checkpoint(loaded) == blob
 
 
 def test_trained_checkpoint_arrays_stay_writable_and_unshared(tiny_run):
     *_, ckpt, hist = tiny_run
     model, _ = ckpt.build_model()
-    for name, arr in ckpt.arrays.items():
-        assert arr.flags.writeable, name
-        assert not np.shares_memory(model.params[name], arr), name
+    assert ckpt.flat.flags.writeable
+    assert not np.shares_memory(model.params.flat, ckpt.flat)
 
 
 def test_writable_params_rebuild_label_matrices(tiny_run, monkeypatch):
