@@ -287,6 +287,95 @@ class SynthSpec:
         return cls(**fields_from_json(cls, obj, SpecInvalidError, SpecInvalidError))
 
 
+_WORD = 0xFFFFFFFF       # the low 32 bits of a raw output
+
+
+def _draw_tokens(bitgen, count, noise_rate, noisy_bound, own_bound):
+    """Noise flags and picks of count tokens, bitwise as count rounds of
+    ``noisy = rng.random() < noise_rate`` and ``rng.integers(n)`` draw them,
+    n being noisy_bound for a noisy token and own_bound otherwise (both in
+    [1, 2**32)), where rng is the Generator over bitgen, a PCG64.  bitgen is
+    left where those calls leave it, its 32-bit buffer included.
+
+    A token's double is one raw 64-bit output r, (r >> 11) * 2**-53.  Its
+    pick is Lemire's bounded draw on 32-bit words: the high half of word * n,
+    unless the low half is below (2**32 - n) % n, which rejects the word and
+    takes the next; a bound of 1 takes no word.  A word request with the
+    buffer empty takes a fresh raw output, returns its low half and keeps the
+    high half for the next request.
+
+    A token is regular when it takes one word and keeps it.  From an empty
+    buffer, regular tokens read three raw outputs per two tokens (double,
+    word, double), so a run of them is read in one array pass, up to the
+    first irregular token.  That token, and then the tokens up to 64 regular
+    ones in a row, are read one word at a time; each pass that reads all its
+    tokens doubles the next.  The work stays linear in count however often
+    tokens are irregular (a bound of 1 on one side, or bounds near 2**31).
+    """
+    start = bitgen.state
+    full, word = bool(start["has_uint32"]), int(start["uinteger"])     # the buffer
+    bounds = np.array([own_bound, noisy_bound], dtype=np.uint64)
+    cuts = (2**32 - bounds) % bounds                        # rejection thresholds
+    raw = bitgen.random_raw(2 * count + 2)   # enough unless a word is rejected
+
+    def upto(n):
+        nonlocal raw
+        if len(raw) < n:
+            raw = np.concatenate((raw, bitgen.random_raw(n + count)))
+        return raw
+
+    noisy = np.empty(count, dtype=bool)
+    picks = np.zeros(count, dtype=np.int64)
+    pos = t = 0             # next raw output, next token
+    run = 64                # regular tokens in a row; the first array pass reads 64
+    while t < count:
+        if full or run < 64:
+            r = int(upto(pos + 1)[pos])
+            pos += 1
+            flag = (r >> 11) * 2.0**-53 < noise_rate
+            n = noisy_bound if flag else own_bound
+            words = 0
+            while n > 1:
+                if full:
+                    full, u = False, word
+                else:
+                    r = int(upto(pos + 1)[pos])
+                    pos += 1
+                    full, u, word = True, r & _WORD, r >> 32
+                words += 1
+                if (u * n) & _WORD >= (2**32 - n) % n:
+                    picks[t] = (u * n) >> 32
+                    break
+            noisy[t] = flag
+            t += 1
+            run = run + 1 if words == 1 else 0
+        else:
+            span = min(count - t, run)
+            r = upto(pos + 2 * span + 2)
+            m = np.arange(span)
+            at = pos + 3 * (m >> 1)         # token pair m // 2: double, word, double
+            flag = (r[at + 2 * (m & 1)] >> 11) * 2.0**-53 < noise_rate
+            u = np.where(m & 1, r[at + 1] >> 32, r[at + 1] & _WORD)
+            side = flag.view(np.int8)
+            prod = u * bounds[side]
+            ok = (bounds[side] > 1) & (prod & _WORD >= cuts[side])
+            f = span if ok.all() else int(ok.argmin())      # the first irregular token
+            noisy[t:t + f] = flag[:f]
+            picks[t:t + f] = prod[:f] >> 32
+            if f:
+                full, word = bool(f & 1), int(r[at[f - 1] + 1] >> 32)
+            pos += 3 * (f >> 1) + 2 * (f & 1)
+            t += f
+            run = run + f if f == span else 0
+
+    bitgen.state = start
+    bitgen.advance(pos)
+    end = bitgen.state
+    end["has_uint32"], end["uinteger"] = int(full), word
+    bitgen.state = end
+    return noisy, picks
+
+
 def generate_synthetic(spec: SynthSpec):
     """Build a (Taxonomy, Corpus, EmbeddingTable) triple, fully seeded.
 
@@ -296,6 +385,12 @@ def generate_synthetic(spec: SynthSpec):
     are the first few tokens of the leaf lexicon, label text is one
     reserved token per label, and embeddings are seeded random unit
     vectors.
+
+    The draws come from ``default_rng(spec.seed)``, token by token in corpus
+    order (leaf, document, position): a noise flag, then an index into the
+    vocabulary or the leaf's lexicon, both read from the raw PCG64 stream by
+    _draw_tokens; then the embedding table's ``standard_normal``.  Every
+    document passes make_document's checks.
     """
     rng = np.random.default_rng(spec.seed)
 
@@ -311,34 +406,38 @@ def generate_synthetic(spec: SynthSpec):
     tax = load_taxonomy({"labels": records})
 
     # tokens are generated pre-normalized (lowercase) so they match the
-    # embedding vocabulary after tokenize() runs over keywords and label text
-    lexicon = {lab.id: [f"w_{lab.id}_{j}".lower() for j in range(spec.leaf_vocab_size)]
-               for lab in tax.labels}
-    vocab = [tok for lab in tax.labels for tok in lexicon[lab.id]]
+    # embedding vocabulary after tokenize() runs over keywords and label text;
+    # a label's lexicon is vocab[first[id] : first[id] + lvs]
+    lvs = spec.leaf_vocab_size
+    vocab = [f"w_{lab.id}_{j}".lower() for lab in tax.labels for j in range(lvs)]
+    first = {lab.id: i * lvs for i, lab in enumerate(tax.labels)}
     label_tokens = [f"lab_{lab.id}".lower() for lab in tax.labels]
 
-    docs = []
     leaves = tax.labels_at_level(tax.depth)
-    for leaf in leaves:
-        parent = tax.label(leaf).parent
-        own = lexicon[leaf] + (lexicon[parent] if parent else [])
-        kws = lexicon[leaf][:spec.keywords_per_doc]
+    per_leaf = spec.docs_per_leaf * spec.doc_length
+    noisy, picks = _draw_tokens(rng.bit_generator, len(leaves) * per_leaf, spec.noise_rate,
+                                len(vocab), lvs * min(tax.depth, 2))
+    # a leaf's own lexicon is its words, then its parent's
+    leaf_at = np.repeat([first[leaf] for leaf in leaves], per_leaf)
+    parent_at = np.repeat([first[tax.label(leaf).parent or leaf] for leaf in leaves], per_leaf)
+    own = np.where(picks < lvs, leaf_at + picks, parent_at + picks - lvs)
+    tokens = [vocab[i] for i in np.where(noisy, picks, own).tolist()]
+
+    docs = []
+    n_title = min(5, spec.doc_length)
+    for li, leaf in enumerate(leaves):
+        kws = vocab[first[leaf]:first[leaf] + lvs][:spec.keywords_per_doc]
         for d in range(spec.docs_per_leaf):
-            toks = []
-            for _ in range(spec.doc_length):
-                if rng.random() < spec.noise_rate:
-                    toks.append(vocab[rng.integers(len(vocab))])
-                else:
-                    toks.append(own[rng.integers(len(own))])
-            n_title = min(5, len(toks))
-            docs.append({
+            at = (li * spec.docs_per_leaf + d) * spec.doc_length
+            toks = tokens[at:at + spec.doc_length]
+            docs.append(make_document({
                 "id": f"{leaf}_doc{d}",
                 "title": toks[:n_title],
                 "abstract": toks[n_title:],
                 "keywords": kws,
                 "labels": [leaf],
-            })
-    corpus = load_corpus("\n".join(json.dumps(r) for r in docs), tax)
+            }, tax))
+    corpus = Corpus(documents=tuple(docs), taxonomy_hash=tax.content_hash())
 
     all_tokens = vocab + label_tokens
     vecs = rng.standard_normal((len(all_tokens), spec.embedding_dim))

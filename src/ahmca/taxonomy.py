@@ -102,7 +102,8 @@ def load_taxonomy(source) -> Taxonomy:
     Raises TaxonomyError on text that is not JSON, DuplicateIdError,
     OrphanParentError, CycleError or LevelGapError on any structural
     violation, an empty label list included, and EmptyLabelTextError when a
-    label's text is not a string with at least one word; never repairs the
+    label's text is not a string with at least one word, and TaxonomyError
+    on an id, text or parent that UTF-8 cannot encode; never repairs the
     input silently.
     """
     try:
@@ -127,6 +128,12 @@ def load_taxonomy(source) -> Taxonomy:
             raise LevelGapError(f"malformed parent in record: {rec!r}")
         if not isinstance(text, str) or not tokenize(text):
             raise EmptyLabelTextError(f"label {lid!r} has no words in its text {text!r}")
+        try:
+            for name in (lid, text, parent or ""):
+                name.encode("utf-8")
+        except UnicodeEncodeError:      # a lone surrogate, from a \ud800-style escape
+            raise TaxonomyError(f"label {lid!r} holds a string that is not valid "
+                                f"UTF-8: {rec!r}") from None
         labels.append(Label(id=lid, text=text, level=level, parent=parent))
 
     by_id = {}

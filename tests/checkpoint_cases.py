@@ -45,10 +45,12 @@ def _set_nan(flat):
     return flat
 
 
-def _rename_first_label(taxonomy_json):
-    obj = json.loads(taxonomy_json)
-    obj["labels"][0]["text"] += " renamed"
-    return json.dumps(obj)
+def _append_to_first_label(text):
+    def edit(taxonomy_json):
+        obj = json.loads(taxonomy_json)
+        obj["labels"][0]["text"] += text
+        return json.dumps(obj)      # a lone surrogate as its \u escape
+    return edit
 
 
 # rejected by load_checkpoint
@@ -75,5 +77,7 @@ BUILD_CASES = {
     "taxonomy_no_labels": lambda b: edit_meta(
         b, _set_meta("taxonomy", lambda t: '{"labels": []}')),
     "taxonomy_label_renamed": lambda b: edit_meta(
-        b, _set_meta("taxonomy", _rename_first_label)),
+        b, _set_meta("taxonomy", _append_to_first_label(" renamed"))),
+    "taxonomy_lone_surrogate": lambda b: edit_meta(
+        b, _set_meta("taxonomy", _append_to_first_label(" \ud800"))),
 }

@@ -23,9 +23,13 @@ scores a chunk of documents per forward call and decodes the rows directly.  The
 oracle is the update as one expression per array, where the package's
 optimizer overwrites its arrays in place, and the sigmoid oracle is the
 logistic function as one expression, where the package's writes into one
-buffer.
+buffer.  The synthetic-corpus oracle draws every token with one
+``rng.random()`` and one ``rng.integers(n)`` call and reads its documents
+back through JSON lines and load_corpus, where the package reads the raw
+PCG64 stream in array passes and builds its documents directly.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -37,6 +41,8 @@ from ahmca.attention import (
     attention_forward,
     splice_level,
 )
+from ahmca.corpus import load_corpus
+from ahmca.embedding import EmbeddingTable
 from ahmca.encoder import _packing, _pair, bilstm_backward, bilstm_encode
 from ahmca.hmcn import (
     Prediction,
@@ -48,7 +54,7 @@ from ahmca.hmcn import (
 )
 from ahmca.metrics import MetricsReport
 from ahmca.numerics import relu
-from ahmca.taxonomy import Taxonomy
+from ahmca.taxonomy import Taxonomy, load_taxonomy
 from ahmca.training import predict
 
 
@@ -456,3 +462,60 @@ def loss_and_grads_per_document(model, docs):
     for g in grads.values():
         g *= scale
     return losses.tolist(), grads
+
+
+def draw_tokens(rng, count, noise_rate, noisy_bound, own_bound):
+    """Per token, rng.random() against noise_rate, then rng.integers of
+    noisy_bound for a noisy token and of own_bound otherwise: the reference
+    for corpus._draw_tokens."""
+    noisy = np.empty(count, dtype=bool)
+    picks = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        noisy[i] = rng.random() < noise_rate
+        picks[i] = rng.integers(noisy_bound if noisy[i] else own_bound)
+    return noisy, picks
+
+
+def generate_synthetic(spec):
+    """corpus.generate_synthetic one document at a time through draw_tokens,
+    its records read back through JSON lines and load_corpus."""
+    rng = np.random.default_rng(spec.seed)
+    records = []
+    prev_ids = []
+    for li, n in enumerate(spec.level_sizes, start=1):
+        ids = [f"L{li}_{j}" for j in range(n)]
+        for j, lid in enumerate(ids):
+            parent = prev_ids[j % len(prev_ids)] if prev_ids else None
+            records.append({"id": lid, "text": f"lab_{lid}", "level": li, "parent": parent})
+        prev_ids = ids
+    tax = load_taxonomy({"labels": records})
+
+    lexicon = {lab.id: [f"w_{lab.id}_{j}".lower() for j in range(spec.leaf_vocab_size)]
+               for lab in tax.labels}
+    vocab = [tok for lab in tax.labels for tok in lexicon[lab.id]]
+    label_tokens = [f"lab_{lab.id}".lower() for lab in tax.labels]
+
+    docs = []
+    for leaf in tax.labels_at_level(tax.depth):
+        parent = tax.label(leaf).parent
+        own = lexicon[leaf] + (lexicon[parent] if parent else [])
+        kws = lexicon[leaf][:spec.keywords_per_doc]
+        for d in range(spec.docs_per_leaf):
+            noisy, picks = draw_tokens(rng, spec.doc_length, spec.noise_rate,
+                                       len(vocab), len(own))
+            toks = [vocab[p] if z else own[p] for z, p in zip(noisy, picks)]
+            n_title = min(5, len(toks))
+            docs.append({
+                "id": f"{leaf}_doc{d}",
+                "title": toks[:n_title],
+                "abstract": toks[n_title:],
+                "keywords": kws,
+                "labels": [leaf],
+            })
+    corpus = load_corpus("\n".join(json.dumps(r) for r in docs), tax)
+
+    all_tokens = vocab + label_tokens
+    vecs = rng.standard_normal((len(all_tokens), spec.embedding_dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    table = EmbeddingTable(spec.embedding_dim, all_tokens, vecs.astype(np.float32))
+    return tax, corpus, table

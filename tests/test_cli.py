@@ -1,6 +1,9 @@
+import itertools
 import json
 import struct
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahmca.cli import main
-from ahmca.errors import AhmcaError, CheckpointError
+from ahmca.corpus import SynthSpec
+from ahmca.errors import AhmcaError, CheckpointError, SpecInvalidError
 from ahmca.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig, load_checkpoint
 
 SPEC = {
@@ -291,6 +295,65 @@ def test_bad_taxonomy_exit_3(workspace, tmp_path, capsys):
                    "--out", str(tmp_path / "m.bin"),
                    "--history", str(tmp_path / "h.csv")])
         assert rc == 3, second
+
+
+def test_lone_surrogate_taxonomy_exit_3(workspace, tmp_path, capsys):
+    tax = json.loads((workspace / "data" / "taxonomy.json").read_text())
+    tax["labels"][0]["text"] += " \ud800"
+    bad = tmp_path / "tax.json"
+    bad.write_text(json.dumps(tax))             # the surrogate as a JSON escape
+    assert main(_train_args(workspace, tmp_path, **{"--taxonomy": bad})) == 3
+    assert "not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
+# small valid values for every SynthSpec field
+_SPEC_FIELDS = {
+    "level_sizes": st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
+        lambda steps: list(itertools.accumulate(steps))),
+    "docs_per_leaf": st.integers(1, 3), "doc_length": st.integers(1, 6),
+    "keywords_per_doc": st.integers(1, 3), "leaf_vocab_size": st.integers(1, 4),
+    "noise_rate": st.floats(0, 1), "seed": st.integers(0, 2**64),
+    "embedding_dim": st.integers(1, 4),
+}
+# wrong types and out-of-range values; none of them is a large valid count
+_BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 0), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(), st.text(max_size=1)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@st.composite
+def _spec_objects(draw):
+    obj = {key: draw(values) for key, values in _SPEC_FIELDS.items()}
+    change = draw(st.sampled_from(["none", "value", "missing", "unknown", "not an object"]))
+    if change == "value":
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(_BAD_VALUES)
+    elif change == "missing":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif change == "unknown":
+        obj[draw(st.text(max_size=4).filter(lambda key: key not in obj))] = 1
+    elif change == "not an object":
+        return draw(st.sampled_from([[obj], None, "spec", 3]))
+    return obj
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(obj=_spec_objects())
+def test_gen_synth_spec_exit_0_or_3(obj):
+    """A spec the loader accepts generates (exit 0); any other is a
+    validation error (exit 3), never another exception."""
+    text = json.dumps(obj)
+    try:
+        SynthSpec.from_json(text)
+        want = 0
+    except SpecInvalidError:
+        want = 3
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(text)
+        assert main(["gen-synth", "--spec", str(spec), "--out-dir", tmp + "/out"]) == want
+        assert (Path(tmp) / "out" / "corpus.jsonl").exists() == (want == 0)
 
 
 def test_non_json_taxonomy_and_spec_exit_3(workspace, tmp_path, capsys):

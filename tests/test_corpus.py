@@ -1,11 +1,19 @@
+import hashlib
+import itertools
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_acceptance import BENCH_SPEC
 
 from ahmca.corpus import (
     SynthSpec,
+    _draw_tokens,
     generate_synthetic,
     load_corpus,
     save_corpus,
@@ -239,3 +247,124 @@ def test_synthspec_invalid():
         SynthSpec.from_json("[")
     with pytest.raises(SpecInvalidError):       # gen-synth --seed goes through replace
         replace(SynthSpec.from_json(json.dumps(good)), seed=-1)
+
+
+def _raw_outputs_used(seed, state):
+    """How many raw outputs a PCG64 seeded with seed gave before state."""
+    bitgen = np.random.PCG64(seed)
+    used = 0
+    while bitgen.state["state"] != state["state"]:
+        bitgen.random_raw()
+        used += 1
+    return used
+
+
+def _same_draw(seed, count, noise_rate, noisy_bound, own_bound, prefill=0):
+    """_draw_tokens against the scalar oracle from the same generator state,
+    prefill 32-bit draws in (an odd count leaves the word buffer full);
+    returns the state both leave."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (ours, theirs):
+        rng.integers(7, size=prefill, dtype=np.uint32)
+    noisy, picks = _draw_tokens(ours.bit_generator, count, noise_rate, noisy_bound, own_bound)
+    want_noisy, want_picks = oracles.draw_tokens(theirs, count, noise_rate,
+                                                 noisy_bound, own_bound)
+    np.testing.assert_array_equal(noisy, want_noisy)
+    np.testing.assert_array_equal(picks, want_picks)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    return ours.bit_generator.state
+
+
+# non-decreasing widths of 1 to 3 levels
+_LEVEL_SIZES = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda steps: tuple(itertools.accumulate(steps)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@example(level_sizes=(3,), docs_per_leaf=3, doc_length=7, leaf_vocab_size=1,
+         noise_rate=0.5, seed=1)     # 63 tokens, the own-lexicon bound is 1
+@example(level_sizes=(1, 2), docs_per_leaf=4, doc_length=9, leaf_vocab_size=3,
+         noise_rate=0.2, seed=2)     # 72 tokens
+@example(level_sizes=(1,), docs_per_leaf=2, doc_length=5, leaf_vocab_size=1,
+         noise_rate=1, seed=3)       # both bounds are 1: no word is drawn
+@given(level_sizes=_LEVEL_SIZES, docs_per_leaf=st.integers(1, 6),
+       doc_length=st.integers(1, 40), leaf_vocab_size=st.integers(1, 5),
+       noise_rate=st.one_of(st.sampled_from([0, 1, 0.0, 1.0]), st.floats(0, 1)),
+       seed=st.integers(0, 2**64))
+def test_synthetic_matches_scalar_oracle(level_sizes, docs_per_leaf, doc_length,
+                                         leaf_vocab_size, noise_rate, seed):
+    spec = SynthSpec(level_sizes=level_sizes, docs_per_leaf=docs_per_leaf,
+                     doc_length=doc_length, keywords_per_doc=2,
+                     leaf_vocab_size=leaf_vocab_size, noise_rate=noise_rate,
+                     seed=seed, embedding_dim=3)
+    tax, corpus, table = generate_synthetic(spec)
+    want_tax, want_corpus, want_table = oracles.generate_synthetic(spec)
+    assert tax.serialize() == want_tax.serialize()
+    assert corpus == want_corpus
+    assert table.tokens == want_table.tokens
+    assert table.vectors.tobytes() == want_table.vectors.tobytes()
+    count = level_sizes[-1] * docs_per_leaf * doc_length
+    _same_draw(seed, count, noise_rate, len(tax.labels) * leaf_vocab_size,
+               leaf_vocab_size * min(tax.depth, 2))
+
+
+@pytest.mark.parametrize("noisy_bound, own_bound", [
+    (2**31 + 1, 2**31 + 1),        # half of all words are rejected
+    (3 * 2**30 + 1, 2**32 - 1),
+    (2**31 + 1, 1),
+])
+@pytest.mark.parametrize("prefill", [0, 1])
+def test_draw_tokens_rejects_like_lemire(noisy_bound, own_bound, prefill):
+    for seed, count in enumerate((0, 1, 2, 63, 64, 65, 300, 301)):
+        for noise_rate in (0.0, 0.5, 1.0):
+            state = _same_draw(seed, count, noise_rate, noisy_bound, own_bound, prefill)
+    if noisy_bound == own_bound and not prefill:
+        # 301 tokens that each kept their first word would read 301 + 151
+        assert _raw_outputs_used(7, state) > 301 + 151 + 50
+
+
+def _data_digests(spec):
+    tax, corpus, table = generate_synthetic(spec)
+    return tuple(hashlib.sha256(data).hexdigest() for data in (
+        tax.serialize().encode(), save_corpus(corpus).encode(), table.vectors.tobytes()))
+
+
+# SHA-256 of the taxonomy (serialize), the corpus (save_corpus) and the
+# embedding vectors (float32 bytes) that the acceptance gate and the
+# benchmark train on.  They move only if the generator's draws do: a change
+# to the code, or to NumPy's PCG64 stream or standard_normal.
+PINNED_DATA = {
+    "acceptance": (
+        "38ac056205128ec31ca24bb8b817f0c3cf815bb194015106e7a4b8590d67c16d",
+        "d7147e55ebf4d99666a6a42d75c5b4987da3f4967e608d07598d06379d4e6c3c",
+        "56f1f16f244c81833364e38a4d118e202efb3da277b1e634275d95d61186654c"),
+    "ACCEPT_SPEC": (
+        "38ac056205128ec31ca24bb8b817f0c3cf815bb194015106e7a4b8590d67c16d",
+        "4513cb6412c2c598453bee163b8b758ea3978af461248ab37e1adf292610e084",
+        "29dcb3ffd1355ff70a28c15a24d4f34ba92ec81874c8ee4e6c50c876336b9dc4"),
+    "WIDE_SPEC": (
+        "e57a3053b7fc604506280252517b279dfdaea13f326571a5c681b37c32f92fe5",
+        "e00d317fb0e41449d4237469ff1d88b772ca0b8fbe353a331f4e0e6b2d117e7f",
+        "881f941818b1a53bad7e92e3c006b7e4e3558823eb85aae9b5d8ea4b68572cc5"),
+    "TINY_SPEC": (
+        "a70b52dfc5ca6d9ecba82d3118f074e9b8b499b5fb78e0edc0ab8074b067dbb7",
+        "07f16828a3fbd06563577c604e96860c640fa47d7111d0066d485ddeab2cb30a",
+        "f8243d0f4e542d1fe3f9db4a396cd78dc61a674080b259cbbee84cdcd7b4621c"),
+    "TINY_WIDE_SPEC": (
+        "412a33b820c6e1eac211f6220a37852b67bb6372cb0889a4d9cb4b23a259635d",
+        "1bfddc6395306eae4b5dac1d57b2063475b33978c0363edf5444330afcff5cb1",
+        "2836437211320b47d85eb64ec889d1df4260202202a4f88a20a560ae7fc86f1b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATA))
+def test_generated_data_is_pinned(name, monkeypatch):
+    if name == "acceptance":
+        spec = BENCH_SPEC
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+        spec = getattr(workloads, name)
+    for artifact, got, want in zip(("taxonomy", "corpus", "embeddings"),
+                                   _data_digests(spec), PINNED_DATA[name]):
+        assert got == want, f"{name}: the generated {artifact} changed"

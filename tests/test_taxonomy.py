@@ -148,3 +148,11 @@ def test_random_corruptions_rejected(kind, pos):
         victim["text"] = 123
     with pytest.raises(TaxonomyError):
         load_taxonomy({"labels": labels})
+
+
+@pytest.mark.parametrize("field", ["id", "text", "parent"])
+def test_lone_surrogate_rejected(field):
+    labels = _valid_labels()
+    labels[2][field] += "\ud800"       # json.dumps writes it as the escape \ud800
+    with pytest.raises(TaxonomyError, match="not valid UTF-8"):
+        load_taxonomy(json.dumps({"labels": labels}))

@@ -1,17 +1,20 @@
-"""Print SHA-256 hashes of what training and a served model produce, so two
-source trees can be compared byte for byte.
+"""Print SHA-256 hashes of the generated data and of what training and a
+served model produce, so two source trees can be compared byte for byte.
 
     python3 tools/byte_hashes.py [--root DIR] > hashes.txt
 
 Imports ahmca from DIR/src and the benchmark specs from DIR/bench (default:
 the tree this file is in), and exits with an error if either resolves to
 another copy, so the same script can be run against another
-checkout and the two outputs diffed.  For each config it trains on the
-(3, 1, 1) split of its data and prints one line per artifact: the
-save_checkpoint bytes, History.to_csv(), the predict outputs (fused-score
-bytes, top leaves and level sets) of every test document on the model that
-load_checkpoint -> build_model serves, at threshold 0.5 and at 0.0, where
-every label is picked, and evaluate_model(model, test, ks=(1, 3)).to_json().
+checkout and the two outputs diffed.  For each config it prints one line
+for its generated data (the SHA-256 of the taxonomy's serialize(), the
+save_corpus text and the embedding vectors' float32 bytes, in that order),
+then trains on the (3, 1, 1) split of that data and prints one line per
+artifact: the save_checkpoint bytes, History.to_csv(), the predict
+outputs (fused-score bytes, top leaves and level sets) of every test
+document on the model that load_checkpoint -> build_model serves, at
+threshold 0.5 and at 0.0, where every label is picked, and
+evaluate_model(model, test, ks=(1, 3)).to_json().
 Every config but "ragged" trains on the documents of its spec, which all
 have one shape; "ragged" mixes token and keyword counts in every batch.
 OpenBLAS is pinned to one thread, since the float32 products may round
@@ -82,6 +85,11 @@ def main():
 
     for name, spec, cfg, make in configs(workloads, training.TrainConfig):
         tax, data, table = make(spec, workloads, corpus)
+        generated = hashlib.sha256()
+        for part in (tax.serialize().encode(), corpus.save_corpus(data).encode(),
+                     table.vectors.tobytes()):
+            generated.update(part)
+        print(name, "data", generated.hexdigest())
         tr, va, te = corpus.split(data, (3, 1, 1), seed=spec.seed)
         ckpt, hist = training.train(cfg, tr, va, tax, table)
         blob = training.save_checkpoint(ckpt)
