@@ -63,10 +63,22 @@ def _level_closure(leaves, tax: Taxonomy):
 def _field_tokens(rec, key):
     val = rec.get(key, "")
     if isinstance(val, str):
-        return tokenize(val)
+        return _utf8_tokens(tokenize(val), key)
     if isinstance(val, list) and all(isinstance(t, str) for t in val):
-        return list(val)
+        return _utf8_tokens(list(val), key)
     raise MalformedRecordError(f"field {key!r} must be a string or token list: {val!r}")
+
+
+def _utf8_tokens(tokens, key):
+    """tokens, unless one holds text that UTF-8 cannot encode (a lone
+    surrogate, from a \\ud800-style escape): such a token would reach a
+    vocabulary and fail only when a checkpoint is written."""
+    try:
+        "".join(tokens).encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise MalformedRecordError(f"field {key!r} holds text that is not valid UTF-8: "
+                                   f"{e.object[max(e.start - 16, 0):e.end + 16]!r}") from None
+    return tokens
 
 
 def _document(rec, leaves, level_labels) -> Document:
@@ -82,6 +94,7 @@ def _document(rec, leaves, level_labels) -> Document:
         if not isinstance(kw, str):
             raise MalformedRecordError(f"keyword must be a string: {kw!r}")
         keywords.extend(tokenize(kw))
+    _utf8_tokens(keywords, "keywords")
     doc_id = rec.get("id", "")
     if not isinstance(doc_id, str):
         raise MalformedRecordError(f"document id must be a string: {doc_id!r}")

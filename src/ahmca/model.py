@@ -18,7 +18,8 @@ zero (most labels, on a wide taxonomy): every element starts at +0.0, so
 adding +-0.0 would change nothing.  Scoring takes the same forward path:
 predict_scores_batch scores a batch of documents in one call, and
 predict_scores is a batch of one, or inside a scoring() block a document's
-row of the chunk that block scored it in.
+row of the chunk that block scored it in: chunks of up to _SCORE_DOCS
+documents and _SCORE_ROWS token rows, longest first.
 
 forward takes its label matrices from _served_label_matrices(): built once
 for a served model's read-only embeddings, and on every call for writable
@@ -52,6 +53,12 @@ from .taxonomy import Taxonomy, tokenize
 
 if TYPE_CHECKING:           # training imports model; annotation only
     from .training import TrainConfig
+
+# A scoring() chunk takes at most this many documents and token rows: the
+# time loop costs about the same per step whatever its row count, and the
+# head and attention arrays grow with the documents, the encoder's with the rows.
+_SCORE_DOCS = 64
+_SCORE_ROWS = 4096
 
 
 def param_shapes(level_sizes, vocab_size, cfg: TrainConfig):
@@ -201,18 +208,26 @@ class Model:
 
     @contextmanager
     def scoring(self, docs):
-        """Score docs in chunks of cfg.batch_size taken in a stable
-        longest-first order of token counts, one predict_scores_batch call
-        per chunk: a chunk's time loop runs as many steps as its longest
-        document.  Documents of one length keep the chunks
-        docs[i:i + batch_size].  Inside the block, predict_scores(doc) of
-        one of them returns its row of its chunk instead of running forward
-        again, so per-document callers, in any order, share the batched
-        forwards.  The parameters must not change inside it."""
-        ordered = sorted(docs, key=lambda doc: -len(doc.tokens))     # stable
-        size, scored = self.cfg.batch_size, {}
-        for start in range(0, len(ordered), size):
-            chunk = ordered[start:start + size]
+        """Score docs in chunks taken in a stable longest-first order of
+        token counts, one predict_scores_batch call per chunk: a chunk's
+        time loop runs as many steps as its longest document.  A chunk takes
+        documents until the next would bring it past _SCORE_DOCS documents
+        or _SCORE_ROWS token rows, so a longer document is scored alone and
+        documents of one short length keep the chunks docs[i:i + _SCORE_DOCS].
+        Inside the block, predict_scores(doc) of one of them returns its row
+        of its chunk instead of running forward again, so per-document
+        callers, in any order, share the batched forwards.  The parameters
+        must not change inside it."""
+        chunks, rows = [], 0
+        for doc in sorted(docs, key=lambda doc: -len(doc.tokens)):     # stable
+            n = len(doc.tokens)
+            if not chunks or len(chunks[-1]) == _SCORE_DOCS or rows + n > _SCORE_ROWS:
+                chunks.append([])
+                rows = 0
+            chunks[-1].append(doc)
+            rows += n
+        scored = {}
+        for chunk in chunks:
             pred = self.predict_scores_batch(chunk)
             scored.update((id(doc), (pred, r)) for r, doc in enumerate(chunk))
         self._scored = scored

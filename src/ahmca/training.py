@@ -1,8 +1,9 @@
 """Training loop (mini-batch Adam), evaluation, prediction decoding, and
 the binary checkpoint container.
 
-Evaluation scores its corpus a mini-batch at a time through the forward
-path training uses, reading each document's row through predict_scores;
+Evaluation scores its corpus in length-ordered chunks of up to 64
+documents and 4096 token rows (Model.scoring) through the forward path
+training uses, reading each document's row through predict_scores;
 predict decodes one document, a batch of one.  train() steps a Model whose
 parameters, like the gradients of Model.loss_and_grads, are views of one
 float32 Arena of Model.shapes: one finite check covers a step's before any
@@ -279,10 +280,10 @@ def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
                    threshold=0.5) -> MetricsReport:
     """Macro P/R/F1 of the top-1 leaf, P@k over the leaf scores and the
     hierarchy violation rate of the thresholded label sets.  The documents
-    are scored in chunks of cfg.batch_size taken in a stable longest-first
-    length order, one batched forward per chunk (Model.scoring), so
-    evaluation holds no more rows at once than a training step and each
-    chunk's time loop runs no longer than its longest document needs.
+    are scored in chunks of up to 64 documents and 4096 token rows taken
+    in a stable longest-first length order, one batched forward per chunk
+    (Model.scoring), so the chunks do not depend on cfg.batch_size and
+    each chunk's time loop runs no longer than its longest document needs.
     Each document's scores are then read through Model.predict_scores in
     corpus order, as predict reads them, so whatever wraps or overrides
     it sees evaluation as it sees predict; they decode as

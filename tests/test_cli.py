@@ -307,6 +307,25 @@ def test_lone_surrogate_taxonomy_exit_3(workspace, tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_lone_surrogate_token_train_exit_3(workspace, tmp_path, capsys):
+    """A token that UTF-8 cannot encode is refused where the corpus is read,
+    not after the last epoch, when the checkpoint's vocabulary is written."""
+    lines = (workspace / "train.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["title"] = [*rec["title"], "bad\ud800"]
+    lines[1] = json.dumps(rec)                  # the surrogate as a JSON escape
+    bad = tmp_path / "train.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = _train_args(workspace, tmp_path, **{"--train": bad})
+    at = argv.index("--embeddings")
+    del argv[at:at + 2]                         # a random table of the corpus's tokens
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "epoch" not in out
+    assert "line 2: field 'title'" in err and "not valid UTF-8" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 # small valid values for every SynthSpec field
 _SPEC_FIELDS = {
     "level_sizes": st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
@@ -401,7 +420,10 @@ def test_mismatched_data_exit_3(workspace, tmp_path, capsys):
 def test_malformed_query_exit_3(workspace, tmp_path, capsys):
     q = tmp_path / "query.jsonl"
     for rec in ({"title": "x", "keywords": 5}, [1, 2], {"title": "x", "keywords": "ab cd"},
-                {"id": 5, "title": "x"}):
+                {"id": 5, "title": "x"},
+                # lone surrogates, written as JSON escapes
+                {"title": ["bad\ud800"]}, {"abstract": "a\ud800b"},
+                {"title": "x", "keywords": ["k\udc00w"]}):
         q.write_text(json.dumps(rec) + "\n")
         rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
         assert rc == 3, rec

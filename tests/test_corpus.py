@@ -16,6 +16,7 @@ from ahmca.corpus import (
     _draw_tokens,
     generate_synthetic,
     load_corpus,
+    make_unlabeled_document,
     save_corpus,
     split,
     tokenize,
@@ -88,6 +89,20 @@ def test_load_corpus_names_the_bad_line(two_level_tax, second, message):
 def test_record_errors_name_their_line(two_level_tax, second, error, message):
     with pytest.raises(error, match=f"^{message}"):
         load_corpus("\n".join([_rec(), second]), two_level_tax)
+
+
+@pytest.mark.parametrize("field", [
+    {"title": ["ok", "bad\ud800"]},               # a token list keeps the token as given
+    {"abstract": "fine a\ud800b text"},           # tokenize keeps an inner surrogate
+    {"keywords": ["k\udc00w"]},
+    {"title": ["\ud83d", "\ude00"]}])            # two halves of a pair, in two tokens
+def test_lone_surrogate_token_rejected(two_level_tax, field):
+    """json.loads turns a \\ud800-style escape into a lone surrogate, which
+    UTF-8 cannot encode: the record is refused, naming its line."""
+    with pytest.raises(MalformedRecordError, match="^line 2: field .* not valid UTF-8"):
+        load_corpus("\n".join([_rec(), _rec(i="d2", **field)]), two_level_tax)
+    with pytest.raises(MalformedRecordError, match="not valid UTF-8"):
+        make_unlabeled_document(json.loads(_rec(**field)), two_level_tax)
 
 
 def test_empty_text(two_level_tax):

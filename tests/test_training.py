@@ -569,8 +569,7 @@ def test_evaluate_empty_corpus(tiny_run):
 
 def test_evaluate_one_forward_per_chunk(tiny_run, monkeypatch):
     tax, corpus, *_, ckpt, hist = tiny_run
-    model, _ = ckpt.build_model()
-    data = Corpus(corpus.documents[:-2], corpus.taxonomy_hash)    # a short last chunk
+    data = Corpus(corpus.documents[:-1], corpus.taxonomy_hash)    # a short last chunk
     calls = {name: [] for name in ("forward", "label_matrices", "predict_scores")}
     for name, seen in calls.items():
         fn = getattr(Model, name)
@@ -578,13 +577,19 @@ def test_evaluate_one_forward_per_chunk(tiny_run, monkeypatch):
                             lambda self, *a, _fn=fn, _seen=seen: _seen.append(1) or _fn(self, *a))
     predicted = []
     monkeypatch.setattr(training_module, "predict", lambda *a, **kw: predicted.append(1))
-    evaluate_model(model, data, ks=(1,))
-    chunks = math.ceil(len(data) / model.cfg.batch_size)
-    assert len(data) % model.cfg.batch_size
-    # each document's row is read through predict_scores, without a forward of
-    # its own; the built model's label matrices are built once for all chunks
-    assert {name: len(seen) for name, seen in calls.items()} == {
-        "forward": chunks, "label_matrices": 1, "predict_scores": len(data)}
+    # 7 documents: one chunk at the module's limits, ceil(7 / 3) = 3 at three
+    # documents a chunk, whatever the config's batch_size
+    assert ckpt.config.batch_size == 4
+    for limit, chunks in ((model_module._SCORE_DOCS, 1), (3, 3)):
+        monkeypatch.setattr(model_module, "_SCORE_DOCS", limit)
+        model, _ = ckpt.build_model()
+        for seen in calls.values():
+            seen.clear()
+        evaluate_model(model, data, ks=(1,))
+        # each document's row is read through predict_scores, without a forward of
+        # its own; the built model's label matrices are built once for all chunks
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "forward": chunks, "label_matrices": 1, "predict_scores": len(data)}
     assert not predicted
 
 
@@ -592,9 +597,10 @@ def test_scoring_block_serves_batch_rows(tiny_run, monkeypatch):
     tax, corpus, *_, ckpt, hist = tiny_run
     model, _ = ckpt.build_model()
     docs, other = corpus.documents[:5], corpus.documents[5]
-    # documents of one length: the chunks are docs[:4] and docs[4:]
-    size = model.cfg.batch_size
-    assert size == 4 and len({len(d.tokens) for d in docs}) == 1
+    # documents of one length, at most 4 a chunk: the chunks are docs[:4] and docs[4:]
+    size = 4
+    monkeypatch.setattr(model_module, "_SCORE_DOCS", size)
+    assert len({len(d.tokens) for d in docs}) == 1
     chunks = [model.predict_scores_batch(docs[:size]), model.predict_scores_batch(docs[size:])]
     alone = model.predict_scores(other)
     forwards = []
@@ -617,17 +623,22 @@ def test_scoring_block_serves_batch_rows(tiny_run, monkeypatch):
 
 
 def test_evaluate_chunks_follow_length_order(tiny_run, monkeypatch):
-    """evaluate_model scores a ragged corpus in chunks of batch_size taken
-    in a stable longest-first order of token counts, then reads each
-    document's own row through predict_scores once, in corpus order;
-    documents of one length keep the chunks docs[i:i + batch_size]."""
+    """evaluate_model scores a ragged corpus in chunks taken in a stable
+    longest-first order of token counts, each closed before a document that
+    would bring it past _SCORE_DOCS documents or _SCORE_ROWS token rows,
+    then reads each document's own row through predict_scores once, in
+    corpus order; documents of one short length keep the chunks
+    docs[i:i + _SCORE_DOCS]."""
     tax, corpus, *_, ckpt, hist = tiny_run
     model, _ = ckpt.build_model()
-    # token counts 4, 7, 2, 7, 5, 3, 5 (the keyword included), ties at 7 and 5
+    # token counts 4, 7, 2, 7, 5, 3, 5 (the keyword included), ties at 7 and 5;
+    # longest first, the positions run 1, 3, 4, 6, 0, 5, 2
     ragged = [replace(d, title_tokens=(d.title_tokens * 2)[:n])
               for d, n in zip(corpus.documents, (3, 6, 1, 6, 4, 2, 4))]
     assert [len(d.tokens) for d in ragged] == [4, 7, 2, 7, 5, 3, 5]
-    one_length = list(corpus.documents[:6])
+    # 130 documents of 6 tokens, distinct objects: 64 of them are 384 rows
+    one_length = [replace(d, id=f"{d.id}.{i}")
+                  for i in range(17) for d in corpus.documents][:130]
     assert len({len(d.tokens) for d in one_length}) == 1
     chunks, reads = [], []
     forward, predict_scores = Model.forward, Model.predict_scores
@@ -642,12 +653,20 @@ def test_evaluate_chunks_follow_length_order(tiny_run, monkeypatch):
 
     monkeypatch.setattr(Model, "forward", recording_forward)
     monkeypatch.setattr(Model, "predict_scores", recording_predict_scores)
-    for docs, want in ((ragged, [[1, 3, 4, 6], [0, 5, 2]]),
-                       (one_length, [[0, 1, 2, 3], [4, 5]])):
+    cases = [
+        (ragged, 4, 4096, [[1, 3, 4, 6], [0, 5, 2]]),          # the document limit splits
+        (ragged, 64, 12, [[1], [3, 4], [6, 0, 5], [2]]),       # the row limit, 12 rows fit
+        (ragged, 64, 6, [[1], [3], [4], [6], [0], [5, 2]]),    # 7 > 6 rows: scored alone
+        (ragged, 64, 4096, [[1, 3, 4, 6, 0, 5, 2]]),
+        (one_length, 64, 4096, [range(0, 64), range(64, 128), range(128, 130)]),
+        (one_length[:6], 4, 4096, [[0, 1, 2, 3], [4, 5]]),
+    ]
+    for docs, max_docs, max_rows, want in cases:
+        monkeypatch.setattr(model_module, "_SCORE_DOCS", max_docs)
+        monkeypatch.setattr(model_module, "_SCORE_ROWS", max_rows)
         chunks.clear()
         reads.clear()
         evaluate_model(model, Corpus(tuple(docs), corpus.taxonomy_hash), ks=(1,))
-        assert len(want) == math.ceil(len(docs) / model.cfg.batch_size)
         assert [[id(doc) for doc in chunk] for chunk in chunks] == \
             [[id(docs[b]) for b in run] for run in want]
         assert [id(doc) for doc, _ in reads] == [id(doc) for doc in docs]
