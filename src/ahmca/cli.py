@@ -153,13 +153,15 @@ def _cmd_eval(args):
 def _cmd_predict(args):
     ckpt = load_checkpoint(_read_bytes(args.model))
     model, tax = ckpt.build_model()
-    for _, doc in read_documents(_read(args.input), tax, make_unlabeled_document):
-        out = decode_prediction(model, doc, top_n=args.top, threshold=args.threshold)
-        print(json.dumps({
-            "id": doc.id,
-            "top_leaves": out["top_leaves"],
-            "level_sets": out["level_sets"],
-        }, ensure_ascii=False))
+    docs = [doc for _, doc in read_documents(_read(args.input), tax, make_unlabeled_document)]
+    with model.scoring(docs):
+        for doc in docs:
+            out = decode_prediction(model, doc, top_n=args.top, threshold=args.threshold)
+            print(json.dumps({
+                "id": doc.id,
+                "top_leaves": out["top_leaves"],
+                "level_sets": out["level_sets"],
+            }, ensure_ascii=False))
     return 0
 
 

@@ -141,7 +141,7 @@ def read_documents(source: str, tax: Taxonomy, make):
         if line.strip():
             try:
                 doc = make(json.loads(line), tax)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:   # RecursionError: nested too deep
                 raise MalformedRecordError(f"line {ln}: invalid JSON ({e})") from None
             except (UnknownLabelError, EmptyTextError, MalformedRecordError) as e:
                 raise type(e)(f"line {ln}: {e}") from None
@@ -295,7 +295,7 @@ class SynthSpec:
     def from_json(cls, source: str) -> "SynthSpec":
         try:
             obj = json.loads(source)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:     # RecursionError: nested too deep
             raise SpecInvalidError(f"spec is not valid JSON: {e}") from None
         return cls(**fields_from_json(cls, obj, SpecInvalidError, SpecInvalidError))
 

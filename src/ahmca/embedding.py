@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     CountMismatchError,
     DuplicateTokenError,
+    EmbeddingError,
     MalformedHeaderError,
     NonFiniteVectorError,
     RowArityError,
@@ -47,7 +48,8 @@ class EmbeddingTable:
 
 def load_embeddings(source: str) -> EmbeddingTable:
     """Parse word2vec text format: header "vocab_size dim", then one
-    "token v1 ... v_dim" line per word."""
+    "token v1 ... v_dim" line per word.  A token must encode as UTF-8, as
+    save_embeddings' text is written."""
     lines = [ln for ln in source.splitlines() if ln.strip()]
     if not lines:
         raise MalformedHeaderError("empty embedding file")
@@ -70,6 +72,10 @@ def load_embeddings(source: str) -> EmbeddingTable:
             tok = parts[0]
             if tok in rows:
                 raise DuplicateTokenError(f"duplicate token {tok!r}")
+            try:
+                tok.encode("utf-8")
+            except UnicodeEncodeError:      # a lone surrogate, which no UTF-8 file can hold
+                raise EmbeddingError(f"row {tok!r}: the token is not valid UTF-8") from None
             try:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             except ValueError:

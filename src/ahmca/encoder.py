@@ -63,22 +63,9 @@ from .numerics import sigmoid
 
 
 def lstm_param_shapes(k):
-    """Name -> shape of both directions' parameters, in initialisation order."""
+    """Name -> shape of both directions' parameters, in the order init_params fills them."""
     return {f"lstm_{d}.{w}": (4 * k,) if w == "b" else (4 * k, k)
             for d in ("fwd", "bwd") for w in ("Wx", "Wh", "b")}
-
-
-def init_lstm_params(k, rng, dtype=np.float32):
-    """uniform(-1/sqrt(k), 1/sqrt(k)) weights, forget-gate bias 1.0."""
-    s = 1.0 / np.sqrt(k)
-    params = {}
-    for name, shape in lstm_param_shapes(k).items():
-        if len(shape) == 2:
-            params[name] = rng.uniform(-s, s, shape).astype(dtype)
-        else:
-            params[name] = np.zeros(shape, dtype=dtype)
-            params[name][k:2 * k] = 1.0
-    return params
 
 
 class Packing(NamedTuple):

@@ -32,7 +32,7 @@ class Prediction:
 
 
 def head_param_shapes(k, g, d_local, level_sizes, use_x0=True):
-    """Name -> shape of every head parameter, in initialisation order."""
+    """Name -> shape of every head parameter, in the order init_params fills them."""
     total = sum(level_sizes)
     shapes = {}
     for h in range(1, len(level_sizes) + 1):
@@ -46,18 +46,6 @@ def head_param_shapes(k, g, d_local, level_sizes, use_x0=True):
         shapes[f"local.Wc{h}"] = (n, d_local)
         shapes[f"local.bc{h}"] = (n,)
     return shapes
-
-
-def init_head_params(k, g, d_local, level_sizes, rng, use_x0=True, dtype=np.float32):
-    """Fan-in-scaled uniform weights, zero biases."""
-    params = {}
-    for name, shape in head_param_shapes(k, g, d_local, level_sizes, use_x0).items():
-        if len(shape) == 2:
-            s = 1.0 / np.sqrt(shape[1])
-            params[name] = rng.uniform(-s, s, shape).astype(dtype)
-        else:
-            params[name] = np.zeros(shape, dtype=dtype)
-    return params
 
 
 def _affine(W, b, X):

@@ -2,11 +2,13 @@
 head, with reverse-mode gradients for every trainable parameter group.
 
 One Model instance owns the taxonomy binding, the embedding vocabulary and
-the parameter dict (embedding vectors included).  Its hyperparameters (k, g,
-d_L, beta, lambda_, attention mode, similarity, x^0 in the global path and
-the init seed) are read from the TrainConfig it was built with, model.cfg,
-which has checked their ranges.  One loss_and_grads call serves a
-mini-batch: the encoder runs once on the batch's token matrix in one packed
+the parameter dict (embedding vectors included): unless given one, an Arena
+of shapes that init_params, the one initialiser, draws from cfg.seed, with
+the table's vectors and unk copied into its tail.  Its hyperparameters (k,
+g, d_L, beta, lambda_, attention mode, similarity, x^0 in the global path
+and the init seed) are read from the TrainConfig it was built with,
+model.cfg, which has checked their ranges.  One loss_and_grads call serves
+a mini-batch: the encoder runs once on the batch's token matrix in one packed
 time loop, without padding, attention runs once per shape group (documents
 of equal token and keyword counts, stacked through one row index), and the
 head runs once on a B-row matrix per level, one row per document in batch
@@ -37,7 +39,7 @@ import numpy as np
 from .attention import attention_backward, attention_forward, splice_level
 from .corpus import Document
 from .embedding import EmbeddingTable
-from .encoder import bilstm_backward, bilstm_encode, init_lstm_params, lstm_param_shapes
+from .encoder import bilstm_backward, bilstm_encode, lstm_param_shapes
 from .errors import ConfigRangeError, EmptyInputError, EmptyTextError
 from .hmcn import (
     Prediction,
@@ -47,7 +49,6 @@ from .hmcn import (
     head_forward,
     head_loss,
     head_param_shapes,
-    init_head_params,
 )
 from .taxonomy import Taxonomy, tokenize
 
@@ -79,6 +80,22 @@ class Arena(dict):
         self.flat = flat
 
 
+def init_params(shapes, rng, dtype=np.float32):
+    """An Arena of shapes on a new zeroed buffer, filled in shapes order:
+    each 2-D entry but the embedding table is drawn from uniform(-s, s),
+    s = 1/sqrt(its column count, the fan-in), in float64 and rounded to
+    dtype; each LSTM bias has its forget-gate quarter at 1.0."""
+    params = Arena(shapes, np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype))
+    for name, arr in params.items():
+        if arr.ndim == 2 and not name.startswith("embedding."):
+            s = 1.0 / np.sqrt(arr.shape[1])
+            arr[...] = rng.uniform(-s, s, arr.shape)
+        elif name.startswith("lstm_") and name.endswith(".b"):
+            k = len(arr) // 4
+            arr[k:2 * k] = 1.0
+    return params
+
+
 class Model:
     def __init__(self, tax: Taxonomy, table: EmbeddingTable, cfg: TrainConfig, *,
                  dtype=np.float32, params=None):
@@ -96,12 +113,9 @@ class Model:
         self.trainable = self.arena_size - (len(table) + 1) * cfg.k * cfg.freeze_embeddings
 
         if params is None:
-            rng = np.random.default_rng(cfg.seed)
-            params = init_lstm_params(cfg.k, rng, dtype)
-            params.update(init_head_params(cfg.k, cfg.g, cfg.d_L, self.level_sizes, rng,
-                                           use_x0=cfg.use_x0_in_global, dtype=dtype))
-            params["embedding.vectors"] = table.vectors.astype(dtype)
-            params["embedding.unk"] = table.unk_vector.astype(dtype)
+            params = init_params(self.shapes, np.random.default_rng(cfg.seed), dtype)
+            params["embedding.vectors"][...] = table.vectors
+            params["embedding.unk"][...] = table.unk_vector
         self.params = params
         self._scored = None         # document id -> (its chunk's Prediction, row) in scoring()
         self._served_mats = None    # (vectors, unk, label matrices) of read-only embeddings

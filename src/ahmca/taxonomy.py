@@ -108,7 +108,7 @@ def load_taxonomy(source) -> Taxonomy:
     """
     try:
         obj = json.loads(source) if isinstance(source, (str, bytes)) else source
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:     # RecursionError: nested too deep
         raise TaxonomyError(f"taxonomy is not valid JSON: {e}") from None
     if not (isinstance(obj, dict) and isinstance(obj.get("labels"), list) and obj["labels"]):
         raise LevelGapError("taxonomy file must be an object with a non-empty 'labels' list")

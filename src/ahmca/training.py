@@ -4,10 +4,11 @@ the binary checkpoint container.
 Evaluation scores its corpus in length-ordered chunks of up to 64
 documents and 4096 token rows (Model.scoring) through the forward path
 training uses, reading each document's row through predict_scores;
-predict decodes one document, a batch of one.  train() steps a Model whose
-parameters, like the gradients of Model.loss_and_grads, are views of one
-float32 Arena of Model.shapes: one finite check covers a step's before any
-parameter moves, then Adam steps the prefix Model.trainable of the buffer.
+predict decodes one document, a batch of one.  train() steps a fresh
+Model's parameters in place: like the gradients of Model.loss_and_grads,
+they are views of one float32 Arena of Model.shapes (model.init_params).
+One finite check covers a step's gradients before any parameter moves,
+then Adam steps the prefix Model.trainable of the buffer.
 A checkpoint is magic, version, the metadata JSON's length and text, that
 buffer as little-endian float32 (Model.shapes follows from the metadata),
 and a CRC-32 of all of it.  Checkpoint.build_model cuts a read-only Arena
@@ -109,7 +110,7 @@ def load_config(source) -> TrainConfig:
     missing keys take their defaults.  lambda_ may be spelled "lambda"."""
     try:
         obj = json.loads(source) if isinstance(source, (str, bytes)) else dict(source)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:     # RecursionError: nested too deep
         raise ConfigTypeError(f"config is not a JSON object: {e}") from None
     if isinstance(obj, dict) and "lambda" in obj:
         if "lambda_" in obj:
@@ -148,6 +149,11 @@ class Checkpoint:
         tokens = self.embedding_tokens
         if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
             raise CorruptPayloadError("embedding_tokens must be distinct strings")
+        try:
+            "".join(tokens).encode("utf-8")
+        except UnicodeEncodeError as e:     # a lone surrogate, which save_checkpoint refuses
+            raise CorruptPayloadError("embedding_tokens hold text that is not valid UTF-8: "
+                                      f"{e.object[max(e.start - 16, 0):e.end + 16]!r}") from None
         cfg = self.config
         shapes = param_shapes(tax.level_sizes(), len(tokens), cfg)
         size = sum(math.prod(shape) for shape in shapes.values())
@@ -200,7 +206,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
                                   f"float32s in a {len(data)}-byte file")
     try:
         meta = json.loads(data[20:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CorruptPayloadError(f"bad metadata: {e}") from None
     if not isinstance(meta, dict) \
             or any(not isinstance(meta.get(k), t) for k, t in _META_TYPES.items()):
@@ -371,8 +377,7 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
             raise TooFewDocumentsError(f"the {name} corpus has no documents")
 
     model = Model(tax, table, cfg)
-    flat = np.concatenate([model.params[name].reshape(-1) for name in model.shapes])
-    model.params = Arena(model.shapes, flat)
+    flat = model.params.flat
     opt = Adam(flat[:model.trainable], cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     docs = list(train_c.documents)

@@ -18,12 +18,17 @@ def reseal(body):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _put_meta(blob, meta_bytes):
+    """The checkpoint with its metadata text replaced by meta_bytes, resealed."""
+    (meta_len,) = struct.unpack_from("<Q", blob, 12)
+    return reseal(blob[:12] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+                  + blob[20 + meta_len:-4])
+
+
 def edit_meta(blob, edit):
     """The checkpoint with its metadata JSON replaced by edit(meta), resealed."""
     (meta_len,) = struct.unpack_from("<Q", blob, 12)
-    meta_bytes = json.dumps(edit(json.loads(blob[20:20 + meta_len]))).encode()
-    return reseal(blob[:12] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
-                  + blob[20 + meta_len:-4])
+    return _put_meta(blob, json.dumps(edit(json.loads(blob[20:20 + meta_len]))).encode())
 
 
 def _edit_flat(blob, edit):
@@ -60,6 +65,7 @@ LOAD_CASES = {
     "no_taxonomy_hash": lambda b: edit_meta(
         b, lambda m: {k: v for k, v in m.items() if k != "taxonomy_hash"}),
     "trailing_bytes": lambda b: b + b"\x00" * 4,
+    "meta_nested_too_deep": lambda b: _put_meta(b, b"[" * 100_000),
 }
 
 # loaded, then rejected by Checkpoint.build_model
@@ -72,6 +78,8 @@ BUILD_CASES = {
         b, _set_meta("embedding_tokens", lambda toks: [toks[1]] + toks[1:])),
     "token_not_string": lambda b: edit_meta(
         b, _set_meta("embedding_tokens", lambda toks: [[toks[0]]] + toks[1:])),
+    "token_lone_surrogate": lambda b: edit_meta(     # json.dumps writes its \u escape
+        b, _set_meta("embedding_tokens", lambda toks: [toks[0] + "\ud800"] + toks[1:])),
     "nan_weight": lambda b: _edit_flat(b, _set_nan),
     "taxonomy_not_json": lambda b: edit_meta(b, _set_meta("taxonomy", lambda t: "not json")),
     "taxonomy_no_labels": lambda b: edit_meta(

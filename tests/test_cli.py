@@ -12,9 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahmca.cli import main
-from ahmca.corpus import SynthSpec
+from ahmca.corpus import SynthSpec, make_unlabeled_document
 from ahmca.errors import AhmcaError, CheckpointError, SpecInvalidError
-from ahmca.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig, load_checkpoint
+from ahmca.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    TrainConfig,
+    load_checkpoint,
+    predict,
+)
 
 SPEC = {
     "level_sizes": [2, 2], "docs_per_leaf": 4, "doc_length": 5,
@@ -434,7 +440,9 @@ def test_invalid_json_query_names_the_line_exit_3(workspace, tmp_path, capsys):
     q.write_text(json.dumps({"id": "q1", "title": "x"}) + "\nnot json\n")
     rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
     assert rc == 3
-    assert "line 2: invalid JSON" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "line 2: invalid JSON" in err
+    assert out == ""                # every line is read before any is scored
 
 
 def test_bad_query_record_names_the_line_exit_3(workspace, tmp_path, capsys):
@@ -443,3 +451,57 @@ def test_bad_query_record_names_the_line_exit_3(workspace, tmp_path, capsys):
     rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
     assert rc == 3
     assert "line 2: record 'q2' has no text" in capsys.readouterr().err
+
+
+_DEEP = "[" * 100_000       # json.loads raises RecursionError on it
+
+
+@pytest.mark.parametrize("flag, want, message", [
+    ("--config", 2, "config is not a JSON object"),
+    ("--spec", 3, "spec is not valid JSON"),
+    ("--taxonomy", 3, "taxonomy is not valid JSON"),
+    ("--train", 3, "line 2: invalid JSON"),
+    ("--input", 3, "line 2: invalid JSON"),
+], ids=["config", "spec", "taxonomy", "corpus", "query"])
+def test_deeply_nested_json_exit_code(workspace, tmp_path, capsys, flag, want, message):
+    bad = tmp_path / "deep.json"
+    if flag in ("--train", "--input"):      # a corpus or query file, its second line
+        bad.write_text((workspace / "val.jsonl").read_text().splitlines()[0] + "\n" + _DEEP)
+    else:
+        bad.write_text(_DEEP)
+    if flag == "--spec":
+        argv = ["gen-synth", "--spec", str(bad), "--out-dir", str(tmp_path / "out")]
+    elif flag == "--input":
+        argv = ["predict", "--model", str(workspace / "model.bin"), "--input", str(bad)]
+    else:
+        argv = _train_args(workspace, tmp_path, **{flag: bad})
+    assert main(argv) == want
+    out, err = capsys.readouterr()
+    assert message in err and "recursion" in err
+    assert out == ""
+    assert not (tmp_path / "m.bin").exists() and not (tmp_path / "out").exists()
+
+
+def test_predict_rows_match_served_predict(workspace, capsys):
+    """ahmca predict scores its input in one scoring block; each row decodes
+    as training.predict (a batch of one) decodes the same query, up to the
+    last bits of the scores."""
+    queries = []
+    for i, line in enumerate((workspace / "data" / "corpus.jsonl").read_text().splitlines() * 3):
+        rec = json.loads(line)       # cut to 1-9 tokens: ragged and repeated lengths
+        queries.append({"id": f"q{i}", "title": (rec["title"] * 4)[:1 + i % 9],
+                        "keywords": rec["keywords"][:i % 2]})
+    q = workspace / "ragged_queries.jsonl"
+    q.write_text("".join(json.dumps(rec) + "\n" for rec in queries))
+    rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q),
+               "--top", "2"])
+    assert rc == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    model, tax = load_checkpoint((workspace / "model.bin").read_bytes()).build_model()
+    assert [row["id"] for row in rows] == [rec["id"] for rec in queries]
+    for row, rec in zip(rows, queries):
+        want = predict(model, make_unlabeled_document(rec, tax), top_n=2)
+        assert [leaf for leaf, _ in row["top_leaves"]] == [leaf for leaf, _ in want["top_leaves"]]
+        np.testing.assert_allclose([score for _, score in row["top_leaves"]],
+                                   [score for _, score in want["top_leaves"]], rtol=0, atol=1e-6)
+        assert row["level_sets"] == want["level_sets"]

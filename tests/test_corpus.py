@@ -28,6 +28,8 @@ from ahmca.errors import (
     TooFewDocumentsError,
     UnknownLabelError,
 )
+from ahmca.model import Model
+from ahmca.training import TrainConfig
 
 
 def test_tokenize_punctuation():
@@ -383,3 +385,27 @@ def test_generated_data_is_pinned(name, monkeypatch):
     for artifact, got, want in zip(("taxonomy", "corpus", "embeddings"),
                                    _data_digests(spec), PINNED_DATA[name]):
         assert got == want, f"{name}: the generated {artifact} changed"
+
+
+# SHA-256 of a fresh Model's parameters, its arrays' bytes concatenated in
+# Model.shapes order, for the acceptance gate's config and for the wide
+# benchmark's: they move only if the initial draws, their order or their
+# rounding do (or the data above).
+PINNED_INIT = {
+    "acceptance": "e0ef78528862e64a901e7de4e266cb2f65b39664b98d99a4763eba23e72e35e9",
+    "WIDE_SPEC": "418c2c38001e1d98a6f6ebf673046349f69d05b9925375c701ed21162695739f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INIT))
+def test_initial_weights_are_pinned(name, monkeypatch):
+    if name == "acceptance":
+        spec, cfg = BENCH_SPEC, TrainConfig(seed=7)
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+        spec, cfg = workloads.WIDE_SPEC, TrainConfig()
+    tax, _, table = generate_synthetic(spec)
+    model = Model(tax, table, cfg)
+    digest = hashlib.sha256(b"".join(model.params[n].tobytes() for n in model.shapes))
+    assert digest.hexdigest() == PINNED_INIT[name], f"{name}: the initial weights changed"

@@ -13,6 +13,7 @@ from ahmca.errors import (
     ConfigRangeError,
     CountMismatchError,
     DuplicateTokenError,
+    EmbeddingError,
     EmptyInputError,
     MalformedHeaderError,
     NonFiniteVectorError,
@@ -75,6 +76,12 @@ def test_non_finite_component(component):
         warnings.simplefilter("error")          # 1e39 must not overflow with a warning
         with pytest.raises(NonFiniteVectorError, match="'dog'"):
             load_embeddings(f"2 2\ncat 1 0\ndog {component} 1.0\n")
+
+
+def test_lone_surrogate_token():
+    # a token no UTF-8 file can hold, so save_embeddings' text could not be written
+    with pytest.raises(EmbeddingError, match=r"row 'bad\\ud800'"):
+        load_embeddings("2 2\nbad\ud800 1 2\nok 3 4\n")
 
 
 def test_malformed_header():

@@ -12,8 +12,9 @@ from oracles import (
 
 from ahmca import encoder
 from ahmca.corpus import split
-from ahmca.encoder import bilstm_backward, bilstm_encode, init_lstm_params
+from ahmca.encoder import bilstm_backward, bilstm_encode, lstm_param_shapes
 from ahmca.errors import DimMismatchError, EmptyInputError
+from ahmca.model import init_params
 from ahmca.numerics import grad_check, sigmoid
 from ahmca.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -81,7 +82,7 @@ def test_bilstm_matches_step_oracle():
     k, N = 3, 5
     rng = np.random.default_rng(9)
     params = {name: rng.standard_normal(v.shape)
-              for name, v in init_lstm_params(k, rng, dtype=np.float64).items()}
+              for name, v in init_params(lstm_param_shapes(k), rng, np.float64).items()}
     X = rng.standard_normal((N, k))
     (H_fwd, H_bwd), _ = bilstm_encode(X, [N], params)
     for d, H, seq in (("fwd", H_fwd, X), ("bwd", H_bwd[::-1], X[::-1])):
@@ -95,7 +96,7 @@ def test_bilstm_matches_step_oracle():
 def test_bilstm_shapes():
     k = 4
     rng = np.random.default_rng(1)
-    params = init_lstm_params(k, rng)
+    params = init_params(lstm_param_shapes(k), rng)
     X = rng.standard_normal((6, k)).astype(np.float32)
     (H_fwd, H_bwd), _ = bilstm_encode(X, [6], params)
     assert H_fwd.shape == (6, k)
@@ -115,7 +116,7 @@ def test_bilstm_empty_batch():
 def test_backward_direction_is_reversed_forward():
     k = 3
     rng = np.random.default_rng(2)
-    params = init_lstm_params(k, rng, dtype=np.float64)
+    params = init_params(lstm_param_shapes(k), rng, np.float64)
     X = rng.standard_normal((5, k))
     (_, H_bwd), _ = bilstm_encode(X, [len(X)], params)
     # run the backward parameter set as a forward recurrence on reverse(X)
@@ -129,7 +130,7 @@ def test_backward_direction_is_reversed_forward():
 def test_single_token():
     k = 2
     rng = np.random.default_rng(3)
-    params = init_lstm_params(k, rng, dtype=np.float64)
+    params = init_params(lstm_param_shapes(k), rng, np.float64)
     X = rng.standard_normal((1, k))
     (H_fwd, H_bwd), _ = bilstm_encode(X, [1], params)
     assert H_fwd.shape == H_bwd.shape == (1, k)
@@ -139,7 +140,7 @@ def test_position_alignment():
     # H_fwd[n] depends only on tokens <= n, H_bwd[n] only on tokens >= n
     k = 3
     rng = np.random.default_rng(5)
-    params = init_lstm_params(k, rng, dtype=np.float64)
+    params = init_params(lstm_param_shapes(k), rng, np.float64)
     X = rng.standard_normal((6, k))
     (H_fwd, H_bwd), _ = bilstm_encode(X, [6], params)
     Y = X.copy()
@@ -154,7 +155,8 @@ def test_position_alignment():
 def test_hidden_bounded():
     k = 4
     rng = np.random.default_rng(6)
-    params = {key: (v * 10) for key, v in init_lstm_params(k, rng, np.float64).items()}
+    params = {key: (v * 10)
+              for key, v in init_params(lstm_param_shapes(k), rng, np.float64).items()}
     X = 5 * rng.standard_normal((8, k))
     (H_fwd, H_bwd), _ = bilstm_encode(X, [8], params)
     assert np.abs(H_fwd).max() <= 1.0
@@ -174,7 +176,7 @@ def test_bilstm_gradients():
         _, grads = bilstm_backward(Wf, Wb, caches, params)
         return loss, grads
 
-    point = init_lstm_params(k, rng, dtype=np.float64)
+    point = init_params(lstm_param_shapes(k), rng, np.float64)
     rep = grad_check(f, point, tolerance=1e-3)
     assert rep.passed, rep.max_rel_error
 
@@ -182,7 +184,7 @@ def test_bilstm_gradients():
 def _ragged(lengths, k, seed):
     rng = np.random.default_rng(seed)
     params = {name: rng.standard_normal(v.shape)
-              for name, v in init_lstm_params(k, rng, dtype=np.float64).items()}
+              for name, v in init_params(lstm_param_shapes(k), rng, np.float64).items()}
     return params, [rng.standard_normal((n, k)) for n in lengths]
 
 
@@ -237,7 +239,7 @@ def test_packed_batch_gradients():
         _, grads = bilstm_backward(np.concatenate(Wf), np.concatenate(Wb), cache, params)
         return loss, grads
 
-    point = init_lstm_params(k, rng, dtype=np.float64)
+    point = init_params(lstm_param_shapes(k), rng, np.float64)
     rep = grad_check(f, point, tolerance=1e-3)
     assert rep.passed, rep.max_rel_error
 
@@ -251,7 +253,7 @@ def test_document_states_do_not_depend_on_batch():
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(5)
         params = {name: (p + rng.uniform(-0.1, 0.1, p.shape)).astype(dtype)
-                  for name, p in init_lstm_params(k, rng, dtype).items()}
+                  for name, p in init_params(lstm_param_shapes(k), rng, dtype).items()}
         Xs = [rng.standard_normal((n, k)).astype(dtype) for n in lengths]
         alone = [bilstm_encode(X, [len(X)], params)[0] for X in Xs]
         for size in (2, 3, 4, 8, 16):
@@ -348,7 +350,7 @@ def _check_batch(lengths, dtype):
     k = 32
     rng = np.random.default_rng(len(lengths) + sum(lengths))
     params = {name: p + rng.uniform(-0.1, 0.1, p.shape).astype(dtype)
-              for name, p in init_lstm_params(k, rng, dtype).items()}
+              for name, p in init_params(lstm_param_shapes(k), rng, dtype).items()}
     lengths = rng.permutation(lengths).tolist()
     Xs, dH_fwd, dH_bwd = _inputs(lengths, k, rng, dtype)
     _assert_bitwise_direction_major(Xs, params, dH_fwd, dH_bwd)

@@ -13,9 +13,10 @@ from ahmca.hmcn import (
     head_backward,
     head_forward,
     head_loss,
-    init_head_params,
+    head_param_shapes,
     violation_penalty,
 )
+from ahmca.model import init_params
 from ahmca.numerics import grad_check
 from ahmca.taxonomy import load_taxonomy
 
@@ -104,7 +105,7 @@ def test_penalty_matches_pair_loop(two_level_tax, one_level):
     assert pairs.shape == ((0, 2) if one_level else (3, 2))
     level_sizes = tax.level_sizes()
     rng = np.random.default_rng(12)
-    params = init_head_params(3, 5, 4, level_sizes, rng, dtype=np.float64)
+    params = init_params(head_param_shapes(3, 5, 4, level_sizes), rng, np.float64)
     params["global.bout"] = 3 * rng.standard_normal(sum(level_sizes))
     xs = [rng.standard_normal((1, 6)) for _ in range(len(level_sizes) + 1)]
     Y = np.zeros((1, sum(level_sizes)))
@@ -146,8 +147,8 @@ def _head_setup(seed=0, use_x0=True):
     rng = np.random.default_rng(seed)
     k, g, d_local = 3, 5, 4
     level_sizes = [2, 3]
-    params = init_head_params(k, g, d_local, level_sizes, rng,
-                              use_x0=use_x0, dtype=np.float64)
+    params = init_params(head_param_shapes(k, g, d_local, level_sizes, use_x0), rng,
+                         np.float64)
     # nudge biases off zero so relu pre-activations avoid the kink
     for name in params:
         params[name] = params[name] + rng.normal(0, 0.01, params[name].shape)
