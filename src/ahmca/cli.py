@@ -120,6 +120,21 @@ def _read_bytes(path):
         raise SystemExit(2)
 
 
+def _write(path, data=None):
+    """Write data to path, a str as UTF-8 text and bytes as they are; with no
+    data, make path a directory, parents included."""
+    try:
+        if data is None:
+            Path(path).mkdir(parents=True, exist_ok=True)
+        elif isinstance(data, bytes):
+            Path(path).write_bytes(data)
+        else:
+            Path(path).write_text(data, encoding="utf-8")
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _cmd_train(args):
     cfg = load_config(_read(args.config)) if args.config else TrainConfig()
     tax = load_taxonomy(_read(args.taxonomy))
@@ -132,8 +147,8 @@ def _cmd_train(args):
                        | {t for d in val_c for t in d.tokens})
         table = random_table(vocab, cfg.k, cfg.seed)
     ckpt, history = train(cfg, train_c, val_c, tax, table, log=print)
-    Path(args.out).write_bytes(save_checkpoint(ckpt))
-    Path(args.history).write_text(history.to_csv(), encoding="utf-8")
+    _write(args.out, save_checkpoint(ckpt))
+    _write(args.history, history.to_csv())
     print(f"wrote {args.out} and {args.history}")
     return 0
 
@@ -146,7 +161,7 @@ def _cmd_eval(args):
     text = report.to_json()
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write(args.out, text + "\n")
     return 0
 
 
@@ -171,10 +186,10 @@ def _cmd_gen_synth(args):
         spec = replace(spec, seed=args.seed)
     tax, corpus, table = generate_synthetic(spec)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "taxonomy.json").write_text(tax.serialize() + "\n", encoding="utf-8")
-    (out / "corpus.jsonl").write_text(save_corpus(corpus), encoding="utf-8")
-    (out / "embeddings.txt").write_text(save_embeddings(table), encoding="utf-8")
+    _write(out)
+    _write(out / "taxonomy.json", tax.serialize() + "\n")
+    _write(out / "corpus.jsonl", save_corpus(corpus))
+    _write(out / "embeddings.txt", save_embeddings(table))
     print(f"wrote taxonomy.json, corpus.jsonl, embeddings.txt to {out}")
     return 0
 

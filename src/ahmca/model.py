@@ -2,26 +2,27 @@
 head, with reverse-mode gradients for every trainable parameter group.
 
 One Model instance owns the taxonomy binding, the embedding vocabulary and
-the parameter dict (embedding vectors included): unless given one, an Arena
-of shapes that init_params, the one initialiser, draws from cfg.seed, with
-the table's vectors and unk copied into its tail.  Its hyperparameters (k,
-g, d_L, beta, lambda_, attention mode, similarity, x^0 in the global path
-and the init seed) are read from the TrainConfig it was built with,
-model.cfg, which has checked their ranges.  One loss_and_grads call serves
-a mini-batch: the encoder runs once on the batch's token matrix in one packed
-time loop, without padding, attention runs once per shape group (documents
-of equal token and keyword counts, stacked through one row index), and the
-head runs once on a B-row matrix per level, one row per document in batch
-order.  Its gradients fill a new Arena, laid out as shapes; the embedding
-gradient, the tail, is one flat np.add.at over each document's rows in batch
-order, so no float moves with the grouping (tests/oracles.py keeps the
-per-document pass).  It skips label-word and keyword rows whose gradient is
-zero (most labels, on a wide taxonomy): every element starts at +0.0, so
-adding +-0.0 would change nothing.  Scoring takes the same forward path:
-predict_scores_batch scores a batch of documents in one call, and
-predict_scores is a batch of one, or inside a scoring() block a document's
-row of the chunk that block scored it in: chunks of up to _SCORE_DOCS
-documents and _SCORE_ROWS token rows, longest first.
+the parameter dict (embedding table included): unless given one, an Arena of
+shapes that init_params, the one initialiser, draws from cfg.seed, with the
+table's vectors and unk copied into its last entry, embedding.table
+([vectors; unk]).  Its hyperparameters (k, g, d_L, beta, lambda_, attention
+mode, similarity, x^0 in the global path and the init seed) are read from
+the TrainConfig it was built with, model.cfg, which has checked their
+ranges.  One loss_and_grads call serves a mini-batch: the encoder runs once
+on the batch's token matrix in one packed time loop, without padding,
+attention runs once per shape group (documents of equal token and keyword
+counts, stacked through one row index), and the head runs once on a B-row
+matrix per level, one row per document in batch order.  Its gradients fill a
+new Arena, laid out as shapes; the embedding gradient, the last entry, is
+one flat np.add.at over each document's rows in batch order, so no float
+moves with the grouping (tests/oracles.py keeps the per-document pass).  It
+skips label-word and keyword rows whose gradient is zero (most labels, on a
+wide taxonomy): every element starts at +0.0, so adding +-0.0 would change
+nothing.  Scoring takes the same forward path: predict_scores_batch scores a
+batch of documents in one call, and predict_scores is a batch of one, or
+inside a scoring() block a document's row of the chunk that block scored it
+in: chunks of up to _SCORE_DOCS documents and _SCORE_ROWS token rows,
+longest first.
 
 forward takes its label matrices from _served_label_matrices(): built once
 for a served model's read-only embeddings, and on every call for writable
@@ -63,10 +64,10 @@ _SCORE_ROWS = 4096
 
 
 def param_shapes(level_sizes, vocab_size, cfg: TrainConfig):
-    """Name -> shape of every entry of Model.params."""
+    """Name -> shape of every entry of Model.params, embedding.table last."""
     return {**lstm_param_shapes(cfg.k),
             **head_param_shapes(cfg.k, cfg.g, cfg.d_L, level_sizes, cfg.use_x0_in_global),
-            "embedding.vectors": (vocab_size, cfg.k), "embedding.unk": (cfg.k,)}
+            "embedding.table": (vocab_size + 1, cfg.k)}
 
 
 class Arena(dict):
@@ -82,12 +83,18 @@ class Arena(dict):
 
 def init_params(shapes, rng, dtype=np.float32):
     """An Arena of shapes on a new zeroed buffer, filled in shapes order:
-    each 2-D entry but the embedding table is drawn from uniform(-s, s),
+    each 2-D entry but embedding.table is drawn from uniform(-s, s),
     s = 1/sqrt(its column count, the fan-in), in float64 and rounded to
-    dtype; each LSTM bias has its forget-gate quarter at 1.0."""
-    params = Arena(shapes, np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype))
+    dtype; each LSTM bias has its forget-gate quarter at 1.0.  A buffer NumPy
+    cannot allocate is a ConfigRangeError."""
+    size = sum(math.prod(shape) for shape in shapes.values())
+    try:
+        flat = np.zeros(size, dtype)
+    except (ValueError, MemoryError) as e:
+        raise ConfigRangeError(f"cannot allocate {size} parameter floats: {e}") from None
+    params = Arena(shapes, flat)
     for name, arr in params.items():
-        if arr.ndim == 2 and not name.startswith("embedding."):
+        if arr.ndim == 2 and name != "embedding.table":
             s = 1.0 / np.sqrt(arr.shape[1])
             arr[...] = rng.uniform(-s, s, arr.shape)
         elif name.startswith("lstm_") and name.endswith(".b"):
@@ -110,18 +117,19 @@ class Model:
         # an Arena's layout (embeddings last), its length, and what train() steps
         self.shapes = param_shapes(self.level_sizes, len(table), cfg)
         self.arena_size = sum(math.prod(shape) for shape in self.shapes.values())
-        self.trainable = self.arena_size - (len(table) + 1) * cfg.k * cfg.freeze_embeddings
+        frozen = math.prod(self.shapes["embedding.table"]) if cfg.freeze_embeddings else 0
+        self.trainable = self.arena_size - frozen
 
         if params is None:
             params = init_params(self.shapes, np.random.default_rng(cfg.seed), dtype)
-            params["embedding.vectors"][...] = table.vectors
-            params["embedding.unk"][...] = table.unk_vector
+            params["embedding.table"][:-1] = table.vectors
+            params["embedding.table"][-1] = table.unk_vector
         self.params = params
         self._scored = None         # document id -> (its chunk's Prediction, row) in scoring()
-        self._served_mats = None    # (vectors, unk, label matrices) of read-only embeddings
+        self._served_mats = None    # (table, label matrices) of a read-only table
 
         # label text in row-index form, per level: the label words' rows of
-        # [vectors; unk], where each label's run starts, each word's label,
+        # embedding.table, where each label's run starts, each word's label,
         # and the word counts, the column the word-vector sums are divided by
         self._label_text = []
         for i in range(1, tax.depth + 1):
@@ -135,52 +143,45 @@ class Model:
     # --- embedding access -------------------------------------------------
 
     def _rows(self, tokens):
-        """Rows of the extended table [vectors; unk]; out-of-vocabulary
-        words map to row V = len(table)."""
+        """Rows of params["embedding.table"], [vectors; unk]: out-of-vocabulary
+        words map to the unk vector, row V = len(table)."""
         V = len(self.table)
         return np.array([self.table.index.get(t, V) for t in tokens], dtype=np.intp)
 
-    def _gather(self, rows):
-        vectors = self.params["embedding.vectors"]
-        known = rows < len(vectors)
-        out = np.tile(self.params["embedding.unk"], (len(rows), 1))
-        out[known] = vectors[rows[known]]
-        return out
-
     def label_matrices(self):
         """Per level, the mean word vector of each label's text."""
-        return [np.add.reduceat(self._gather(flat), starts, axis=0) / div
+        table = self.params["embedding.table"]
+        return [np.add.reduceat(table[flat], starts, axis=0) / div
                 for flat, starts, _, div in self._label_text]
 
     def _served_label_matrices(self):
-        """label_matrices(), built once while params["embedding.vectors"]
-        and params["embedding.unk"] are both read-only (as in a model from
-        Checkpoint.build_model) and kept while params holds those same
-        arrays.  Writable embeddings, which training and grad_check change
-        in place, rebuild them on every call."""
-        vectors, unk = self.params["embedding.vectors"], self.params["embedding.unk"]
-        if vectors.flags.writeable or unk.flags.writeable:
+        """label_matrices(), built once while params["embedding.table"] is
+        read-only (as in a model from Checkpoint.build_model) and kept while
+        params holds that same array.  A writable table, which training and
+        grad_check change in place, rebuilds them on every call."""
+        table = self.params["embedding.table"]
+        if table.flags.writeable:
             return self.label_matrices()
         memo = self._served_mats
-        if memo is None or memo[0] is not vectors or memo[1] is not unk:
+        if memo is None or memo[0] is not table:
             mats = self.label_matrices()
             for T in mats:
                 T.setflags(write=False)
-            memo = self._served_mats = (vectors, unk, mats)
-        return memo[2]
+            memo = self._served_mats = (table, mats)
+        return memo[1]
 
     def embed(self, tokens):
         """N x k matrix of word vectors, the unk vector for out-of-vocabulary
         words."""
         if not tokens:
             raise EmptyInputError("cannot embed an empty token sequence")
-        return self._gather(self._rows(tokens))
+        return self.params["embedding.table"][self._rows(tokens)]
 
     # --- forward ----------------------------------------------------------
 
     def forward(self, docs):
         """Head cache of a mini-batch, the encoder cache, and (rows, groups):
-        the batch's rows of [vectors; unk] and, per shape group in order of
+        the batch's rows of embedding.table and, per shape group in order of
         first appearance, its batch positions, (G, n) row index, keyword
         part of that index, x^i and attention cache.  The encoder runs
         once, attention once per group, the head once."""
@@ -194,7 +195,7 @@ class Model:
         lengths = [len(doc.tokens) for doc in docs]
         first = np.cumsum([0] + lengths[:-1])       # each document's first row
         rows = self._rows([t for doc in docs for t in doc.tokens])
-        X = self._gather(rows)
+        X = self.params["embedding.table"][rows]
         (H_fwd, H_bwd), enc_cache = bilstm_encode(X, lengths, self.params)
         label_mats = self._served_label_matrices()
         groups = []
@@ -277,7 +278,7 @@ class Model:
         head_cache, enc_cache, (rows, groups) = self.forward(docs)
         losses = head_loss(head_cache, Y, self.pairs, self.cfg.lambda_)
         grads = Arena(self.shapes,
-                      np.empty(self.arena_size, self.params["embedding.vectors"].dtype))
+                      np.empty(self.arena_size, self.params["embedding.table"].dtype))
         _, dxs = head_backward(head_cache, Y, self.pairs, self.cfg.lambda_, self.params, grads)
         k = self.cfg.k
         # attention's state gradients, written through each group's row index
@@ -303,9 +304,9 @@ class Model:
         # each element takes its additions in the per-document 2-D order
         order = np.argsort(np.concatenate(keys), kind="stable")
         idx = np.concatenate(idx)[order]
-        dext = grads.flat[self.arena_size - (len(self.table) + 1) * k:]
-        dext[...] = 0
-        np.add.at(dext, (idx[:, None] * k + np.arange(k)).reshape(-1),
+        dtable = grads["embedding.table"].reshape(-1)
+        dtable[...] = 0
+        np.add.at(dtable, (idx[:, None] * k + np.arange(k)).reshape(-1),
                   np.concatenate(vals)[order].reshape(-1))
         grads.flat *= 1.0 / len(docs)
         return losses.tolist(), grads

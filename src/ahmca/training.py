@@ -106,17 +106,18 @@ class TrainConfig:
 
 
 def load_config(source) -> TrainConfig:
-    """Build a TrainConfig from a JSON object; unknown keys are rejected,
-    missing keys take their defaults.  lambda_ may be spelled "lambda"."""
+    """Build a TrainConfig from a JSON object, as text or a dict (left
+    unchanged); unknown keys are rejected, missing keys take their defaults.
+    lambda_ may be spelled "lambda"."""
     try:
-        obj = json.loads(source) if isinstance(source, (str, bytes)) else dict(source)
+        obj = json.loads(source) if isinstance(source, (str, bytes)) else source
     except (ValueError, RecursionError) as e:     # RecursionError: nested too deep
         raise ConfigTypeError(f"config is not a JSON object: {e}") from None
     if isinstance(obj, dict) and "lambda" in obj:
         if "lambda_" in obj:
             raise UnknownConfigKeyError("give one of the TrainConfig keys "
                                         "'lambda' and 'lambda_', not both")
-        obj["lambda_"] = obj.pop("lambda")
+        obj = {("lambda_" if key == "lambda" else key): v for key, v in obj.items()}
     return TrainConfig(**fields_from_json(TrainConfig, obj, ConfigTypeError,
                                           UnknownConfigKeyError))
 
@@ -134,10 +135,10 @@ class Checkpoint:
         """The model and taxonomy this checkpoint holds, after checking them.
         The model's parameters are an Arena of flat, read-only, so it builds
         its label matrices once: it shares a read-only flat (load_checkpoint's)
-        and copies a writable one (a train() checkpoint's).  Its table holds
-        the model's own embedding.vectors and embedding.unk arrays, so the
-        vocabulary is held once.  To train it further, give a Model copies
-        of them."""
+        and copies a writable one (a train() checkpoint's).  Its table's
+        vectors and unk vector are views of the model's embedding.table,
+        rows [:-1] and row -1, so the vocabulary is held once.  To train it
+        further, give a Model copies of them."""
         try:
             tax = load_taxonomy(self.taxonomy_json)
         except TaxonomyError as e:
@@ -167,8 +168,8 @@ class Checkpoint:
         flat = self.flat.copy() if self.flat.flags.writeable else self.flat
         flat.setflags(write=False)
         params = Arena(shapes, flat)
-        table = EmbeddingTable(cfg.k, tokens, params["embedding.vectors"],
-                               params["embedding.unk"])
+        emb = params["embedding.table"]
+        table = EmbeddingTable(cfg.k, tokens, emb[:-1], emb[-1])
         return Model(tax, table, cfg, params=params), tax
 
 

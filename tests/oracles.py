@@ -403,7 +403,7 @@ def model_forward_per_document(model, docs):
     the encoder cache and per document its attention cache, token rows and
     keyword rows."""
     rows = [model._rows(doc.tokens) for doc in docs]
-    Xs = [model._gather(r) for r in rows]
+    Xs = [model.params["embedding.table"][r] for r in rows]
     (H_fwds, H_bwds), enc_cache = bilstm_encode(np.concatenate(Xs), [len(r) for r in rows],
                                                 model.params)
     label_mats = model.label_matrices()
@@ -453,11 +453,9 @@ def loss_and_grads_per_document(model, docs):
             vals.append((dctx[:n] / div)[lab])
             idx.append(extra["kw_rows"])
             vals.append(dctx[n:])
-    V = len(model.table)
-    dext = np.zeros((V + 1, model.cfg.k), dtype=model.params["embedding.vectors"].dtype)
-    np.add.at(dext, np.concatenate(idx), np.concatenate(vals))
-    grads["embedding.vectors"] = dext[:V]
-    grads["embedding.unk"] = dext[V]
+    dtable = np.zeros_like(model.params["embedding.table"])
+    np.add.at(dtable, np.concatenate(idx), np.concatenate(vals))
+    grads["embedding.table"] = dtable
     scale = 1.0 / len(docs)
     for g in grads.values():
         g *= scale

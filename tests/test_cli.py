@@ -108,7 +108,12 @@ def test_inspect(workspace, capsys):
     out = capsys.readouterr().out
     assert f"version: {CHECKPOINT_VERSION}" in out
     assert "taxonomy_hash:" in out
-    assert "array " in out
+    ckpt = load_checkpoint((workspace / "model.bin").read_bytes())
+    arrays = [line for line in out.splitlines() if line.startswith("array ")]
+    shapes = [json.loads(line.split("shape=")[1]) for line in arrays]
+    assert sum(int(np.prod(shape)) for shape in shapes) == len(ckpt.flat)
+    V, k = len(ckpt.embedding_tokens), ckpt.config.k
+    assert out.splitlines()[-1] == f"array embedding.table shape=[{V + 1}, {k}]"
 
 
 def test_usage_error_exit_2(capsys):
@@ -127,6 +132,32 @@ def test_usage_error_exit_2(capsys):
 def test_missing_file_exit_2(tmp_path, capsys):
     rc = main(["inspect", "--model", str(tmp_path / "nope.bin")])
     assert rc == 2
+
+
+def _assert_cannot_write(argv, path, capsys):
+    assert main(argv) == 2, argv
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
+def test_unwritable_train_out_exit_2(workspace, tmp_path, capsys):
+    out = tmp_path / "nodir" / "m.bin"
+    _assert_cannot_write(_train_args(workspace, tmp_path) + ["--out", str(out)], out, capsys)
+
+
+def test_unwritable_eval_out_exit_2(workspace, tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.json"
+    _assert_cannot_write(["eval", "--model", str(workspace / "model.bin"),
+                          "--data", str(workspace / "val.jsonl"), "--k", "1", "--out", str(out)],
+                         out, capsys)
+
+
+def test_unwritable_gen_synth_out_dir_exit_2(workspace, tmp_path, capsys):
+    spec = workspace / "spec.json"
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    for out_dir in (afile, afile / "sub"):
+        _assert_cannot_write(["gen-synth", "--spec", str(spec), "--out-dir", str(out_dir)],
+                             out_dir, capsys)
 
 
 def test_bad_checkpoint_exit_2(workspace, tmp_path, capsys):
@@ -258,6 +289,7 @@ def test_bad_config_exit_2(workspace, tmp_path, capsys):
         ('{"lambda": Infinity}', []),
         ('{"seed": -1}', []),
         ('{', []),
+        ('{"k": 8, "g": 100000000000}', []),       # ~1e22 floats: NumPy refuses at once
         # embeddings of width 4 against k=8: Model's width check
         ('{"k": 8}', ["--embeddings", str(workspace / "data" / "embeddings.txt")]),
     ):

@@ -68,6 +68,9 @@ def test_config_defaults():
 
 def test_config_lambda_alias():
     assert load_config('{"lambda": 0.3}').lambda_ == 0.3
+    source = {"lambda": 0.3}
+    assert load_config(source).lambda_ == 0.3
+    assert source == {"lambda": 0.3}        # the caller's dict is left as it was
 
 
 def test_config_range_errors():
@@ -111,14 +114,23 @@ def test_config_type_errors():
         load_config('{"k": "four"}')
     with pytest.raises(ConfigTypeError):
         load_config('{"freeze_embeddings": 1}')
-    with pytest.raises(ConfigTypeError):
-        load_config('[1, 2]')
+    for source in ('[1, 2]', 5, [1, 2], [["k", 4]], None):
+        with pytest.raises(ConfigTypeError, match="must be a JSON object"):
+            load_config(source)
     with pytest.raises(ConfigTypeError, match="not a JSON object"):
         load_config("{")
     with pytest.raises(ConfigTypeError):
         load_config('{"beta": true}')
     with pytest.raises(ConfigTypeError):
         load_config('{"learning_rate": true}')
+
+
+def test_unallocatable_params_are_a_config_range_error(tiny_synth):
+    """g = 10**11 asks for about 1e22 floats, which NumPy refuses before
+    allocating anything."""
+    tax, _, table = tiny_synth
+    with pytest.raises(ConfigRangeError, match=r"cannot allocate \d+ parameter floats"):
+        Model(tax, table, TrainConfig(k=4, g=10**11))
 
 
 def test_config_roundtrip_dict():
@@ -176,7 +188,7 @@ def test_training_frozen_embeddings(tiny_synth):
     tr, va, _ = split(corpus, (2, 1, 1), seed=0)
     frozen, _ = train(_tiny_cfg(epochs=2, freeze_embeddings=True), tr, va, tax, table)
     m1, _ = frozen.build_model()
-    vectors, unk = m1.params["embedding.vectors"], m1.params["embedding.unk"]
+    vectors, unk = m1.params["embedding.table"][:-1], m1.params["embedding.table"][-1]
     assert vectors.dtype == table.vectors.dtype and unk.dtype == table.unk_vector.dtype
     assert vectors.tobytes() == table.vectors.tobytes()
     assert unk.tobytes() == table.unk_vector.tobytes()
@@ -185,7 +197,8 @@ def test_training_frozen_embeddings(tiny_synth):
         assert np.array_equal(m1.predict_scores(doc).fused_scores,
                               m2.predict_scores(doc).fused_scores)
     tuned, _ = train(_tiny_cfg(epochs=2), tr, va, tax, table)
-    assert not np.array_equal(tuned.build_model()[0].params["embedding.vectors"], table.vectors)
+    assert not np.array_equal(tuned.build_model()[0].params["embedding.table"][:-1],
+                              table.vectors)
 
 
 def test_batch_gradient_is_mean_of_document_gradients(tiny_synth, monkeypatch):
@@ -285,14 +298,13 @@ def test_sparse_scatter_with_most_labels_unpicked(monkeypatch):
     losses, grads = model.loss_and_grads(docs)
     want_losses, want_grads = oracles.loss_and_grads_per_document(model, docs)
     assert losses == want_losses
-    for name in ("embedding.vectors", "embedding.unk"):
-        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+    assert grads["embedding.table"].tobytes() == want_grads["embedding.table"].tobytes()
     assert all(g.tobytes() == want_grads[name].tobytes() for name, g in grads.items())
     nonzero, rows = np.sum(picked, axis=0)
     assert 2 * nonzero < rows, (nonzero, rows)       # most label rows go unpicked
 
 
-_ADAM_SHAPES = {"W": (5, 3), "b": (3,), "embedding.vectors": (4, 3), "embedding.unk": (3,)}
+_ADAM_SHAPES = {"W": (5, 3), "b": (3,), "embedding.table": (5, 3)}
 
 
 def _adam_run(steps, frozen=False):
@@ -712,16 +724,18 @@ def test_built_model_params_are_read_only(tiny_run):
     model, _ = ckpt.build_model()
     assert not any(arr.flags.writeable for arr in model.params.values())
     with pytest.raises(ValueError, match="read-only"):
-        model.params["embedding.vectors"] += 1.0
+        model.params["embedding.table"][:-1] += 1.0
     with pytest.raises(ValueError, match="read-only"):
-        model.params["embedding.unk"][0] = 0.0
+        model.params["embedding.table"][-1, 0] = 0.0
 
 
 def test_built_model_table_shares_embedding_params(tiny_run):
     *_, ckpt, hist = tiny_run
     model, _ = load_checkpoint(save_checkpoint(ckpt)).build_model()
-    assert model.table.vectors is model.params["embedding.vectors"]
-    assert model.table.unk_vector is model.params["embedding.unk"]
+    emb = model.params["embedding.table"]
+    assert np.shares_memory(model.table.vectors, emb[:-1])
+    assert np.shares_memory(model.table.unk_vector, emb[-1])
+    assert not np.shares_memory(model.table.vectors, model.table.unk_vector)
     assert model.table.index == {t: r for r, t in enumerate(ckpt.embedding_tokens)}
 
 
@@ -749,7 +763,7 @@ def test_writable_params_rebuild_label_matrices(tiny_run, monkeypatch):
     doc = corpus.documents[0]
     before = model.predict_scores(doc).fused_scores
     calls = _counting_label_matrices(monkeypatch)
-    model.params["embedding.vectors"] *= 2.0        # in place, as grad_check perturbs
+    model.params["embedding.table"][:-1] *= 2.0     # in place, as grad_check perturbs
     after = model.predict_scores(doc).fused_scores
     fresh = Model(tax, table, cfg, params={k: v.copy() for k, v in model.params.items()})
     assert len(calls) == 1
@@ -763,7 +777,7 @@ def test_new_params_rebuild_served_label_matrices(tiny_run, monkeypatch):
     doc = corpus.documents[0]
     before = model.predict_scores(doc).fused_scores
     params = {k: v.copy() for k, v in model.params.items()}
-    params["embedding.vectors"] *= 2.0
+    params["embedding.table"][:-1] *= 2.0
     want = Model(tax, table, cfg, params={k: v.copy() for k, v in params.items()}
                  ).predict_scores(doc).fused_scores
     for arr in params.values():
