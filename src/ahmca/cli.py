@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,11 +121,17 @@ def _read_bytes(path):
         raise SystemExit(2)
 
 
-def _write(path, data=None):
+def _write(path, data=None, probe=False):
     """Write data to path, a str as UTF-8 text and bytes as they are; with no
-    data, make path a directory, parents included."""
+    data, make path a directory, parents included.  With probe, only check
+    that path is not a directory and that a file can be made in its
+    directory, leaving nothing behind."""
     try:
-        if data is None:
+        if probe:
+            if Path(path).is_dir():
+                raise IsADirectoryError("it is a directory")
+            tempfile.TemporaryFile(dir=Path(path).parent).close()
+        elif data is None:
             Path(path).mkdir(parents=True, exist_ok=True)
         elif isinstance(data, bytes):
             Path(path).write_bytes(data)
@@ -146,6 +153,8 @@ def _cmd_train(args):
         vocab = sorted({t for d in train_c for t in d.tokens}
                        | {t for d in val_c for t in d.tokens})
         table = random_table(vocab, cfg.k, cfg.seed)
+    for path in (args.out, args.history):   # before training, not after it
+        _write(path, probe=True)
     ckpt, history = train(cfg, train_c, val_c, tax, table, log=print)
     _write(args.out, save_checkpoint(ckpt))
     _write(args.history, history.to_csv())

@@ -20,6 +20,8 @@ from .errors import (
     SpecInvalidError,
     TooFewDocumentsError,
     UnknownLabelError,
+    check_utf8,
+    parse_json,
 )
 from .taxonomy import Taxonomy, load_taxonomy, tokenize
 
@@ -63,21 +65,12 @@ def _level_closure(leaves, tax: Taxonomy):
 def _field_tokens(rec, key):
     val = rec.get(key, "")
     if isinstance(val, str):
-        return _utf8_tokens(tokenize(val), key)
-    if isinstance(val, list) and all(isinstance(t, str) for t in val):
-        return _utf8_tokens(list(val), key)
-    raise MalformedRecordError(f"field {key!r} must be a string or token list: {val!r}")
-
-
-def _utf8_tokens(tokens, key):
-    """tokens, unless one holds text that UTF-8 cannot encode (a lone
-    surrogate, from a \\ud800-style escape): such a token would reach a
-    vocabulary and fail only when a checkpoint is written."""
-    try:
-        "".join(tokens).encode("utf-8")
-    except UnicodeEncodeError as e:
-        raise MalformedRecordError(f"field {key!r} holds text that is not valid UTF-8: "
-                                   f"{e.object[max(e.start - 16, 0):e.end + 16]!r}") from None
+        tokens = tokenize(val)
+    elif isinstance(val, list) and all(isinstance(t, str) for t in val):
+        tokens = list(val)
+    else:
+        raise MalformedRecordError(f"field {key!r} must be a string or token list: {val!r}")
+    check_utf8("".join(tokens), MalformedRecordError, f"field {key!r}")
     return tokens
 
 
@@ -94,10 +87,11 @@ def _document(rec, leaves, level_labels) -> Document:
         if not isinstance(kw, str):
             raise MalformedRecordError(f"keyword must be a string: {kw!r}")
         keywords.extend(tokenize(kw))
-    _utf8_tokens(keywords, "keywords")
+    check_utf8("".join(keywords), MalformedRecordError, "field 'keywords'")
     doc_id = rec.get("id", "")
     if not isinstance(doc_id, str):
         raise MalformedRecordError(f"document id must be a string: {doc_id!r}")
+    check_utf8(doc_id, MalformedRecordError, "field 'id'")
     if not (title or abstract or keywords):
         raise EmptyTextError(f"record {doc_id!r} has no text")
     return Document(
@@ -140,9 +134,7 @@ def read_documents(source: str, tax: Taxonomy, make):
     for ln, line in enumerate(source.splitlines(), 1):
         if line.strip():
             try:
-                doc = make(json.loads(line), tax)
-            except (json.JSONDecodeError, RecursionError) as e:   # RecursionError: nested too deep
-                raise MalformedRecordError(f"line {ln}: invalid JSON ({e})") from None
+                doc = make(parse_json(line, MalformedRecordError, "invalid JSON"), tax)
             except (UnknownLabelError, EmptyTextError, MalformedRecordError) as e:
                 raise type(e)(f"line {ln}: {e}") from None
             yield ln, doc
@@ -292,11 +284,10 @@ class SynthSpec:
             raise SpecInvalidError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
-    def from_json(cls, source: str) -> "SynthSpec":
-        try:
-            obj = json.loads(source)
-        except (ValueError, RecursionError) as e:     # RecursionError: nested too deep
-            raise SpecInvalidError(f"spec is not valid JSON: {e}") from None
+    def from_json(cls, source) -> "SynthSpec":
+        """The spec a JSON object describes, given as text (see
+        errors.parse_json) or as a dict, which it does not change."""
+        obj = parse_json(source, SpecInvalidError, "spec is not valid JSON")
         return cls(**fields_from_json(cls, obj, SpecInvalidError, SpecInvalidError))
 
 

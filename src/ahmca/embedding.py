@@ -18,6 +18,7 @@ from .errors import (
     MalformedHeaderError,
     NonFiniteVectorError,
     RowArityError,
+    check_utf8,
 )
 
 
@@ -72,10 +73,7 @@ def load_embeddings(source: str) -> EmbeddingTable:
             tok = parts[0]
             if tok in rows:
                 raise DuplicateTokenError(f"duplicate token {tok!r}")
-            try:
-                tok.encode("utf-8")
-            except UnicodeEncodeError:      # a lone surrogate, which no UTF-8 file can hold
-                raise EmbeddingError(f"row {tok!r}: the token is not valid UTF-8") from None
+            check_utf8(tok, EmbeddingError, f"row {tok!r}")
             try:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             except ValueError:

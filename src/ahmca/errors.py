@@ -1,4 +1,33 @@
-"""Exception hierarchy shared by all ahmca modules."""
+"""Exception hierarchy shared by all ahmca modules, and the two rules every
+input loader applies with its own exception class: parse_json (JSON text,
+strict UTF-8 bytes or an already-parsed value) and check_utf8 (text that
+UTF-8 cannot encode, a lone surrogate from a \\ud800-style JSON escape, is
+refused where it is read, before it reaches a vocabulary or a file)."""
+
+import json
+
+
+def parse_json(source, error, what):
+    """source parsed as JSON if it is text: a str, or bytes or a bytearray
+    decoded as strict UTF-8; any other value is returned as it is.  Text
+    that does not decode or parse, or that nests too deeply for the parser
+    (a RecursionError), raises error(f"{what} ({reason})")."""
+    if not isinstance(source, (str, bytes, bytearray)):
+        return source
+    try:
+        return json.loads(source if isinstance(source, str) else source.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise error(f"{what} ({e})") from None
+
+
+def check_utf8(text, error, what):
+    """Raise error, quoting 16 characters on each side of the first bad one,
+    unless str text encodes as UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise error(f"{what} holds text that is not valid UTF-8: "
+                    f"{e.object[max(e.start - 16, 0):e.end + 16]!r}") from None
 
 
 class AhmcaError(Exception):

@@ -22,6 +22,8 @@ from .errors import (
     OrphanParentError,
     TaxonomyError,
     UnknownLabelError,
+    check_utf8,
+    parse_json,
 )
 
 _EDGE_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
@@ -97,7 +99,7 @@ class Taxonomy:
 
 
 def load_taxonomy(source) -> Taxonomy:
-    """Parse and validate a taxonomy from a JSON string or a parsed dict.
+    """Parse and validate a taxonomy from JSON text or bytes, or a parsed dict.
 
     Raises TaxonomyError on text that is not JSON, DuplicateIdError,
     OrphanParentError, CycleError or LevelGapError on any structural
@@ -106,10 +108,7 @@ def load_taxonomy(source) -> Taxonomy:
     on an id, text or parent that UTF-8 cannot encode; never repairs the
     input silently.
     """
-    try:
-        obj = json.loads(source) if isinstance(source, (str, bytes)) else source
-    except (ValueError, RecursionError) as e:     # RecursionError: nested too deep
-        raise TaxonomyError(f"taxonomy is not valid JSON: {e}") from None
+    obj = parse_json(source, TaxonomyError, "taxonomy is not valid JSON")
     if not (isinstance(obj, dict) and isinstance(obj.get("labels"), list) and obj["labels"]):
         raise LevelGapError("taxonomy file must be an object with a non-empty 'labels' list")
 
@@ -128,12 +127,7 @@ def load_taxonomy(source) -> Taxonomy:
             raise LevelGapError(f"malformed parent in record: {rec!r}")
         if not isinstance(text, str) or not tokenize(text):
             raise EmptyLabelTextError(f"label {lid!r} has no words in its text {text!r}")
-        try:
-            for name in (lid, text, parent or ""):
-                name.encode("utf-8")
-        except UnicodeEncodeError:      # a lone surrogate, from a \ud800-style escape
-            raise TaxonomyError(f"label {lid!r} holds a string that is not valid "
-                                f"UTF-8: {rec!r}") from None
+        check_utf8(" ".join((lid, text, parent or "")), TaxonomyError, f"label {lid!r}")
         labels.append(Label(id=lid, text=text, level=level, parent=parent))
 
     by_id = {}

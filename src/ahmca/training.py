@@ -46,6 +46,8 @@ from .errors import (
     TooFewDocumentsError,
     UnknownConfigKeyError,
     VersionMismatchError,
+    check_utf8,
+    parse_json,
 )
 from .metrics import MetricsReport
 from .model import Arena, Model, param_shapes
@@ -58,6 +60,7 @@ CHECKPOINT_VERSION = 2
 _META_TYPES = {"config": dict, "taxonomy": str, "taxonomy_hash": str,
                "label_order": list, "embedding_tokens": list}
 _CHUNK = 1 << 16     # elements per pass of Adam.step, so that a pass stays in cache
+_FLUSH_EVERY, _FLUSH_BELOW = 64, 2.0**-100     # Adam's flush of vanishing first moments
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,7 @@ def load_config(source) -> TrainConfig:
     """Build a TrainConfig from a JSON object, as text or a dict (left
     unchanged); unknown keys are rejected, missing keys take their defaults.
     lambda_ may be spelled "lambda"."""
-    try:
-        obj = json.loads(source) if isinstance(source, (str, bytes)) else source
-    except (ValueError, RecursionError) as e:     # RecursionError: nested too deep
-        raise ConfigTypeError(f"config is not a JSON object: {e}") from None
+    obj = parse_json(source, ConfigTypeError, "config is not a JSON object")
     if isinstance(obj, dict) and "lambda" in obj:
         if "lambda_" in obj:
             raise UnknownConfigKeyError("give one of the TrainConfig keys "
@@ -150,11 +150,7 @@ class Checkpoint:
         tokens = self.embedding_tokens
         if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
             raise CorruptPayloadError("embedding_tokens must be distinct strings")
-        try:
-            "".join(tokens).encode("utf-8")
-        except UnicodeEncodeError as e:     # a lone surrogate, which save_checkpoint refuses
-            raise CorruptPayloadError("embedding_tokens hold text that is not valid UTF-8: "
-                                      f"{e.object[max(e.start - 16, 0):e.end + 16]!r}") from None
+        check_utf8("".join(tokens), CorruptPayloadError, "embedding_tokens")
         cfg = self.config
         shapes = param_shapes(tax.level_sizes(), len(tokens), cfg)
         size = sum(math.prod(shape) for shape in shapes.values())
@@ -205,10 +201,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     if payload_len < 0 or payload_len % 4:
         raise CorruptPayloadError(f"metadata length {meta_len} leaves no payload of whole "
                                   f"float32s in a {len(data)}-byte file")
-    try:
-        meta = json.loads(data[20:meta_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise CorruptPayloadError(f"bad metadata: {e}") from None
+    meta = parse_json(data[20:meta_end], CorruptPayloadError, "bad metadata")
     if not isinstance(meta, dict) \
             or any(not isinstance(meta.get(k), t) for k, t in _META_TYPES.items()):
         raise CorruptPayloadError("metadata must be an object with " + ", ".join(
@@ -250,7 +243,16 @@ class History:
 class Adam:
     """Adam on a flat buffer with a flat m and v, _CHUNK elements at a time
     through two scratch chunks, rounding as m = b1 m + (1 - b1) g, v = b2 v +
-    (1 - b2) g g, p = p - lr (m / b1t) / (sqrt(v / b2t) + eps) in that order."""
+    (1 - b2) g g, p = p - lr (m / b1t) / (sqrt(v / b2t) + eps) in that order.
+
+    Every _FLUSH_EVERY steps, an m element below _FLUSH_BELOW in magnitude is
+    set to 0.  A parameter whose gradient stays exactly 0 (a dead relu unit)
+    has an m that decays by b1 per step into subnormals, on which x86
+    arithmetic is many times slower; NumPy cannot set flush-to-zero.  Such
+    an m moves a parameter by at most lr 2**-100 / eps once t >= 64 (4e-25
+    at lr 5e-3), less than half an ulp of a float32 above 7e-18 in
+    magnitude; and it takes about 171 steps to decay from 2**-100 to the
+    float32 subnormals, so decay alone makes no m subnormal between flushes."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
@@ -279,6 +281,9 @@ class Adam:
             u *= self.lr
             u /= s
             p -= u
+            if self.t % _FLUSH_EVERY == 0:
+                np.abs(m, out=s)
+                m[s < _FLUSH_BELOW] = 0
 
 
 # --- evaluation / prediction -------------------------------------------

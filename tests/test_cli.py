@@ -135,13 +135,22 @@ def test_missing_file_exit_2(tmp_path, capsys):
 
 
 def _assert_cannot_write(argv, path, capsys):
+    """Returns what the command printed to stdout."""
     assert main(argv) == 2, argv
-    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write {path}: ")
+    return out
 
 
 def test_unwritable_train_out_exit_2(workspace, tmp_path, capsys):
-    out = tmp_path / "nodir" / "m.bin"
-    _assert_cannot_write(_train_args(workspace, tmp_path) + ["--out", str(out)], out, capsys)
+    """An output that cannot be written is refused before the first epoch,
+    and neither output is left behind."""
+    for flag, path in (("--out", tmp_path / "nodir" / "m.bin"),
+                       ("--history", tmp_path / "nodir" / "h.csv"), ("--out", tmp_path)):
+        out = _assert_cannot_write(_train_args(workspace, tmp_path) + [flag, str(path)],
+                                   path, capsys)
+        assert "epoch" not in out, flag
+        assert not (tmp_path / "m.bin").exists() and not (tmp_path / "h.csv").exists()
 
 
 def test_unwritable_eval_out_exit_2(workspace, tmp_path, capsys):
@@ -461,7 +470,7 @@ def test_malformed_query_exit_3(workspace, tmp_path, capsys):
                 {"id": 5, "title": "x"},
                 # lone surrogates, written as JSON escapes
                 {"title": ["bad\ud800"]}, {"abstract": "a\ud800b"},
-                {"title": "x", "keywords": ["k\udc00w"]}):
+                {"title": "x", "keywords": ["k\udc00w"]}, {"id": "q\ud800", "title": "x"}):
         q.write_text(json.dumps(rec) + "\n")
         rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
         assert rc == 3, rec

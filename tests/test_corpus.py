@@ -97,7 +97,8 @@ def test_record_errors_name_their_line(two_level_tax, second, error, message):
     {"title": ["ok", "bad\ud800"]},               # a token list keeps the token as given
     {"abstract": "fine a\ud800b text"},           # tokenize keeps an inner surrogate
     {"keywords": ["k\udc00w"]},
-    {"title": ["\ud83d", "\ude00"]}])            # two halves of a pair, in two tokens
+    {"title": ["\ud83d", "\ude00"]},             # two halves of a pair, in two tokens
+    {"id": "q\ud800"}])                          # the id, which predict prints
 def test_lone_surrogate_token_rejected(two_level_tax, field):
     """json.loads turns a \\ud800-style escape into a lone surrogate, which
     UTF-8 cannot encode: the record is refused, naming its line."""
@@ -249,6 +250,8 @@ def test_synthspec_invalid():
     good = {"level_sizes": [2, 2], "docs_per_leaf": 1, "doc_length": 5,
             "keywords_per_doc": 1, "leaf_vocab_size": 5, "noise_rate": 0, "seed": 0}
     assert SynthSpec.from_json(json.dumps(good)).level_sizes == (2, 2)
+    assert SynthSpec.from_json(good) == SynthSpec.from_json(json.dumps(good).encode())
+    assert good["level_sizes"] == [2, 2]        # the dict is not changed
     bad = [{"bogus": 1}, {"level_sizes": 5}, {"level_sizes": [2.5]},
            {"level_sizes": [True, 2]}, {"docs_per_leaf": "3"}, {"seed": "x"},
            {"noise_rate": True}, {"seed": -1}]
@@ -260,6 +263,9 @@ def test_synthspec_invalid():
             SynthSpec.from_json(json.dumps({k: v for k, v in good.items() if k != missing}))
     with pytest.raises(SpecInvalidError):
         SynthSpec.from_json("5")
+    for source in ([good], None):       # parsed values, but not objects
+        with pytest.raises(SpecInvalidError, match="must be a JSON object"):
+            SynthSpec.from_json(source)
     with pytest.raises(SpecInvalidError, match="not valid JSON"):
         SynthSpec.from_json("[")
     with pytest.raises(SpecInvalidError):       # gen-synth --seed goes through replace

@@ -370,6 +370,25 @@ def test_adam_with_frozen_embeddings_steps_the_prefix(monkeypatch):
                     assert a.tobytes() == b.tobytes(), name
 
 
+def test_adam_flushes_vanishing_first_moments(monkeypatch):
+    """Step 64 zeroes each m element below 2**-100 in magnitude, in every
+    chunk; step 63 leaves the b1 decay of a zero gradient alone, and an
+    element above the bound survives both."""
+    monkeypatch.setattr(training_module, "_CHUNK", 4)
+    start = np.float32([2.0**-101, -2.0**-101, 2.0**-99])
+    decayed = start * np.float32(0.9)
+    for t, want in ((62, decayed), (63, np.float32([0.0, 0.0, decayed[2]]))):
+        params = np.ones(10, np.float32)
+        opt = Adam(params, lr=0.01)
+        opt.t = t
+        opt.m[[1, 8, 9]] = start         # in the first and the last, partial, chunk
+        opt.v[:] = 1.0
+        opt.step(params, np.zeros(10, np.float32))
+        assert opt.t == t + 1
+        assert opt.m[[1, 8, 9]].tobytes() == want.tobytes(), t
+        assert not opt.m[[0, 2, 3, 4, 5, 6, 7]].any()
+
+
 def test_empty_batch_raises(tiny_synth):
     tax, _, table = tiny_synth
     model = Model(tax, table, TrainConfig(k=4, g=8, d_L=8, seed=0))

@@ -17,6 +17,9 @@ threshold 0.5 and at 0.0, where every label is picked, and
 evaluate_model(model, test, ks=(1, 3)).to_json().
 Every config but "ragged" trains on the documents of its spec, which all
 have one shape; "ragged" mixes token and keyword counts in every batch.
+"reference-long" takes 800 optimizer steps (200 epochs of 4), so Adam's
+first-moment flush, every 64th step, runs, and from step 512 zeroes some
+m elements.
 OpenBLAS is pinned to one thread, since the float32 products may round
 differently with more.
 """
@@ -60,6 +63,8 @@ def configs(workloads, TrainConfig):
     yield "wide-2ep", workloads.WIDE_SPEC, TrainConfig(epochs=2), synthetic
     yield "accept-1ep", workloads.ACCEPT_SPEC, TrainConfig(epochs=1), synthetic
     yield "ragged", workloads.REFERENCE_SPEC, replace(ref, batch_size=8), ragged
+    yield ("reference-long", workloads.REFERENCE_SPEC,
+           replace(ref, epochs=200, early_stop_patience=200), synthetic)
 
 
 def sha(data):
