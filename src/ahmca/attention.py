@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigRangeError, DimMismatchError, EmptyContextError
+from .numerics import scatter_rows
 
 MODES = ("sum_normalized", "none", "softmax")
 SIMILARITIES = ("dot", "cosine")
@@ -124,13 +125,13 @@ def _similarity_backward(da, H_dir, ctx, arg, similarity, dH, dctx):
     d, h, t = da[nz, None], H_dir[nz], ctx[l]
     if similarity == "dot":
         dH[nz] += d * t
-        np.add.at(dctx, l, d * h)
+        scatter_rows(dctx, l, d * h)
         return
     hn = np.maximum(np.linalg.norm(h, axis=1, keepdims=True), _NORM_EPS)
     tn = np.maximum(np.linalg.norm(t, axis=1, keepdims=True), _NORM_EPS)
     s = np.sum(h * t, axis=1, keepdims=True) / (hn * tn)
     dH[nz] += d * (t / (hn * tn) - s * h / hn ** 2)
-    np.add.at(dctx, l, d * (h / (hn * tn) - s * t / tn ** 2))
+    scatter_rows(dctx, l, d * (h / (hn * tn) - s * t / tn ** 2))
 
 
 def attention_backward(dxs, cache):

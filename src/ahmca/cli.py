@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import tempfile
 from dataclasses import replace
@@ -121,23 +122,42 @@ def _read_bytes(path):
         raise SystemExit(2)
 
 
-def _write(path, data=None, probe=False):
-    """Write data to path, a str as UTF-8 text and bytes as they are; with no
-    data, make path a directory, parents included.  With probe, only check
-    that path is not a directory and that a file can be made in its
+def _prepare(path, directory=False):
+    """Make path a directory, parents included; or, for a file path, check
+    that it is not a directory and that a file can be made in its
     directory, leaving nothing behind."""
     try:
-        if probe:
-            if Path(path).is_dir():
-                raise IsADirectoryError("it is a directory")
-            tempfile.TemporaryFile(dir=Path(path).parent).close()
-        elif data is None:
+        if directory:
             Path(path).mkdir(parents=True, exist_ok=True)
-        elif isinstance(data, bytes):
-            Path(path).write_bytes(data)
+        elif Path(path).is_dir():
+            raise IsADirectoryError("it is a directory")
         else:
-            Path(path).write_text(data, encoding="utf-8")
+            tempfile.TemporaryFile(dir=Path(path).parent).close()
     except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _write(*outputs):
+    """Write every (path, data) pair, a str as UTF-8 text and bytes as they
+    are, or none: each goes to a temporary file in its path's directory,
+    and only when all are written are they moved into place with
+    os.replace.  On an OSError the temporary files and any output already
+    moved are removed, and it exits 2 naming the path."""
+    temps, moved = [], []
+    try:
+        for path, data in outputs:
+            path = Path(path)
+            tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+            with tmp.open("xb") as f:       # a new file, with the mode a plain write gives
+                temps.append(tmp)
+                f.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+            moved.append(path)
+    except OSError as e:
+        for leftover in temps + moved:
+            Path(leftover).unlink(missing_ok=True)
         print(f"error: cannot write {path}: {e}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -154,10 +174,9 @@ def _cmd_train(args):
                        | {t for d in val_c for t in d.tokens})
         table = random_table(vocab, cfg.k, cfg.seed)
     for path in (args.out, args.history):   # before training, not after it
-        _write(path, probe=True)
+        _prepare(path)
     ckpt, history = train(cfg, train_c, val_c, tax, table, log=print)
-    _write(args.out, save_checkpoint(ckpt))
-    _write(args.history, history.to_csv())
+    _write((args.out, save_checkpoint(ckpt)), (args.history, history.to_csv()))
     print(f"wrote {args.out} and {args.history}")
     return 0
 
@@ -170,7 +189,7 @@ def _cmd_eval(args):
     text = report.to_json()
     print(text)
     if args.out:
-        _write(args.out, text + "\n")
+        _write((args.out, text + "\n"))
     return 0
 
 
@@ -195,10 +214,10 @@ def _cmd_gen_synth(args):
         spec = replace(spec, seed=args.seed)
     tax, corpus, table = generate_synthetic(spec)
     out = Path(args.out_dir)
-    _write(out)
-    _write(out / "taxonomy.json", tax.serialize() + "\n")
-    _write(out / "corpus.jsonl", save_corpus(corpus))
-    _write(out / "embeddings.txt", save_embeddings(table))
+    _prepare(out, directory=True)
+    _write((out / "taxonomy.json", tax.serialize() + "\n"),
+           (out / "corpus.jsonl", save_corpus(corpus)),
+           (out / "embeddings.txt", save_embeddings(table)))
     print(f"wrote taxonomy.json, corpus.jsonl, embeddings.txt to {out}")
     return 0
 

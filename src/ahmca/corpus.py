@@ -62,13 +62,25 @@ def _level_closure(leaves, tax: Taxonomy):
     return tuple(frozenset(s) for s in sets)
 
 
+def _token_list(val):
+    """A pre-tokenized field without its empty and whitespace-only entries,
+    as tokenize drops them from a string; None unless val is a list of str.
+    str.strip refuses any other entry, so one pass over a list with no
+    blank entry checks the types too."""
+    if not isinstance(val, list):
+        return None
+    try:
+        if all(map(str.strip, val)):
+            return list(val)
+        return [t for t in val if str.strip(t)]
+    except TypeError:
+        return None
+
+
 def _field_tokens(rec, key):
     val = rec.get(key, "")
-    if isinstance(val, str):
-        tokens = tokenize(val)
-    elif isinstance(val, list) and all(isinstance(t, str) for t in val):
-        tokens = list(val)
-    else:
+    tokens = tokenize(val) if isinstance(val, str) else _token_list(val)
+    if tokens is None:
         raise MalformedRecordError(f"field {key!r} must be a string or token list: {val!r}")
     check_utf8("".join(tokens), MalformedRecordError, f"field {key!r}")
     return tokens

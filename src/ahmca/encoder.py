@@ -27,23 +27,28 @@ states.  G (R, gate, direction, k), C and H (R, direction, k) are
 row-major, so one step's rows are one contiguous slice, updated in place.
 The forward is the loop and nothing else: BPTT, the only reader of the
 activated gates, activates G in place (sigmoid for i, f, o, tanh for g)
-and so consumes the cache.  It reads the arrays through direction-major
-views, runs the same loop backwards into one dZ buffer and turns it into
-the input and parameter gradients with four products after the loop.
+and so consumes the cache.  It builds its elementwise factors (A, D and
+dc_of_dh) row-major from G, C and H, as the forward left them (about
+60% of the time it takes to build them direction-major from strided
+views); runs the same loop backwards through direction-major views of
+them into one dZ buffer; and turns dZ into the input and parameter
+gradients with four products after the loop.
 
 Bitwise contract: neither the layout nor the gate scaling changes a
 float.  Every product is the stacked direction-major one (h Wh^T takes a
 transposed view of H and writes into a step buffer, and gemm sums the
-same way whatever the row stride).  Halving is exact in binary floating
-point, so the halved products and sums are the halves of the unhalved
-ones, tanh sees the same z/2 that sigmoid computes, and (t + 1) / 2 is
-sigmoid's own last two operations; doubling back before BPTT's sigmoid
-is exact too.  This holds while no weight, product or partial sum
-falls below the smallest normal number (2^-126 in float32), where halving
-can round.  Every other elementwise step rounds the same operands in the
-same order.  tests/oracles.py keeps the direction-major loop with
-unscaled weights, and the tests compare states, cache and gradients with
-it bit for bit.
+same way whatever the row stride).  An elementwise ufunc rounds each
+element on its own, so the layout of the arrays it reads and writes,
+row-major or direction-major, strided or not, moves no bit.  Halving is
+exact in binary floating point, so the halved products and sums are the
+halves of the unhalved ones, tanh sees the same z/2 that sigmoid
+computes, and (t + 1) / 2 is sigmoid's own last two operations; doubling
+back before BPTT's sigmoid is exact too.  This holds while no weight,
+product or partial sum falls below the smallest normal number (2^-126 in
+float32), where halving can round.  Every other elementwise step rounds
+the same operands in the same order.  tests/oracles.py keeps the
+direction-major loop with unscaled weights, and the tests compare
+states, cache and gradients with it bit for bit.
 
 Batch contract: a document's states are bitwise the same alone as in any
 batch.  No product has fewer than two rows (numpy hands a one-row product
@@ -209,24 +214,28 @@ def bilstm_backward(dH_fwd, dH_bwd, cache, params):
     G.flags.writeable = False
     B = pack.steps[0][0]        # the first step's rows follow the front block
     R, _, _, k = G.shape
-    # direction-major views: G (2, R, 4, k), C and H (2, R, k); every
-    # array built from them below is laid out direction-major
-    G, C, H = G.transpose(2, 0, 1, 3), C.transpose(1, 0, 2), H.transpose(1, 0, 2)
     fwd, bwd = pack.src[:, B:]
     dHp = np.empty((2, R, k), dtype=G.dtype)
     dHp[0, B:] = dH_fwd[fwd]
     dHp[1, B:] = dH_bwd[bwd]
-    I, F, Gg, O = (G[:, :, j] for j in range(4))
-    TC = np.tanh(C, order="C")
     # dz of gates i, f, g is dc (dz_o: dh) times A, the factor the gate
     # multiplies in the forward, times D, the slope of its nonlinearity;
-    # the front block's rows of A and D are never read
+    # the front block's rows of A and D are never read.  A, D and dc_of_dh
+    # are built row-major, as the forward left G, C and H: (R, gate,
+    # direction, k) and (R, direction, k)
+    TC = np.tanh(C)
     C_prev = np.empty_like(TC)
-    C_prev[:, B:] = C[:, pack.prev]
-    A = np.stack([Gg, C_prev, I, TC], axis=2)
-    D = np.multiply(G, 1 - G, order="C")
-    D[:, :, 2] = 1 - Gg * Gg
-    dc_of_dh = np.multiply(O, 1 - TC * TC, order="C")
+    C_prev[B:] = C[pack.prev]
+    A = np.stack([G[:, 2], C_prev, G[:, 0], TC], axis=1)
+    D = 1 - G
+    D *= G                      # G (1 - G): a product rounds the same either way
+    D[:, 2] = 1 - Gg * Gg
+    dc_of_dh = G[:, 3] * (1 - TC * TC)
+    # direction-major views, the layout of the products and of dZ: A, D
+    # (2, R, 4, k), F, H and dc_of_dh (2, R, k)
+    A, D = (X.transpose(2, 0, 1, 3) for X in (A, D))
+    F = G[:, 1].transpose(1, 0, 2)
+    H, dc_of_dh = (X.transpose(1, 0, 2) for X in (H, dc_of_dh))
     Wh = np.stack(_pair(params, "Wh"))
     dZ = np.empty((2, R, 4 * k), dtype=G.dtype)
     dZ4 = dZ.reshape(A.shape)

@@ -49,9 +49,18 @@ def head_param_shapes(k, g, d_local, level_sizes, use_x0=True):
 
 
 def _affine(W, b, X):
+    """X W^T + b, issued weight-major as (W X^T)^T, about 1.6x as fast at
+    the head's 16-row batches.  In float32 it is X @ W.T + b bit for bit:
+    OpenBLAS's sgemm sums each output over the shared axis in the same
+    order either way round.  That is measured, not promised, so
+    tests/test_hmcn.py pins it for every head shape of the acceptance
+    config and the bench specs.  In float64 (the gradient checks) the last
+    bits may differ.  The sum is written C-order, as X @ W.T + b is: the
+    F-order (W @ X.T).T + b makes the products that read it round
+    differently."""
     if W.shape[1] != X.shape[-1]:
         raise DimMismatchError(f"affine: W {W.shape} vs X {X.shape}")
-    return X @ W.T + b
+    return np.add((W @ X.T).T, b, order="C")
 
 
 def fuse(local_scores, global_scores, beta):
@@ -149,10 +158,14 @@ def head_backward(cache, Y, pairs, lam, params, out=None):
     Ys = _level_targets(cache, Y)
 
     p_g = cache["p_g"]
-    dp_g = np.zeros_like(p_g)
+    dp_g = np.zeros(p_g.shape, p_g.dtype)
     d2 = 2 * lam * _violations(p_g, pairs)
-    np.add.at(dp_g, (slice(None), pairs[:, 0]), d2)
-    np.add.at(dp_g, (slice(None), pairs[:, 1]), -d2)
+    # one flat scatter (numpy's fast 1-D add.at), per row the children's
+    # terms, then the parents': each element sums in the order of the two
+    # 2-D column scatters it replaces
+    B, C = p_g.shape
+    cols = np.concatenate([pairs[:, 0], pairs[:, 1]]) + C * np.arange(B)[:, None]
+    np.add.at(dp_g.reshape(-1), cols.reshape(-1), np.concatenate([d2, -d2], axis=1).reshape(-1))
     dz_out = (p_g - Y) / Y.shape[1] + dp_g * p_g * (1 - p_g)
 
     grads = {}

@@ -51,6 +51,7 @@ from .hmcn import (
     head_loss,
     head_param_shapes,
 )
+from .numerics import scatter_rows
 from .taxonomy import Taxonomy, tokenize
 
 if TYPE_CHECKING:           # training imports model; annotation only
@@ -300,13 +301,11 @@ class Model:
         vals[0], lstm_grads = bilstm_backward(dH_fwd, dH_bwd, enc_cache, self.params)
         for name, g in lstm_grads.items():
             grads[name][...] = g
-        # one flat scatter in batch order (a stable sort on the positions), so
+        # one row scatter in batch order (a stable sort on the positions), so
         # each element takes its additions in the per-document 2-D order
         order = np.argsort(np.concatenate(keys), kind="stable")
         idx = np.concatenate(idx)[order]
-        dtable = grads["embedding.table"].reshape(-1)
-        dtable[...] = 0
-        np.add.at(dtable, (idx[:, None] * k + np.arange(k)).reshape(-1),
-                  np.concatenate(vals)[order].reshape(-1))
+        grads["embedding.table"][...] = 0
+        scatter_rows(grads["embedding.table"], idx, np.concatenate(vals)[order])
         grads.flat *= 1.0 / len(docs)
         return losses.tolist(), grads

@@ -15,6 +15,27 @@ from ahmca.attention import (
     token_weights,
 )
 from ahmca.errors import ConfigRangeError, DimMismatchError, EmptyContextError
+from ahmca.numerics import scatter_rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_row_scatter_is_bitwise_2d_scatter(dtype):
+    """The backward's context gradient goes through scatter_rows, a flat 1-D
+    np.add.at; it must equal the 2-D row scatter bit for bit, winners
+    repeated many times over included (each element's additions in the same
+    order), and -0.0 kept where only -0.0 arrives."""
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        M, k = rng.integers(1, 12), rng.integers(1, 40)
+        n = rng.integers(0, 300)
+        rows = rng.integers(0, M, n) if trial % 2 else np.sort(rng.integers(0, M, n))
+        vals = (rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, k))).astype(dtype)
+        vals[rng.random((n, k)) < 0.2] = -0.0
+        start = np.where(rng.random((M, k)) < 0.5, -0.0, 0.0).astype(dtype)
+        want, got = start.copy(), start.copy()
+        np.add.at(want, rows, vals)
+        scatter_rows(got, rows, vals)
+        assert got.tobytes() == want.tobytes(), trial
 
 
 def brute_force_weights(H, T, similarity="dot"):

@@ -1,5 +1,7 @@
+import errno
 import itertools
 import json
+import os
 import struct
 import tempfile
 from dataclasses import fields
@@ -151,6 +153,49 @@ def test_unwritable_train_out_exit_2(workspace, tmp_path, capsys):
                                    path, capsys)
         assert "epoch" not in out, flag
         assert not (tmp_path / "m.bin").exists() and not (tmp_path / "h.csv").exists()
+
+
+class _FullDisk:
+    """A file whose writes fail as on a full disk."""
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_train_writes_both_outputs_or_neither(workspace, tmp_path, capsys, monkeypatch):
+    """When the history cannot be written after training, the checkpoint is
+    not left either, nor any temporary file; the same when the history
+    cannot be moved into place after the checkpoint was."""
+    out, hist = tmp_path / "o" / "m.bin", tmp_path / "h" / "h.csv"
+    out.parent.mkdir()
+    hist.parent.mkdir()
+    argv = _train_args(workspace, tmp_path) + ["--out", str(out), "--history", str(hist)]
+    real_open, real_replace = Path.open, os.replace
+
+    def open_history_on_full_disk(self, *args, **kwargs):
+        f = real_open(self, *args, **kwargs)
+        return _FullDisk(f) if "h.csv" in self.name else f     # or its temporary file
+
+    def replace_refusing_history(src, dst):
+        if Path(dst) == hist:
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        real_replace(src, dst)
+
+    for target, fake in ((Path, open_history_on_full_disk), (os, replace_refusing_history)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, "open" if target is Path else "replace", fake)
+            _assert_cannot_write(argv, hist, capsys)
+        assert not any(out.parent.iterdir()) and not any(hist.parent.iterdir()), fake
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["h.csv", "m.bin"]
 
 
 def test_unwritable_eval_out_exit_2(workspace, tmp_path, capsys):

@@ -115,6 +115,17 @@ def test_empty_text(two_level_tax):
         load_corpus(rec, two_level_tax)
 
 
+def test_blank_pretokenized_tokens_are_dropped(two_level_tax):
+    """A token list loses its blank entries, as a string does in tokenize,
+    so blank tokens alone are no text."""
+    rec = {"id": "x", "title": [""], "abstract": ["  "], "labels": ["A1"]}
+    with pytest.raises(EmptyTextError, match="record 'x' has no text"):
+        load_corpus(json.dumps(rec), two_level_tax)
+    rec["title"] = ["\t", "Kept,", "", "\u3000"]
+    d = load_corpus(json.dumps(rec), two_level_tax).documents[0]
+    assert (d.title_tokens, d.abstract_tokens) == (("Kept,",), ())
+
+
 def test_pretokenized_records(two_level_tax):
     rec = json.dumps({"id": "x", "title": ["Pre", "Tok"], "abstract": ["body"],
                       "keywords": [], "labels": ["A1"]})

@@ -1,13 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 from oracles import global_predict, global_step, local_predict, loss
+from test_acceptance import BENCH_SPEC
 
 from ahmca.errors import DimMismatchError
 from ahmca.hmcn import (
     Prediction,
+    _affine,
     child_parent_index_pairs,
     fuse,
     head_backward,
@@ -19,6 +22,35 @@ from ahmca.hmcn import (
 from ahmca.model import init_params
 from ahmca.numerics import grad_check
 from ahmca.taxonomy import load_taxonomy
+from ahmca.training import TrainConfig
+
+
+def test_affine_is_bitwise_row_major_product(monkeypatch):
+    """_affine issues X W^T + b weight-major, (W X^T)^T + b, for speed; in
+    float32 that must give X @ W.T + b bit for bit, C-order, for every head
+    weight shape of the acceptance config and of the bench specs, at the
+    row counts of one query, a pair, a ragged tail and a batch.  If a NumPy
+    or BLAS upgrade fails this, the training and serving bytes move."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    configs = [(BENCH_SPEC, TrainConfig(seed=7)),
+               (workloads.REFERENCE_SPEC, workloads.REFERENCE_CFG)]
+    configs += [(wl.spec, wl.cfg) for table in (workloads.WORKLOADS, workloads.SMOKE)
+                for wl in table.values()]
+    shapes = sorted({shape for spec, cfg in configs
+                     for shape in head_param_shapes(cfg.k, cfg.g, cfg.d_L, spec.level_sizes,
+                                                    cfg.use_x0_in_global).values()
+                     if len(shape) == 2})
+    assert (384, 448) in shapes and (328, 448) in shapes
+    rng = np.random.default_rng(0)
+    for n, width in shapes:
+        W = (rng.uniform(-1, 1, (n, width)) / np.sqrt(width)).astype(np.float32)
+        b = rng.uniform(-0.1, 0.1, n).astype(np.float32)
+        for rows in (1, 2, 12, 16, 64):
+            X = np.maximum(rng.standard_normal((rows, width)), 0).astype(np.float32)
+            got = _affine(W, b, X)
+            assert got.flags.c_contiguous, (n, width, rows)
+            assert np.array_equal(got, X @ W.T + b), (n, width, rows)
 
 
 def test_global_step_zero_weights():

@@ -2,6 +2,11 @@
 served model produce, so two source trees can be compared byte for byte.
 
     python3 tools/byte_hashes.py [--root DIR] > hashes.txt
+    python3 tools/byte_hashes.py --expect hashes.txt
+
+With --expect FILE it prints the lines as well, then compares them with
+FILE, an earlier output: it exits 1 and prints the lines that differ, as a
+unified diff on stderr, or says on stderr that every line matched.
 
 Imports ahmca from DIR/src and the benchmark specs from DIR/bench (default:
 the tree this file is in), and exits with an error if either resolves to
@@ -29,6 +34,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"       # before NumPy loads
 
 import argparse
+import difflib
 import hashlib
 import json
 import sys
@@ -75,7 +81,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="source tree to import ahmca and bench/workloads.py from")
-    root = ap.parse_args().root.resolve()
+    ap.add_argument("--expect", type=Path, metavar="FILE",
+                    help="an earlier output to compare with; exit 1 if a line differs")
+    args = ap.parse_args()
+    root = args.root.resolve()
+    expected = args.expect.read_text().splitlines() if args.expect else None
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     sys.dont_write_bytecode = True      # leave both trees as they are
 
@@ -88,27 +98,41 @@ def main():
             sys.exit(f"byte_hashes: {module.__name__} resolved to {module.__file__}, "
                      f"not under {home}")
 
+    lines = []
+
+    def emit(*words):
+        lines.append(" ".join(words))
+        print(lines[-1], flush=True)
+
     for name, spec, cfg, make in configs(workloads, training.TrainConfig):
         tax, data, table = make(spec, workloads, corpus)
         generated = hashlib.sha256()
         for part in (tax.serialize().encode(), corpus.save_corpus(data).encode(),
                      table.vectors.tobytes()):
             generated.update(part)
-        print(name, "data", generated.hexdigest())
+        emit(name, "data", generated.hexdigest())
         tr, va, te = corpus.split(data, (3, 1, 1), seed=spec.seed)
         ckpt, hist = training.train(cfg, tr, va, tax, table)
         blob = training.save_checkpoint(ckpt)
         model, _ = training.load_checkpoint(blob).build_model()
-        print(name, "checkpoint", sha(blob))
-        print(name, "history", sha(hist.to_csv()))
+        emit(name, "checkpoint", sha(blob))
+        emit(name, "history", sha(hist.to_csv()))
         for threshold in (0.5, 0.0):
             h = hashlib.sha256()
             for doc in te:
                 out = training.predict(model, doc, threshold=threshold)
                 h.update(out["fused_scores"].tobytes())
                 h.update(json.dumps([out["top_leaves"], out["level_sets"]]).encode())
-            print(name, f"predict@{threshold}", h.hexdigest())
-        print(name, "evaluate", sha(training.evaluate_model(model, te, ks=(1, 3)).to_json()))
+            emit(name, f"predict@{threshold}", h.hexdigest())
+        emit(name, "evaluate", sha(training.evaluate_model(model, te, ks=(1, 3)).to_json()))
+
+    if expected is not None:
+        diff = list(difflib.unified_diff(expected, lines, str(args.expect), "this run",
+                                         n=0, lineterm=""))
+        if diff:
+            print("\n".join(diff), file=sys.stderr)
+            sys.exit(1)
+        print(f"byte_hashes: all {len(lines)} lines equal {args.expect}", file=sys.stderr)
 
 
 if __name__ == "__main__":
