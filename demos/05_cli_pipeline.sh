@@ -3,7 +3,11 @@
 # classify new documents and inspect the checkpoint.
 #
 # Run: sh demos/05_cli_pipeline.sh   (about 3 s on 2 cores, writes to a temp directory)
+# Without the installed `ahmca` command it runs python3 -m ahmca.cli, so from
+# a checkout: PYTHONPATH=src sh demos/05_cli_pipeline.sh
 set -e
+
+command -v ahmca > /dev/null || ahmca() { python3 -m ahmca.cli "$@"; }
 
 DIR=$(mktemp -d)
 echo "working in $DIR"

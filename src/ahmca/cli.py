@@ -31,6 +31,7 @@ from .errors import (
     CorpusError,
     EmbeddingError,
     TaxonomyError,
+    TooFewDocumentsError,
 )
 from .taxonomy import load_taxonomy
 from .training import (
@@ -104,9 +105,9 @@ def _build_parser():
     return p
 
 
-def _read(path):
+def _read(path, text=True):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
     except UnicodeDecodeError as e:
@@ -114,12 +115,10 @@ def _read(path):
     raise SystemExit(2)
 
 
-def _read_bytes(path):
-    try:
-        return Path(path).read_bytes()
-    except OSError as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+def _load_model(path):
+    """The checkpoint at path, the model it builds and its taxonomy."""
+    ckpt = load_checkpoint(_read(path, text=False))
+    return (ckpt, *ckpt.build_model())
 
 
 def _prepare(path, directory=False):
@@ -182,9 +181,10 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    ckpt = load_checkpoint(_read_bytes(args.model))
-    model, tax = ckpt.build_model()
+    _, model, tax = _load_model(args.model)
     data = load_corpus(_read(args.data), tax)
+    if not data.documents:
+        raise TooFewDocumentsError(f"{args.data} has no documents")
     report = evaluate_model(model, data, ks=args.k)
     text = report.to_json()
     print(text)
@@ -194,8 +194,7 @@ def _cmd_eval(args):
 
 
 def _cmd_predict(args):
-    ckpt = load_checkpoint(_read_bytes(args.model))
-    model, tax = ckpt.build_model()
+    _, model, tax = _load_model(args.model)
     docs = [doc for _, doc in read_documents(_read(args.input), tax, make_unlabeled_document)]
     with model.scoring(docs):
         for doc in docs:
@@ -223,8 +222,7 @@ def _cmd_gen_synth(args):
 
 
 def _cmd_inspect(args):
-    ckpt = load_checkpoint(_read_bytes(args.model))
-    model, _ = ckpt.build_model()       # the checks eval and predict run
+    ckpt, model, _ = _load_model(args.model)     # the checks eval and predict run
     print(f"version: {CHECKPOINT_VERSION}")
     print(f"taxonomy_hash: {ckpt.taxonomy_hash}")
     print(f"labels: {len(ckpt.label_order)}")

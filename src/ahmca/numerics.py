@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DimMismatchError, NonFiniteError
 
+_STEP, _FLOOR = 1e-5, 1e-8     # grad_check's central-difference step and denominator floor
+
 
 def check_finite(x, what="array"):
     x = np.asarray(x)
@@ -64,12 +66,12 @@ class GradReport:
         return max(self.max_rel_error.values()) if self.max_rel_error else 0.0
 
 
-def grad_check(f, params, tolerance=1e-3, step=1e-5, eps=1e-8) -> GradReport:
-    """Compare analytic gradients of f against central differences.
+def grad_check(f, params, tolerance=1e-3) -> GradReport:
+    """Compare analytic gradients of f against central differences of step _STEP.
 
     f(params) must return (loss, grads) where grads maps each group name in
     params to an array of matching shape.  params are promoted to float64.
-    Relative error per element is |ga - gn| / max(|ga|, |gn|, eps).
+    Relative error per element is |ga - gn| / max(|ga|, |gn|, _FLOOR).
     """
     params = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
     loss, grads = f(params)
@@ -85,13 +87,13 @@ def grad_check(f, params, tolerance=1e-3, step=1e-5, eps=1e-8) -> GradReport:
         for _ in it:
             idx = it.multi_index
             orig = p[idx]
-            p[idx] = orig + step
+            p[idx] = orig + _STEP
             lp, _ = f(params)
-            p[idx] = orig - step
+            p[idx] = orig - _STEP
             lm, _ = f(params)
             p[idx] = orig
-            gn = (lp - lm) / (2 * step)
-            denom = max(abs(ga[idx]), abs(gn), eps)
+            gn = (lp - lm) / (2 * _STEP)
+            denom = max(abs(ga[idx]), abs(gn), _FLOOR)
             worst = max(worst, abs(ga[idx] - gn) / denom)
         report[name] = worst
     return GradReport(max_rel_error=report, tolerance=tolerance)

@@ -61,6 +61,7 @@ _META_TYPES = {"config": dict, "taxonomy": str, "taxonomy_hash": str,
                "label_order": list, "embedding_tokens": list}
 _CHUNK = 1 << 16     # elements per pass of Adam.step, so that a pass stays in cache
 _FLUSH_EVERY, _FLUSH_BELOW = 64, 2.0**-100     # Adam's flush of vanishing first moments
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's b1, b2 and eps (Kingma & Ba 2015)
 
 
 @dataclass(frozen=True)
@@ -241,42 +242,40 @@ class History:
 # --- optimizer ----------------------------------------------------------
 
 class Adam:
-    """Adam on a flat buffer with a flat m and v, _CHUNK elements at a time
-    through two scratch chunks, rounding as m = b1 m + (1 - b1) g, v = b2 v +
-    (1 - b2) g g, p = p - lr (m / b1t) / (sqrt(v / b2t) + eps) in that order.
+    """Adam on the flat buffer params with a flat m and v, _CHUNK elements at
+    a time through two scratch chunks, rounding as m = b1 m + (1 - b1) g, v =
+    b2 v + (1 - b2) g g, p = p - lr (m / b1t) / (sqrt(v / b2t) + eps) in order.
 
     Every _FLUSH_EVERY steps, an m element below _FLUSH_BELOW in magnitude is
     set to 0.  A parameter whose gradient stays exactly 0 (a dead relu unit)
     has an m that decays by b1 per step into subnormals, on which x86
     arithmetic is many times slower; NumPy cannot set flush-to-zero.  Such
-    an m moves a parameter by at most lr 2**-100 / eps once t >= 64 (4e-25
+    an m moves a parameter by at most lr 2**-100 / _EPS once t >= 64 (4e-25
     at lr 5e-3), less than half an ulp of a float32 above 7e-18 in
     magnitude; and it takes about 171 steps to decay from 2**-100 to the
     float32 subnormals, so decay alone makes no m subnormal between flushes."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.t = 0
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
         self.m, self.v = np.zeros((2, len(params)), params.dtype)
         self._scratch = np.empty((2, min(_CHUNK, len(params))), params.dtype)
 
-    def step(self, params, grads):
+    def step(self, grads):
         """Step params, m and v in place by grads, cast to params' dtype."""
         self.t += 1
-        b1t = 1 - self.b1 ** self.t
-        b2t = 1 - self.b2 ** self.t
-        for a in range(0, len(params), _CHUNK):
-            p, m, v = params[a:a + _CHUNK], self.m[a:a + _CHUNK], self.v[a:a + _CHUNK]
+        b1t, b2t = 1 - _BETA1 ** self.t, 1 - _BETA2 ** self.t
+        for a in range(0, len(self.params), _CHUNK):
+            p, m, v = self.params[a:a + _CHUNK], self.m[a:a + _CHUNK], self.v[a:a + _CHUNK]
             g = grads[a:a + _CHUNK].astype(p.dtype, copy=False)
             s, u = self._scratch[:, :len(p)]
-            np.multiply(m, self.b1, out=m)
-            m += np.multiply(g, 1 - self.b1, out=s)
-            np.multiply(v, self.b2, out=v)
-            np.multiply(g, 1 - self.b2, out=s)
+            np.multiply(m, _BETA1, out=m)
+            m += np.multiply(g, 1 - _BETA1, out=s)
+            np.multiply(v, _BETA2, out=v)
+            np.multiply(g, 1 - _BETA2, out=s)
             v += np.multiply(s, g, out=s)
             np.divide(v, b2t, out=s)
             np.sqrt(s, out=s)
-            s += self.eps
+            s += _EPS
             np.divide(m, b1t, out=u)
             u *= self.lr
             u /= s
@@ -406,7 +405,7 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
             if not np.isfinite(g).all():    # name the first group, in layout order
                 for name in model.shapes:
                     check_finite(grads[name], f"gradient {name} at epoch {epoch}")
-            opt.step(flat[:model.trainable], g)
+            opt.step(g)
 
         report = evaluate_model(model, val_c, ks=(1,))
         train_loss = float(np.mean(losses))

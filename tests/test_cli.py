@@ -14,8 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahmca.cli import main
-from ahmca.corpus import SynthSpec, make_unlabeled_document
-from ahmca.errors import AhmcaError, CheckpointError, SpecInvalidError
+from ahmca.corpus import SynthSpec, load_corpus, make_unlabeled_document, read_documents
+from ahmca.errors import (
+    AhmcaError,
+    CheckpointError,
+    CorpusError,
+    SpecInvalidError,
+    TaxonomyError,
+)
+from ahmca.taxonomy import load_taxonomy
 from ahmca.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -500,6 +507,20 @@ def test_empty_corpus_exit_3(workspace, tmp_path, capsys):
         assert not (tmp_path / "m.bin").exists()
 
 
+def test_eval_empty_data_exit_3(workspace, tmp_path, capsys):
+    """A data file with no records is rejected as train rejects an empty
+    corpus, not scored as macro_f1 0.0 over 0 documents."""
+    for text in ("", "\n  \n"):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(text)
+        rc = main(["eval", "--model", str(workspace / "model.bin"), "--data", str(empty),
+                   "--out", str(tmp_path / "metrics.json")])
+        assert rc == 3, repr(text)
+        out, err = capsys.readouterr()
+        assert f"{empty} has no documents" in err and out == ""
+        assert not (tmp_path / "metrics.json").exists()
+
+
 def test_mismatched_data_exit_3(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"id": "d", "title": "t", "abstract": "a",
@@ -537,6 +558,82 @@ def test_bad_query_record_names_the_line_exit_3(workspace, tmp_path, capsys):
     rc = main(["predict", "--model", str(workspace / "model.bin"), "--input", str(q)])
     assert rc == 3
     assert "line 2: record 'q2' has no text" in capsys.readouterr().err
+
+
+# tokens of the workspace vocabulary and label text, an unseen one, blank ones
+_TOKENS = st.sampled_from(["w_l2_0_0", "w_l2_1_3", "lab_L1_0", "unseen", "a b", " ", "", "\t"])
+_RECORD_FIELDS = {
+    "title": st.lists(_TOKENS, min_size=1, max_size=4) | st.text(max_size=6),
+    "abstract": st.lists(_TOKENS, max_size=3) | st.text(max_size=6),
+    "keywords": st.lists(_TOKENS, max_size=2),
+    "labels": st.lists(st.sampled_from(["L2_0", "L2_1"]), min_size=1, max_size=2),
+}
+# wrong types, non-string or blank tokens and keywords, wrong label lists
+_BAD_FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(_TOKENS, st.integers(), st.none(), st.lists(_TOKENS, max_size=1)),
+             max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@st.composite
+def _jsonl_files(draw):
+    """One to three JSON Lines records, each valid (about half of them) or
+    changed in one way."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        rec = {"id": f"d{len(lines)}"}
+        rec |= {key: draw(values) for key, values in _RECORD_FIELDS.items()}
+        change = draw(st.just("none") | st.sampled_from([
+            "value", "missing", "unknown field", "label", "repeated id", "not an object",
+            "blank line"]))
+        if change == "value":
+            rec[draw(st.sampled_from(sorted(rec)))] = draw(_BAD_FIELD_VALUES)
+        elif change == "missing":
+            del rec[draw(st.sampled_from(sorted(rec)))]
+        elif change == "unknown field":
+            rec["extra"] = draw(_BAD_FIELD_VALUES)
+        elif change == "repeated id":
+            rec["id"] = "d0"
+        elif change == "label":     # a non-leaf or an unknown id of the workspace taxonomy
+            rec["labels"].append(draw(st.sampled_from(["L1_0", "L1_1", "NOPE", ""])))
+        elif change == "not an object":
+            rec = draw(st.sampled_from([[rec], None, "rec", 3, True]))
+        lines.append("  " if change == "blank line" else json.dumps(rec))
+    return "\n".join(lines) + "\n"
+
+
+def _exit_code_of(workspace, command, flag, text):
+    path = workspace / "records.jsonl"
+    path.write_text(text)
+    return main([command, "--model", str(workspace / "model.bin"), flag, str(path)])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(text=_jsonl_files())
+def test_predict_input_exit_0_or_3(workspace, text):
+    """Input the query reader accepts is classified (exit 0); any other is
+    a validation error (exit 3), never an internal error (exit 1)."""
+    tax = load_taxonomy((workspace / "data" / "taxonomy.json").read_text())
+    try:
+        list(read_documents(text, tax, make_unlabeled_document))
+        want = 0
+    except (TaxonomyError, CorpusError):
+        want = 3
+    assert _exit_code_of(workspace, "predict", "--input", text) == want
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(text=_jsonl_files())
+def test_eval_data_exit_0_or_3(workspace, text):
+    """A non-empty corpus the loader accepts is evaluated (exit 0); any
+    other is a validation error (exit 3), never an internal error (exit 1)."""
+    tax = load_taxonomy((workspace / "data" / "taxonomy.json").read_text())
+    try:
+        want = 0 if len(load_corpus(text, tax)) else 3
+    except (TaxonomyError, CorpusError):
+        want = 3
+    assert _exit_code_of(workspace, "eval", "--data", text) == want
 
 
 _DEEP = "[" * 100_000       # json.loads raises RecursionError on it

@@ -50,19 +50,27 @@ def test_train_and_evaluate_demo():
 
 
 def test_cli_pipeline_demo(tmp_path):
-    """demos/05_cli_pipeline.sh through an `ahmca` command that runs this
-    interpreter's ahmca.cli; its temp directory lands under tmp_path."""
-    bin_dir = tmp_path / "bin"
-    bin_dir.mkdir()
-    shim = bin_dir / "ahmca"
+    """demos/05_cli_pipeline.sh, once through an `ahmca` command that runs
+    this interpreter's ahmca.cli and once with no `ahmca` on PATH, where the
+    demo falls back to python3 -m ahmca.cli; its temp directories land under
+    tmp_path."""
+    with_cmd, without = tmp_path / "with", tmp_path / "without"
+    for bin_dir in with_cmd, without:
+        bin_dir.mkdir()
+        (bin_dir / "python3").symlink_to(sys.executable)
+    shim = with_cmd / "ahmca"
     shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m ahmca.cli "$@"\n')
     shim.chmod(0o755)
-    env = _demo_env(PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
-                    TMPDIR=str(tmp_path))
-    proc = subprocess.run(["sh", str(ROOT / "demos" / "05_cli_pipeline.sh")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "done;" in proc.stdout
+    path = [d for d in os.environ.get("PATH", "").split(os.pathsep)
+            if d and not (Path(d) / "ahmca").exists()]
+    for bin_dir in with_cmd, without:
+        env = _demo_env(PATH=os.pathsep.join([str(bin_dir)] + path), TMPDIR=str(bin_dir))
+        proc = subprocess.run(["sh", str(ROOT / "demos" / "05_cli_pipeline.sh")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (bin_dir.name, proc.stderr)
+        work = Path(proc.stdout.split("working in ", 1)[1].split("\n", 1)[0])
+        assert work.parent == bin_dir and (work / "model.bin").exists()
+        assert "done;" in proc.stdout
 
 
 def test_bench_tracer_layers_resolve():

@@ -327,7 +327,7 @@ def _adam_run(steps, frozen=False):
     for t in range(1, steps + 1):
         # at even steps a float64 gradient is cast to the parameters' float32
         grads = rng.standard_normal(len(flat)).astype(np.float32 if t % 2 else np.float64)
-        opt.step(flat[:n], grads[:n])
+        opt.step(grads[:n])
         assert opt.m is moments[0] and opt.v is moments[1]      # stepped in place
         stepped = {name: g for name, g in Arena(_ADAM_SHAPES, grads).items() if name in shapes}
         ref, ref_m, ref_v = oracles.adam_step(ref, stepped, ref_m, ref_v, t, 0.01)
@@ -383,7 +383,7 @@ def test_adam_flushes_vanishing_first_moments(monkeypatch):
         opt.t = t
         opt.m[[1, 8, 9]] = start         # in the first and the last, partial, chunk
         opt.v[:] = 1.0
-        opt.step(params, np.zeros(10, np.float32))
+        opt.step(np.zeros(10, np.float32))
         assert opt.t == t + 1
         assert opt.m[[1, 8, 9]].tobytes() == want.tobytes(), t
         assert not opt.m[[0, 2, 3, 4, 5, 6, 7]].any()
