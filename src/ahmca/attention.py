@@ -1,6 +1,6 @@
-"""Label-splicing attention: per-level token weights from max similarity
-against the spliced label+keyword matrix, and the level-specific document
-embeddings built from them.
+"""Label-splicing attention: per-level token weights from the max dot
+product of each hidden state with the rows of the spliced label+keyword
+matrix, and the level-specific document embeddings built from them.
 
 Both BiLSTM directions are one (2, N, k) stack, and G documents of equal
 token and keyword counts add a leading axis, (G, 2, N, k), unpadded, so
@@ -23,10 +23,8 @@ from .errors import ConfigRangeError, DimMismatchError, EmptyContextError
 from .numerics import scatter_rows
 
 MODES = ("sum_normalized", "none", "softmax")
-SIMILARITIES = ("dot", "cosine")
 
 _EPS = 1e-8
-_NORM_EPS = 1e-12
 
 
 def splice_level(Ti, Ke):
@@ -42,25 +40,17 @@ def splice_level(Ti, Ke):
     return out
 
 
-def token_weights(H, ctx, similarity="dot", with_argmax=False):
+def token_weights(H, ctx, with_argmax=False):
     """Raw weight per token of H, N x k or a (..., N, k) stack: max over the
     rows of ctx (M x k, or a (..., M, k) stack broadcast against H) of the
-    similarity with the token's hidden state.  Ties go to the lowest row."""
+    dot product with the token's hidden state.  Ties go to the lowest row."""
     H = np.asarray(H)
     ctx = np.asarray(ctx)
     if ctx.ndim < 2 or ctx.shape[-2] == 0:
         raise EmptyContextError("context matrix has no rows")
     if H.shape[-1] != ctx.shape[-1]:
         raise DimMismatchError(f"hidden dim {H.shape[-1]} != context dim {ctx.shape[-1]}")
-    if similarity == "dot":
-        S = H @ ctx.swapaxes(-1, -2)
-    elif similarity == "cosine":
-        hn = np.maximum(np.linalg.norm(H, axis=-1, keepdims=True), _NORM_EPS)
-        tn = np.maximum(np.linalg.norm(ctx, axis=-1, keepdims=True), _NORM_EPS)
-        S = (H / hn) @ (ctx / tn).swapaxes(-1, -2)
-    else:
-        raise ConfigRangeError(f"similarity must be one of {SIMILARITIES}, "
-                               f"got {similarity!r}")
+    S = H @ ctx.swapaxes(-1, -2)
     arg = S.argmax(axis=-1)
     w = S.reshape(-1, S.shape[-1])[np.arange(arg.size), arg.reshape(-1)].reshape(arg.shape)
     return (w, arg) if with_argmax else w
@@ -99,39 +89,32 @@ def _normalize_backward(dw, weights, cache):
     return weights * (dw - dot)
 
 
-def attention_forward(H_fwd, H_bwd, contexts, mode="sum_normalized", similarity="dot"):
+def attention_forward(H_fwd, H_bwd, contexts, mode="sum_normalized"):
     """x^0..x^H and a cache for the backward pass from N x k states and one
     spliced M x k context per level 1..H, or from (G, N, k) and (G, M, k)
     stacks of G documents (x^i G x 2k); x^0 has all-ones raw weights."""
     H = np.concatenate([np.asarray(h)[..., None, :, :] for h in (H_fwd, H_bwd)], axis=-3)
     xs = []
-    cache = {"H": H, "similarity": similarity, "levels": []}
+    cache = {"H": H, "levels": []}
     for ctx in [None] + [np.asarray(c) for c in contexts]:
         if ctx is None:
             raw, arg = np.ones(H.shape[:-1], dtype=H.dtype), None
         else:
-            raw, arg = token_weights(H, ctx[..., None, :, :], similarity, with_argmax=True)
+            raw, arg = token_weights(H, ctx[..., None, :, :], with_argmax=True)
         w, c = normalize_weights(raw, mode)
         xs.append((w[..., None, :] @ H).reshape(H.shape[:-3] + (-1,)))
         cache["levels"].append({"ctx": ctx, "arg": arg, "w": w, "c": c})
     return xs, cache
 
 
-def _similarity_backward(da, H_dir, ctx, arg, similarity, dH, dctx):
-    """Scatter gradient of raw max-similarity weights into hidden states
+def _similarity_backward(da, H_dir, ctx, arg, dH, dctx):
+    """Scatter gradient of raw max-dot-product weights into hidden states
     and context rows (winner row takes all)."""
     nz = np.nonzero(da)[0]
     l = arg[nz]
-    d, h, t = da[nz, None], H_dir[nz], ctx[l]
-    if similarity == "dot":
-        dH[nz] += d * t
-        scatter_rows(dctx, l, d * h)
-        return
-    hn = np.maximum(np.linalg.norm(h, axis=1, keepdims=True), _NORM_EPS)
-    tn = np.maximum(np.linalg.norm(t, axis=1, keepdims=True), _NORM_EPS)
-    s = np.sum(h * t, axis=1, keepdims=True) / (hn * tn)
-    dH[nz] += d * (t / (hn * tn) - s * h / hn ** 2)
-    scatter_rows(dctx, l, d * (h / (hn * tn) - s * t / tn ** 2))
+    d = da[nz, None]
+    dH[nz] += d * ctx[l]
+    scatter_rows(dctx, l, d * H_dir[nz])
 
 
 def attention_backward(dxs, cache):
@@ -157,6 +140,6 @@ def attention_backward(dxs, cache):
             arg = lv["arg"].reshape(-1, w.shape[-2] * w.shape[-1])
             rows = arg + ctx.shape[-2] * np.arange(len(arg))[:, None]
             _similarity_backward(da.reshape(-1), H.reshape(-1, k), ctx.reshape(-1, k),
-                                 rows.reshape(-1), cache["similarity"], dH.reshape(-1, k),
+                                 rows.reshape(-1), dH.reshape(-1, k),
                                  dcontexts[-1].reshape(-1, k))
     return dH[..., 0, :, :], dH[..., 1, :, :], dcontexts

@@ -30,10 +30,11 @@ from .errors import (
     CheckpointError,
     CorpusError,
     EmbeddingError,
+    NonFiniteError,
     TaxonomyError,
     TooFewDocumentsError,
 )
-from .taxonomy import load_taxonomy
+from .taxonomy import load_taxonomy, tokenize
 from .training import (
     CHECKPOINT_VERSION,
     TrainConfig,
@@ -168,9 +169,10 @@ def _cmd_train(args):
     val_c = load_corpus(_read(args.val), tax)
     if args.embeddings:
         table = load_embeddings(_read(args.embeddings))
-    else:
+    else:   # label text too, or every label word would share the unk row
         vocab = sorted({t for d in train_c for t in d.tokens}
-                       | {t for d in val_c for t in d.tokens})
+                       | {t for d in val_c for t in d.tokens}
+                       | {t for lab in tax.labels for t in tokenize(lab.text)})
         table = random_table(vocab, cfg.k, cfg.seed)
     for path in (args.out, args.history):   # before training, not after it
         _prepare(path)
@@ -254,7 +256,8 @@ def main(argv=None) -> int:
     except (TaxonomyError, CorpusError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, EmbeddingError, CheckpointError) as e:
+    # a NonFiniteError is a training run that diverged: its config must change
+    except (ConfigError, EmbeddingError, CheckpointError, NonFiniteError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except AhmcaError as e:

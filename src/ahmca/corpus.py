@@ -406,8 +406,19 @@ def generate_synthetic(spec: SynthSpec):
     order (leaf, document, position): a noise flag, then an index into the
     vocabulary or the leaf's lexicon, both read from the raw PCG64 stream by
     _draw_tokens; then the embedding table's ``standard_normal``.  Every
-    document passes make_document's checks.
+    document passes make_document's checks.  A spec whose token draws or
+    float64 table NumPy cannot allocate is a SpecInvalidError, raised before
+    any list is built.
     """
+    count = spec.level_sizes[-1] * spec.docs_per_leaf * spec.doc_length    # leaves: the last level
+    rows = sum(spec.level_sizes) * (spec.leaf_vocab_size + 1)
+    for n, dtype, what in ((2 * count + 2, np.uint64, f"raw draws for {count} corpus tokens"),
+                           (rows * spec.embedding_dim, np.float64,
+                            f"floats for a {rows} x {spec.embedding_dim} embedding table")):
+        try:
+            np.empty(n, dtype)      # never touched, so it costs nothing
+        except (ValueError, MemoryError) as e:
+            raise SpecInvalidError(f"cannot allocate {n} {what}: {e}") from None
     rng = np.random.default_rng(spec.seed)
 
     # taxonomy: children spread round-robin over the previous level

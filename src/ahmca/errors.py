@@ -166,7 +166,7 @@ class ConfigRangeError(ConfigError):
 
 # --- training / checkpoint ---
 
-class NonFiniteLossError(AhmcaError):
+class NonFiniteLossError(NonFiniteError):
     pass
 
 

@@ -2,7 +2,8 @@
 
 The global flow chains relu layers across levels (each consuming the
 previous layer spliced with that level's document embedding) and ends in a
-sigmoid classifier over all classes; each level also has a local relu +
+sigmoid classifier over all classes, fed the last layer spliced with x^0,
+the global document embedding; each level also has a local relu +
 sigmoid classifier.  The final score is the beta-weighted convex
 combination of the two.  The loss is binary cross-entropy on both flows
 plus a squared-hinge penalty whenever a child's global score exceeds its
@@ -31,14 +32,14 @@ class Prediction:
     fused_scores: np.ndarray
 
 
-def head_param_shapes(k, g, d_local, level_sizes, use_x0=True):
+def head_param_shapes(k, g, d_local, level_sizes):
     """Name -> shape of every head parameter, in the order init_params fills them."""
     total = sum(level_sizes)
     shapes = {}
     for h in range(1, len(level_sizes) + 1):
         shapes[f"global.W{h}"] = (g, 2 * k if h == 1 else g + 2 * k)
         shapes[f"global.b{h}"] = (g,)
-    shapes["global.Wout"] = (total, g + (2 * k if use_x0 else 0))
+    shapes["global.Wout"] = (total, g + 2 * k)
     shapes["global.bout"] = (total,)
     for h, n in enumerate(level_sizes, start=1):
         shapes[f"local.Wt{h}"] = (d_local, g)
@@ -93,7 +94,7 @@ def violation_penalty(global_scores, pairs, lam):
     return lam * np.sum(d * d, axis=-1)
 
 
-def head_forward(xs, params, level_sizes, use_x0=True):
+def head_forward(xs, params, level_sizes):
     """Forward through both flows from document embeddings xs = [x0..xH],
     each a B x 2k matrix with one row per document.
 
@@ -110,7 +111,7 @@ def head_forward(xs, params, level_sizes, use_x0=True):
         inputs.append(inp)
         zs.append(z)
         A.append(relu(z))
-    out_in = np.concatenate([A[H], xs[0]], axis=1) if use_x0 else A[H]
+    out_in = np.concatenate([A[H], xs[0]], axis=1)
     z_out = _affine(params["global.Wout"], params["global.bout"], out_in)
     p_g = sigmoid(z_out)
 
@@ -121,9 +122,8 @@ def head_forward(xs, params, level_sizes, use_x0=True):
         zc = _affine(params[f"local.Wc{h}"], params[f"local.bc{h}"], a_l)
         local.append({"zt": zt, "a_l": a_l, "zc": zc, "p": sigmoid(zc)})
 
-    cache = {"xs": xs, "A": A, "zs": zs, "inputs": inputs, "out_in": out_in,
-             "z_out": z_out, "p_g": p_g, "local": local, "use_x0": use_x0,
-             "level_sizes": level_sizes}
+    cache = {"A": A, "zs": zs, "inputs": inputs, "out_in": out_in, "z_out": z_out,
+             "p_g": p_g, "local": local, "level_sizes": level_sizes}
     return cache
 
 
@@ -175,13 +175,8 @@ def head_backward(cache, Y, pairs, lam, params, out=None):
 
     g = cache["A"][1].shape[1]
     dA = [np.zeros_like(a) if a is not None else None for a in cache["A"]]
-    dxs = [None] * (H + 1)
-    if cache["use_x0"]:
-        dA[H] += d_out_in[:, :g]
-        dxs[0] = d_out_in[:, g:]
-    else:
-        dA[H] += d_out_in
-        dxs[0] = np.zeros_like(cache["xs"][0])
+    dxs = [d_out_in[:, g:]] + [None] * H
+    dA[H] += d_out_in[:, :g]
 
     for h in range(1, H + 1):
         lv = cache["local"][h - 1]

@@ -1,18 +1,19 @@
-"""Full pipeline: embeddings -> BiLSTM -> level attention -> global/local
-head, with reverse-mode gradients for every trainable parameter group.
+"""Full pipeline: embeddings -> BiLSTM -> level attention (max dot product
+with label and keyword rows) -> global/local head (x^0 in the global
+output), with reverse-mode gradients for every trainable parameter group.
 
 One Model instance owns the taxonomy binding, the embedding vocabulary and
 the parameter dict (embedding table included): unless given one, an Arena of
 shapes that init_params, the one initialiser, draws from cfg.seed, with the
 table's vectors and unk copied into its last entry, embedding.table
 ([vectors; unk]).  Its hyperparameters (k, g, d_L, beta, lambda_, attention
-mode, similarity, x^0 in the global path and the init seed) are read from
-the TrainConfig it was built with, model.cfg, which has checked their
-ranges.  One loss_and_grads call serves a mini-batch: the encoder runs once
-on the batch's token matrix in one packed time loop, without padding,
-attention runs once per shape group (documents of equal token and keyword
-counts, stacked through one row index), and the head runs once on a B-row
-matrix per level, one row per document in batch order.  Its gradients fill a
+mode and the init seed) are read from the TrainConfig it was built with,
+model.cfg, which has checked their ranges.  One loss_and_grads call serves
+a mini-batch: the encoder runs once on the batch's token matrix in one
+packed time loop, without padding, attention runs once per shape group
+(documents of equal token and keyword counts, stacked through one row
+index), and the head runs once on a B-row matrix per level, one row per
+document in batch order.  Its gradients fill a
 new Arena, laid out as shapes; the embedding gradient, the last entry, is
 one flat np.add.at over each document's rows in batch order, so no float
 moves with the grouping (tests/oracles.py keeps the per-document pass).  It
@@ -67,7 +68,7 @@ _SCORE_ROWS = 4096
 def param_shapes(level_sizes, vocab_size, cfg: TrainConfig):
     """Name -> shape of every entry of Model.params, embedding.table last."""
     return {**lstm_param_shapes(cfg.k),
-            **head_param_shapes(cfg.k, cfg.g, cfg.d_L, level_sizes, cfg.use_x0_in_global),
+            **head_param_shapes(cfg.k, cfg.g, cfg.d_L, level_sizes),
             "embedding.table": (vocab_size + 1, cfg.k)}
 
 
@@ -205,12 +206,12 @@ class Model:
             kw = idx[:, n - m:]                     # the tokens end with the keywords
             xs, att_cache = attention_forward(H_fwd[idx], H_bwd[idx],
                                               [splice_level(T, X[kw]) for T in label_mats],
-                                              self.cfg.attention_mode, self.cfg.similarity)
+                                              self.cfg.attention_mode)
             groups.append((np.array(pos), idx, kw, xs, att_cache))
         # each level's group rows, put back in batch order
         back = np.argsort(np.concatenate([g[0] for g in groups]))
         xs = [np.concatenate(x)[back] for x in zip(*[g[3] for g in groups])]
-        head_cache = head_forward(xs, self.params, self.level_sizes, self.cfg.use_x0_in_global)
+        head_cache = head_forward(xs, self.params, self.level_sizes)
         return head_cache, enc_cache, (rows, groups)
 
     def predict_scores_batch(self, docs) -> Prediction:

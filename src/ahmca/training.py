@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import metrics as M
-from .attention import MODES, SIMILARITIES
+from .attention import MODES
 from .corpus import Corpus, Document, check_field_types, fields_from_json
 from .embedding import EmbeddingTable
 from .errors import (
@@ -62,6 +62,8 @@ _META_TYPES = {"config": dict, "taxonomy": str, "taxonomy_hash": str,
 _CHUNK = 1 << 16     # elements per pass of Adam.step, so that a pass stays in cache
 _FLUSH_EVERY, _FLUSH_BELOW = 64, 2.0**-100     # Adam's flush of vanishing first moments
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's b1, b2 and eps (Kingma & Ba 2015)
+# retired TrainConfig keys, each with the one value a model built here has
+_RETIRED = {"similarity": "dot", "use_x0_in_global": True}
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,7 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     attention_mode: str = "sum_normalized"
-    similarity: str = "dot"
     freeze_embeddings: bool = False
-    use_x0_in_global: bool = True
     early_stop_patience: int = 5
 
     def __post_init__(self):
@@ -100,8 +100,6 @@ class TrainConfig:
             raise ConfigRangeError(f"seed must be >= 0, got {self.seed}")
         if self.attention_mode not in MODES:
             raise ConfigRangeError(f"attention_mode must be one of {MODES}")
-        if self.similarity not in SIMILARITIES:
-            raise ConfigRangeError(f"similarity must be one of {SIMILARITIES}")
 
     def to_dict(self):
         d = asdict(self)
@@ -112,13 +110,19 @@ class TrainConfig:
 def load_config(source) -> TrainConfig:
     """Build a TrainConfig from a JSON object, as text or a dict (left
     unchanged); unknown keys are rejected, missing keys take their defaults.
-    lambda_ may be spelled "lambda"."""
+    lambda_ may be spelled "lambda".  A retired key (_RETIRED) is dropped
+    if it holds the value every model has, and refused otherwise."""
     obj = parse_json(source, ConfigTypeError, "config is not a JSON object")
-    if isinstance(obj, dict) and "lambda" in obj:
-        if "lambda_" in obj:
+    if isinstance(obj, dict):
+        for key, want in _RETIRED.items():
+            if key in obj and not (type(obj[key]) is type(want) and obj[key] == want):
+                raise ConfigRangeError(f"{key} {obj[key]!r} is no longer supported, only "
+                                       f"{json.dumps(want)}: retrain the model without it")
+        if "lambda" in obj and "lambda_" in obj:
             raise UnknownConfigKeyError("give one of the TrainConfig keys "
                                         "'lambda' and 'lambda_', not both")
-        obj = {("lambda_" if key == "lambda" else key): v for key, v in obj.items()}
+        obj = {("lambda_" if key == "lambda" else key): v for key, v in obj.items()
+               if key not in _RETIRED}
     return TrainConfig(**fields_from_json(TrainConfig, obj, ConfigTypeError,
                                           UnknownConfigKeyError))
 
@@ -302,6 +306,9 @@ def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
     among the leaf columns, and the thresholded set is every class scoring
     at least threshold, which must be finite."""
     _check_threshold(threshold)
+    for k in ks:
+        if k < 1:
+            raise ConfigRangeError(f"k must be >= 1, got {k}")
     tax = model.tax
     if data.taxonomy_hash != tax.content_hash():
         raise TaxonomyMismatchError("corpus bound to a different taxonomy")

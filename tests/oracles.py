@@ -277,33 +277,20 @@ def loss(pred: Prediction, targets, tax: Taxonomy, lam=0.1):
     return total
 
 
-def similarity_backward(da, H_dir, ctx, arg, similarity):
-    """(dH, dctx) from the gradient da of each token's max similarity: the
+def similarity_backward(da, H_dir, ctx, arg):
+    """(dH, dctx) from the gradient da of each token's max dot product: the
     winning context row arg[j] takes all of token j's gradient."""
     dH, dctx = np.zeros_like(H_dir), np.zeros_like(ctx)
-    hn = np.maximum(np.linalg.norm(H_dir, axis=1), 1e-12)
-    tn = np.maximum(np.linalg.norm(ctx, axis=1), 1e-12)
     for j in np.nonzero(da)[0]:
         l = arg[j]
-        h, t = H_dir[j], ctx[l]
-        if similarity == "dot":
-            dH[j] += da[j] * t
-            dctx[l] += da[j] * h
-        else:
-            s = np.dot(h, t) / (hn[j] * tn[l])
-            dH[j] += da[j] * (t / (hn[j] * tn[l]) - s * h / (hn[j] ** 2))
-            dctx[l] += da[j] * (h / (hn[j] * tn[l]) - s * t / (tn[l] ** 2))
+        dH[j] += da[j] * ctx[l]
+        dctx[l] += da[j] * H_dir[j]
     return dH, dctx
 
 
-def _direction_weights(H_dir, ctx, similarity):
+def _direction_weights(H_dir, ctx):
     """Raw weights and winning rows of one direction's N x k states."""
-    if similarity == "dot":
-        S = H_dir @ ctx.T
-    else:
-        hn = np.maximum(np.linalg.norm(H_dir, axis=1, keepdims=True), 1e-12)
-        tn = np.maximum(np.linalg.norm(ctx, axis=1, keepdims=True), 1e-12)
-        S = (H_dir / hn) @ (ctx / tn).T
+    S = H_dir @ ctx.T
     arg = S.argmax(axis=1)
     return S[np.arange(S.shape[0]), arg], arg
 
@@ -325,7 +312,7 @@ def _direction_normalize(raw, mode):
     return w, lambda dw: w * (dw - np.dot(dw, w))
 
 
-def attention_per_direction(H_fwd, H_bwd, contexts, mode, similarity):
+def attention_per_direction(H_fwd, H_bwd, contexts, mode):
     """(xs, backward) of level attention, one direction at a time: each
     step is called once for H_fwd and once for H_bwd, the bitwise
     reference for the package's (2, N, k) pass.  backward(dxs) returns
@@ -336,7 +323,7 @@ def attention_per_direction(H_fwd, H_bwd, contexts, mode, similarity):
     for ctx in [None] + list(contexts):
         dirs = []
         for H in (H_fwd, H_bwd):
-            raw, arg = (ones, None) if ctx is None else _direction_weights(H, ctx, similarity)
+            raw, arg = (ones, None) if ctx is None else _direction_weights(H, ctx)
             dirs.append((H, arg) + _direction_normalize(raw, mode))
         xs.append(np.concatenate([w @ H for H, _, w, _ in dirs]))
         levels.append((ctx, dirs))
@@ -351,8 +338,7 @@ def attention_per_direction(H_fwd, H_bwd, contexts, mode, similarity):
             for half, dH, (H, arg, w, norm_back) in zip(halves, dHs, dirs):
                 dH += np.outer(w, half)
                 if ctx is not None:
-                    _similarity_backward(norm_back(H @ half), H, ctx, arg, similarity,
-                                         dH, dctx)
+                    _similarity_backward(norm_back(H @ half), H, ctx, arg, dH, dctx)
             if ctx is not None:
                 dcontexts.append(dctx)
         return dHs + (dcontexts,)
@@ -412,12 +398,11 @@ def model_forward_per_document(model, docs):
                                               _split_rows(H_bwds, docs)):
         first_kw = len(doc_rows) - len(doc.keywords)
         contexts = [splice_level(T, X[first_kw:]) for T in label_mats]
-        xs, att_cache = attention_forward(H_fwd, H_bwd, contexts, mode=model.cfg.attention_mode,
-                                          similarity=model.cfg.similarity)
+        xs, att_cache = attention_forward(H_fwd, H_bwd, contexts, mode=model.cfg.attention_mode)
         doc_xs.append(xs)
         caches.append({"att": att_cache, "rows": doc_rows, "kw_rows": doc_rows[first_kw:]})
     head_cache = head_forward([np.stack(x) for x in zip(*doc_xs)], model.params,
-                              model.level_sizes, use_x0=model.cfg.use_x0_in_global)
+                              model.level_sizes)
     return head_cache, enc_cache, caches
 
 

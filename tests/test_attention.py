@@ -6,7 +6,6 @@ from oracles import attention_per_direction, similarity_backward
 
 from ahmca.attention import (
     MODES,
-    SIMILARITIES,
     _similarity_backward,
     attention_backward,
     attention_forward,
@@ -38,20 +37,14 @@ def test_flat_row_scatter_is_bitwise_2d_scatter(dtype):
         assert got.tobytes() == want.tobytes(), trial
 
 
-def brute_force_weights(H, T, similarity="dot"):
+def brute_force_weights(H, T):
     """Independent per-(token, row) dot-product oracle."""
     n, q = H.shape[0], T.shape[0]
     out = np.empty(n)
     for j in range(n):
         best = -np.inf
         for l in range(q):
-            if similarity == "dot":
-                s = float(np.dot(H[j], T[l]))
-            else:
-                s = float(np.dot(H[j], T[l]) /
-                          (max(np.linalg.norm(H[j]), 1e-12) *
-                           max(np.linalg.norm(T[l]), 1e-12)))
-            best = max(best, s)
+            best = max(best, float(np.dot(H[j], T[l])))
         out[j] = best
     return out
 
@@ -120,12 +113,10 @@ def test_token_weights_empty_context():
 
 
 @pytest.mark.parametrize("call", [
-    lambda H: token_weights(H, H, similarity="bogus"),
     lambda H: normalize_weights(np.ones(3), mode="bogus"),
     lambda H: attention_forward(H, H, [H], mode="bogus"),
-    lambda H: attention_forward(H, H, [H], similarity="bogus"),
-], ids=["token_weights", "normalize_weights", "forward_mode", "forward_similarity"])
-def test_unknown_mode_or_similarity(call):
+], ids=["normalize_weights", "forward_mode"])
+def test_unknown_mode(call):
     with pytest.raises(ConfigRangeError, match="bogus"):
         call(np.ones((3, 2)))
 
@@ -242,8 +233,7 @@ def test_x0_equals_uniform_embedding():
 
 
 @pytest.mark.parametrize("mode", ["sum_normalized", "none", "softmax"])
-@pytest.mark.parametrize("similarity", ["dot", "cosine"])
-def test_oracle_equivalence(mode, similarity):
+def test_oracle_equivalence(mode):
     rng = np.random.default_rng(42)
     for _ in range(30):
         n = int(rng.integers(1, 13))
@@ -252,18 +242,17 @@ def test_oracle_equivalence(mode, similarity):
         H_fwd = rng.standard_normal((n, k))
         H_bwd = rng.standard_normal((n, k))
         ctx = rng.standard_normal((q, k))
-        wf = token_weights(H_fwd, ctx, similarity)
-        wb = token_weights(H_bwd, ctx, similarity)
-        assert np.allclose(wf, brute_force_weights(H_fwd, ctx, similarity), atol=1e-9)
-        x = attention_forward(H_fwd, H_bwd, [ctx], mode=mode, similarity=similarity)[0][1]
+        wf = token_weights(H_fwd, ctx)
+        wb = token_weights(H_bwd, ctx)
+        assert np.allclose(wf, brute_force_weights(H_fwd, ctx), atol=1e-9)
+        x = attention_forward(H_fwd, H_bwd, [ctx], mode=mode)[0][1]
         ref = brute_force_embedding(H_fwd, H_bwd, wf, wb, mode)
         assert np.allclose(x, ref, atol=1e-9)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("similarity", SIMILARITIES)
-def test_direction_stack_is_bitwise_per_direction_oracle(dtype, mode, similarity):
+def test_direction_stack_is_bitwise_per_direction_oracle(dtype, mode):
     rng = np.random.default_rng(11)
     k = 5
     labels = [rng.standard_normal((3, k)).astype(dtype), rng.standard_normal((7, k)).astype(dtype)]
@@ -272,10 +261,8 @@ def test_direction_stack_is_bitwise_per_direction_oracle(dtype, mode, similarity
             H_fwd, H_bwd = (rng.standard_normal((n, k)).astype(dtype) for _ in range(2))
             Ke = rng.standard_normal((n_kw, k)).astype(dtype)
             contexts = [splice_level(T, Ke) for T in labels]
-            xs, cache = attention_forward(H_fwd, H_bwd, contexts, mode=mode,
-                                          similarity=similarity)
-            ref_xs, ref_backward = attention_per_direction(H_fwd, H_bwd, contexts, mode,
-                                                           similarity)
+            xs, cache = attention_forward(H_fwd, H_bwd, contexts, mode=mode)
+            ref_xs, ref_backward = attention_per_direction(H_fwd, H_bwd, contexts, mode)
             dxs = [rng.standard_normal(2 * k).astype(dtype) for _ in xs]
             dxs[0] = None if n == 2 else dxs[0]
             dH_fwd, dH_bwd, dctxs = attention_backward(dxs, cache)
@@ -303,8 +290,7 @@ def test_splice_keyword_stack_is_per_document_splices():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("similarity", SIMILARITIES)
-def test_document_stack_is_bitwise_single_documents(dtype, mode, similarity):
+def test_document_stack_is_bitwise_single_documents(dtype, mode):
     rng = np.random.default_rng(13)
     k, G = 5, 4
     labels = [rng.standard_normal((3, k)).astype(dtype), rng.standard_normal((7, k)).astype(dtype)]
@@ -313,8 +299,7 @@ def test_document_stack_is_bitwise_single_documents(dtype, mode, similarity):
             H_fwd, H_bwd = (rng.standard_normal((G, n, k)).astype(dtype) for _ in range(2))
             Ke = rng.standard_normal((G, n_kw, k)).astype(dtype)
             contexts = [splice_level(T, Ke) for T in labels]
-            xs, cache = attention_forward(H_fwd, H_bwd, contexts, mode=mode,
-                                          similarity=similarity)
+            xs, cache = attention_forward(H_fwd, H_bwd, contexts, mode=mode)
             dxs = [rng.standard_normal((G, 2 * k)).astype(dtype) for _ in xs]
             dxs[0] = None if n == 2 else dxs[0]
             dH_fwd, dH_bwd, dctxs = attention_backward(dxs, cache)
@@ -323,8 +308,7 @@ def test_document_stack_is_bitwise_single_documents(dtype, mode, similarity):
             assert [d.shape for d in dctxs] == [c.shape for c in contexts]
             for g in range(G):
                 one_xs, one_cache = attention_forward(H_fwd[g], H_bwd[g],
-                                                      [c[g] for c in contexts], mode=mode,
-                                                      similarity=similarity)
+                                                      [c[g] for c in contexts], mode=mode)
                 one = attention_backward([None if dx is None else dx[g] for dx in dxs],
                                          one_cache)
                 got = [x[g] for x in xs] + [dH_fwd[g], dH_bwd[g]] + [d[g] for d in dctxs]
@@ -392,22 +376,18 @@ def test_attention_gradients(mode):
             assert abs(num - grad[idx]) <= 1e-4 * max(1.0, abs(num)), (idx, num, grad[idx])
 
 
-@pytest.mark.parametrize("similarity", ["dot", "cosine"])
-def test_similarity_backward_matches_token_loop(similarity):
+def test_similarity_backward_matches_token_loop():
     # 9 tokens over 3 rows: winners repeat, so rows accumulate several tokens
     rng = np.random.default_rng(10)
     H = rng.standard_normal((9, 4)).astype(np.float32)
     ctx = rng.standard_normal((3, 4)).astype(np.float32)
-    _, arg = token_weights(H, ctx, similarity, with_argmax=True)
+    _, arg = token_weights(H, ctx, with_argmax=True)
     da = rng.standard_normal(9).astype(np.float32)
     da[[1, 5]] = 0.0
     dH, dctx = np.zeros_like(H), np.zeros_like(ctx)
-    _similarity_backward(da, H, ctx, arg, similarity, dH, dctx)
-    ref_dH, ref_dctx = similarity_backward(da, H, ctx, arg, similarity)
+    _similarity_backward(da, H, ctx, arg, dH, dctx)
+    ref_dH, ref_dctx = similarity_backward(da, H, ctx, arg)
     assert len(set(arg.tolist())) < len(arg)
-    if similarity == "dot":      # same float32 operations in the same order
-        assert np.array_equal(dH, ref_dH)
-        assert np.array_equal(dctx, ref_dctx)
-    else:                        # dot products summed in another order
-        assert np.allclose(dH, ref_dH, rtol=1e-5, atol=1e-6)
-        assert np.allclose(dctx, ref_dctx, rtol=1e-5, atol=1e-6)
+    # same float32 operations in the same order
+    assert np.array_equal(dH, ref_dH)
+    assert np.array_equal(dctx, ref_dctx)

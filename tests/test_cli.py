@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from ahmca.cli import main
 from ahmca.corpus import SynthSpec, load_corpus, make_unlabeled_document, read_documents
+from ahmca.attention import MODES
 from ahmca.errors import (
     AhmcaError,
     CheckpointError,
+    ConfigError,
     CorpusError,
     SpecInvalidError,
     TaxonomyError,
@@ -28,6 +30,7 @@ from ahmca.training import (
     CHECKPOINT_VERSION,
     TrainConfig,
     load_checkpoint,
+    load_config,
     predict,
 )
 
@@ -264,7 +267,8 @@ _JSON = st.recursive(
                                                                   max_size=3),
     max_leaves=6)
 _META_KEYS = ["config", "taxonomy", "taxonomy_hash", "label_order", "embedding_tokens"]
-_CONFIG_KEYS = sorted({f.name for f in fields(TrainConfig)} | {"lambda"})
+_RETIRED_KEYS = {"similarity", "use_x0_in_global"}     # load_config's retired keys
+_CONFIG_KEYS = sorted({f.name for f in fields(TrainConfig)} | {"lambda"} | _RETIRED_KEYS)
 
 
 def _set(key, value, in_config=False):
@@ -306,13 +310,14 @@ def test_checkpoint_loader_fails_only_with_its_own_errors(workspace, edit, tail)
 
 
 def _train_args(workspace, tmp_path, **paths):
+    """train's arguments on the workspace files; a path of None leaves its flag out."""
     files = {"--config": workspace / "config.json",
              "--train": workspace / "train.jsonl",
              "--val": workspace / "val.jsonl",
              "--taxonomy": workspace / "data" / "taxonomy.json",
              "--embeddings": workspace / "data" / "embeddings.txt"}
     files.update(paths)
-    return ["train", *(str(x) for item in files.items() for x in item),
+    return ["train", *(str(x) for item in files.items() if item[1] is not None for x in item),
             "--out", str(tmp_path / "m.bin"), "--history", str(tmp_path / "h.csv")]
 
 
@@ -365,6 +370,56 @@ def test_bad_config_exit_2(workspace, tmp_path, capsys):
         assert not (tmp_path / "m.bin").exists()
 
 
+def test_retired_config_key_in_checkpoint_exit_2(workspace, tmp_path, capsys):
+    """A checkpoint config holding a retired key at its one kept value
+    inspects as the file without it; at another value inspect exits 2,
+    naming the key."""
+    good = (workspace / "model.bin").read_bytes()
+    bad = tmp_path / "old.bin"
+    assert main(["inspect", "--model", str(workspace / "model.bin")]) == 0
+    want = capsys.readouterr().out
+    bad.write_bytes(edit_meta(good, _set("similarity", "dot", in_config=True)))
+    assert main(["inspect", "--model", str(bad)]) == 0
+    assert capsys.readouterr().out == want
+    for key, value in (("similarity", "cosine"), ("use_x0_in_global", False)):
+        bad.write_bytes(edit_meta(good, _set(key, value, in_config=True)))
+        assert main(["inspect", "--model", str(bad)]) == 2, key
+        assert key in capsys.readouterr().err
+
+
+def test_diverging_config_exit_2(workspace, tmp_path, capsys):
+    """A config that passes its checks but whose loss or gradients overflow
+    float32 on the data is an input error, and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    for extra in ({"lambda": 1e300}, {"learning_rate": 1e30}):
+        cfg.write_text(json.dumps({**CONFIG, "epochs": 2, **extra}))
+        assert main(_train_args(workspace, tmp_path, **{"--config": cfg})) == 2, extra
+        assert "input error: loss diverged at epoch" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+
+def test_train_without_embeddings_gives_labels_their_own_rows(workspace, tmp_path):
+    """Without --embeddings the random table covers the label text as well
+    as the corpus, so no two labels of a level share a label-matrix row."""
+    assert main(_train_args(workspace, tmp_path, **{"--embeddings": None})) == 0
+    model, tax = load_checkpoint((tmp_path / "m.bin").read_bytes()).build_model()
+    assert all(lab.text.lower() in model.table.index for lab in tax.labels)
+    for T in model.label_matrices():
+        assert len(np.unique(T, axis=0)) == len(T)
+
+
+def test_unallocatable_spec_exit_3(tmp_path, capsys):
+    """A spec whose token draws or embedding table NumPy cannot allocate
+    is a validation error naming the count, and writes nothing."""
+    spec = tmp_path / "spec.json"
+    for field, value, count in (("docs_per_leaf", 10**12, "10000000000000 corpus tokens"),
+                                ("embedding_dim", 10**11, "24 x 100000000000 embedding")):
+        spec.write_text(json.dumps({**SPEC, field: value}))
+        assert main(["gen-synth", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 3
+        assert count in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_exit_3(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     out = str(tmp_path / "out")
@@ -415,10 +470,8 @@ def test_lone_surrogate_token_train_exit_3(workspace, tmp_path, capsys):
     lines[1] = json.dumps(rec)                  # the surrogate as a JSON escape
     bad = tmp_path / "train.jsonl"
     bad.write_text("\n".join(lines) + "\n")
-    argv = _train_args(workspace, tmp_path, **{"--train": bad})
-    at = argv.index("--embeddings")
-    del argv[at:at + 2]                         # a random table of the corpus's tokens
-    assert main(argv) == 3
+    # no --embeddings: a random table of the corpus's and the labels' words
+    assert main(_train_args(workspace, tmp_path, **{"--train": bad, "--embeddings": None})) == 3
     out, err = capsys.readouterr()
     assert "epoch" not in out
     assert "line 2: field 'title'" in err and "not valid UTF-8" in err
@@ -472,6 +525,74 @@ def test_gen_synth_spec_exit_0_or_3(obj):
         spec.write_text(text)
         assert main(["gen-synth", "--spec", str(spec), "--out-dir", tmp + "/out"]) == want
         assert (Path(tmp) / "out" / "corpus.jsonl").exists() == (want == 0)
+
+
+# valid values of every TrainConfig key (small counts; floats over their
+# whole range, where large ones diverge), and the retired keys at their
+# kept value and at another
+_CONFIG_VALUES = {
+    "k": st.integers(3, 5), "g": st.integers(15, 17), "d_L": st.integers(15, 17),
+    "beta": st.floats(0, 1), "lambda": st.floats(0, 1) | st.floats(0, 1e308),
+    "learning_rate": st.floats(1e-4, 0.1) | st.floats(0, 1e308, exclude_min=True),
+    "epochs": st.integers(1, 2), "batch_size": st.integers(1, 16),
+    "seed": st.integers(0, 2**32), "attention_mode": st.sampled_from(MODES),
+    "freeze_embeddings": st.booleans(), "early_stop_patience": st.integers(1, 3),
+    "similarity": st.sampled_from(["dot", "cosine"]), "use_x0_in_global": st.booleans(),
+}
+
+
+@st.composite
+def _config_objects(draw, base, keep=()):
+    """base updated with some keys of _CONFIG_VALUES other than keep, and
+    then, half the time, one key at a bad value, an unknown key, or no
+    object at all."""
+    values = {key: v for key, v in _CONFIG_VALUES.items() if key not in keep}
+    obj = {**base, **draw(st.fixed_dictionaries({}, optional=values))}
+    change = draw(st.sampled_from(["none"] * 3 + ["value", "unknown", "not an object"]))
+    if change == "value":
+        obj[draw(st.sampled_from(sorted(_CONFIG_VALUES) + ["lambda_"]))] = draw(_BAD_VALUES)
+    elif change == "unknown":
+        obj[draw(st.text(max_size=4).filter(lambda key: key not in obj))] = 1
+    elif change == "not an object":
+        return draw(st.sampled_from([[obj], None, "config", 3]))
+    return obj
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(obj=_config_objects({"k": 4, "g": 16, "d_L": 16, "epochs": 1, "batch_size": 4}))
+def test_train_config_exit_0_or_2(workspace, obj):
+    """ahmca train with a drawn config and a random table: a config that
+    load_config refuses exits 2; one it accepts trains (exit 0) or
+    diverges (exit 2).  Never 1, and the outputs exist only on exit 0."""
+    text = json.dumps(obj)
+    try:
+        load_config(text)
+        allowed = (0, 2)
+    except ConfigError:
+        allowed = (2,)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(text)
+        rc = main(_train_args(workspace, Path(tmp), **{"--config": cfg, "--embeddings": None}))
+        assert rc in allowed, text
+        assert (Path(tmp) / "m.bin").exists() == (rc == 0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(obj=_config_objects(CONFIG, keep=("k", "g", "d_L")))
+def test_inspect_config_exit_0_or_2(workspace, obj):
+    """ahmca inspect of the workspace checkpoint with a drawn config in its
+    metadata, its shape keys changed only as bad values: exit 0 if the
+    checkpoint loads and builds, else 2, never 1."""
+    blob = edit_meta((workspace / "model.bin").read_bytes(), lambda meta: {**meta, "config": obj})
+    try:
+        load_checkpoint(blob).build_model()
+        want = 0
+    except AhmcaError:
+        want = 2
+    bad = workspace / "config_fuzzed.bin"
+    bad.write_bytes(blob)
+    assert main(["inspect", "--model", str(bad)]) == want
 
 
 def test_non_json_taxonomy_and_spec_exit_3(workspace, tmp_path, capsys):

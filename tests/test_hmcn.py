@@ -38,8 +38,8 @@ def test_affine_is_bitwise_row_major_product(monkeypatch):
     configs += [(wl.spec, wl.cfg) for table in (workloads.WORKLOADS, workloads.SMOKE)
                 for wl in table.values()]
     shapes = sorted({shape for spec, cfg in configs
-                     for shape in head_param_shapes(cfg.k, cfg.g, cfg.d_L, spec.level_sizes,
-                                                    cfg.use_x0_in_global).values()
+                     for shape in head_param_shapes(cfg.k, cfg.g, cfg.d_L,
+                                                    spec.level_sizes).values()
                      if len(shape) == 2})
     assert (384, 448) in shapes and (328, 448) in shapes
     rng = np.random.default_rng(0)
@@ -167,20 +167,19 @@ def test_loss_at_half_scores(two_level_tax):
 
 def test_loss_target_length_mismatch(two_level_tax):
     params, xs, _, level_sizes = _head_setup()
-    cache = head_forward(xs, params, level_sizes, use_x0=True)
+    cache = head_forward(xs, params, level_sizes)
     pairs = child_parent_index_pairs(two_level_tax)
     with pytest.raises(DimMismatchError):
         head_loss(cache, np.zeros((2, 6)), pairs, lam=0.1)
 
 
-def _head_setup(seed=0, use_x0=True):
+def _head_setup(seed=0):
     """Head parameters, 2-row embeddings xs and the 2 x 5 targets Y of the
     two-level taxonomy (A, B, A1, A2, B1): row 0 is {A, A2}, row 1 {B, B1}."""
     rng = np.random.default_rng(seed)
     k, g, d_local = 3, 5, 4
     level_sizes = [2, 3]
-    params = init_params(head_param_shapes(k, g, d_local, level_sizes, use_x0), rng,
-                         np.float64)
+    params = init_params(head_param_shapes(k, g, d_local, level_sizes), rng, np.float64)
     # nudge biases off zero so relu pre-activations avoid the kink
     for name in params:
         params[name] = params[name] + rng.normal(0, 0.01, params[name].shape)
@@ -192,7 +191,7 @@ def _head_setup(seed=0, use_x0=True):
 
 def test_head_forward_matches_public_ops():
     params, xs, _, level_sizes = _head_setup()
-    cache = head_forward(xs, params, level_sizes, use_x0=True)
+    cache = head_forward(xs, params, level_sizes)
     for r in range(2):
         A1 = global_step(None, xs[1][r], params["global.W1"], params["global.b1"])
         A2 = global_step(A1, xs[2][r], params["global.W2"], params["global.b2"])
@@ -205,7 +204,7 @@ def test_head_forward_matches_public_ops():
 
 def test_head_loss_matches_prob_loss(two_level_tax):
     params, xs, Y, level_sizes = _head_setup()
-    cache = head_forward(xs, params, level_sizes, use_x0=True)
+    cache = head_forward(xs, params, level_sizes)
     pairs = child_parent_index_pairs(two_level_tax)
     via_logits = head_loss(cache, Y, pairs, lam=0.1)
     assert via_logits.shape == (2,)
@@ -217,14 +216,13 @@ def test_head_loss_matches_prob_loss(two_level_tax):
         assert via_logits[r] == pytest.approx(via_probs, rel=1e-9)
 
 
-@pytest.mark.parametrize("use_x0", [True, False])
 @pytest.mark.parametrize("lam", [0.0, 0.1])
-def test_head_gradients(two_level_tax, use_x0, lam):
-    params, xs, Y, level_sizes = _head_setup(seed=3, use_x0=use_x0)
+def test_head_gradients(two_level_tax, lam):
+    params, xs, Y, level_sizes = _head_setup(seed=3)
     pairs = child_parent_index_pairs(two_level_tax)
 
     def f(p):
-        cache = head_forward(xs, p, level_sizes, use_x0=use_x0)
+        cache = head_forward(xs, p, level_sizes)
         L = head_loss(cache, Y, pairs, lam).sum()
         grads, _ = head_backward(cache, Y, pairs, lam, p)
         return L, grads
@@ -239,10 +237,10 @@ def test_head_embedding_gradients(two_level_tax):
     pairs = child_parent_index_pairs(two_level_tax)
 
     def L(xs_):
-        cache = head_forward(xs_, params, level_sizes, use_x0=True)
+        cache = head_forward(xs_, params, level_sizes)
         return head_loss(cache, Y, pairs, lam=0.1).sum()
 
-    cache = head_forward(xs, params, level_sizes, use_x0=True)
+    cache = head_forward(xs, params, level_sizes)
     _, dxs = head_backward(cache, Y, pairs, 0.1, params)
     h = 1e-6
     for i in range(3):

@@ -1,7 +1,7 @@
 """The public surface: every exported name resolves, the demos run to
 completion (the package API ones and the command-line pipeline), the
-benchmark tracer finds every function it wraps, and no module imports a name
-it never uses."""
+benchmark tracer finds every function it wraps, every byte-hash config
+builds, and no module imports a name it never uses."""
 
 import ast
 import importlib.util
@@ -83,6 +83,28 @@ def test_bench_tracer_layers_resolve():
     absent = [f"{module}.{path}" for module, path in entries
               if tracer._resolve(module, path) is None]
     assert not absent, f"tracer targets missing from the package: {absent}"
+
+
+def test_byte_hash_configs_build(monkeypatch):
+    """tools/byte_hashes.py derives its configs from TrainConfig and the
+    bench's; a retired field must fail here rather than at the tool's next
+    run.  Every config's data and model are built, without training."""
+    from ahmca import corpus
+    from ahmca.model import Model
+    from ahmca.training import TrainConfig
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # the tool sets it on import
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+    spec = importlib.util.spec_from_file_location("byte_hashes", ROOT / "tools" / "byte_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = []
+    for name, synth_spec, cfg, make in tool.configs(workloads, TrainConfig):
+        tax, _, table = make(synth_spec, workloads, corpus)
+        Model(tax, table, cfg)
+        names.append(name)
+    assert len(set(names)) == len(names) == 8
 
 
 def test_no_unused_module_imports():

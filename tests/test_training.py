@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import oracles
 import pytest
-from checkpoint_cases import BUILD_CASES, LOAD_CASES
+from checkpoint_cases import BUILD_CASES, LOAD_CASES, edit_meta
 
 from ahmca.corpus import Corpus, SynthSpec, generate_synthetic, make_unlabeled_document, split
 from ahmca.errors import (
@@ -95,6 +95,22 @@ def test_config_unknown_key():
         load_config('{"betta": 0.5}')
     with pytest.raises(UnknownConfigKeyError, match="'lambda' and 'lambda_'"):
         load_config('{"lambda": 0.3, "lambda_": 0.2}')
+
+
+def test_config_retired_keys():
+    """similarity and use_x0_in_global were TrainConfig fields.  Each loads
+    at the one value a model built here has, and is dropped; any other
+    value is a ConfigRangeError naming the key."""
+    source = {"similarity": "dot", "use_x0_in_global": True, "beta": 0.25}
+    assert load_config(source) == TrainConfig(beta=0.25)
+    assert load_config(json.dumps(source)) == TrainConfig(beta=0.25)
+    assert source == {"similarity": "dot", "use_x0_in_global": True, "beta": 0.25}
+    assert len(TrainConfig().to_dict()) == 12
+    for key, value in (("similarity", '"cosine"'), ("similarity", '"Dot"'),
+                       ("similarity", "null"), ("use_x0_in_global", "false"),
+                       ("use_x0_in_global", "1"), ("use_x0_in_global", '"true"')):
+        with pytest.raises(ConfigRangeError, match=f"{key} .*retrain"):
+            load_config(f'{{"{key}": {value}, "beta": 0.25}}')
 
 
 def test_config_rejected_at_construction():
@@ -238,12 +254,9 @@ def _ragged_batch(corpus):
 
 
 @pytest.mark.parametrize("mode", ["sum_normalized", "softmax", "none"])
-@pytest.mark.parametrize("similarity", ["dot", "cosine"])
-def test_grouped_attention_is_bitwise_per_document_oracle(small_synth, monkeypatch, mode,
-                                                          similarity):
+def test_grouped_attention_is_bitwise_per_document_oracle(small_synth, monkeypatch, mode):
     tax, corpus, table = small_synth
-    model = Model(tax, table, TrainConfig(k=8, g=16, d_L=16, seed=1, attention_mode=mode,
-                                          similarity=similarity))
+    model = Model(tax, table, TrainConfig(k=8, g=16, d_L=16, seed=1, attention_mode=mode))
     docs = _ragged_batch(corpus)
     assert [(len(d.tokens), len(d.keywords)) for d in docs] == [
         (22, 2), (9, 2), (22, 2), (20, 0), (9, 2), (1, 0), (20, 0), (22, 2)]
@@ -477,6 +490,31 @@ def test_checkpoint_rebuilt_model_same_scores(tiny_run):
     doc = corpus.documents[0]
     assert np.allclose(m1.predict_scores(doc).fused_scores,
                        m2.predict_scores(doc).fused_scores, atol=1e-6)
+
+
+def test_checkpoint_with_retired_config_keys(tiny_run):
+    """A checkpoint written while similarity and use_x0_in_global were
+    config fields holds both in its metadata: at their one kept value it
+    loads and serves the same bytes as the file without them; at another
+    value it is refused, naming the key."""
+    tax, corpus, *_, ckpt, hist = tiny_run
+    blob = save_checkpoint(ckpt)
+
+    def with_config(**extra):
+        def edit(meta):
+            meta["config"].update(extra)
+            return meta
+        return edit_meta(blob, edit)
+
+    now, _ = load_checkpoint(blob).build_model()
+    old, _ = load_checkpoint(with_config(similarity="dot", use_x0_in_global=True)).build_model()
+    for doc in corpus.documents:
+        a, b = predict(now, doc, threshold=0.0), predict(old, doc, threshold=0.0)
+        assert a["fused_scores"].tobytes() == b["fused_scores"].tobytes()
+        assert (a["top_leaves"], a["level_sets"]) == (b["top_leaves"], b["level_sets"])
+    for key, value in (("similarity", "cosine"), ("use_x0_in_global", False)):
+        with pytest.raises(ConfigRangeError, match=key):
+            load_checkpoint(with_config(**{key: value}))
 
 
 def test_checkpoint_bad_magic():
@@ -882,6 +920,9 @@ def test_rank_cutoff_must_be_positive(tiny_run):
             predict(model, corpus.documents[0], top_n=top_n)
     with pytest.raises(ConfigRangeError, match="k must be >= 1"):
         evaluate_model(model, te, ks=(0,))
+    # checked before any document is scored, so an empty corpus is refused too
+    with pytest.raises(ConfigRangeError, match="k must be >= 1"):
+        evaluate_model(model, Corpus((), tax.content_hash()), ks=(1, 0))
 
 
 def test_predict_unlabeled_document(tiny_run):

@@ -60,8 +60,6 @@ def configs(workloads, TrainConfig):
     yield "reference", workloads.REFERENCE_SPEC, ref, synthetic
     yield ("reference-frozen", workloads.REFERENCE_SPEC, replace(ref, freeze_embeddings=True),
            synthetic)
-    yield ("reference-cosine", workloads.REFERENCE_SPEC, replace(ref, similarity="cosine"),
-           synthetic)
     yield ("reference-softmax", workloads.REFERENCE_SPEC, replace(ref, attention_mode="softmax"),
            synthetic)
     yield ("reference-none", workloads.REFERENCE_SPEC, replace(ref, attention_mode="none"),
