@@ -37,6 +37,11 @@ def test_flat_row_scatter_is_bitwise_2d_scatter(dtype):
         assert got.tobytes() == want.tobytes(), trial
 
 
+def _dot_ids(mode):
+    """Case ids name the similarity, dot product, before the mode."""
+    return f"dot-{mode}"
+
+
 def brute_force_weights(H, T):
     """Independent per-(token, row) dot-product oracle."""
     n, q = H.shape[0], T.shape[0]
@@ -232,7 +237,7 @@ def test_x0_equals_uniform_embedding():
     assert np.allclose(xs[0], ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["sum_normalized", "none", "softmax"])
+@pytest.mark.parametrize("mode", ["sum_normalized", "none", "softmax"], ids=_dot_ids)
 def test_oracle_equivalence(mode):
     rng = np.random.default_rng(42)
     for _ in range(30):
@@ -251,7 +256,7 @@ def test_oracle_equivalence(mode):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_dot_ids)
 def test_direction_stack_is_bitwise_per_direction_oracle(dtype, mode):
     rng = np.random.default_rng(11)
     k = 5
@@ -289,7 +294,7 @@ def test_splice_keyword_stack_is_per_document_splices():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_dot_ids)
 def test_document_stack_is_bitwise_single_documents(dtype, mode):
     rng = np.random.default_rng(13)
     k, G = 5, 4

@@ -253,7 +253,8 @@ def _ragged_batch(corpus):
             replace(d[6], keywords=()), d[7]]
 
 
-@pytest.mark.parametrize("mode", ["sum_normalized", "softmax", "none"])
+@pytest.mark.parametrize("mode", ["sum_normalized", "softmax", "none"],
+                         ids=lambda mode: f"dot-{mode}")
 def test_grouped_attention_is_bitwise_per_document_oracle(small_synth, monkeypatch, mode):
     tax, corpus, table = small_synth
     model = Model(tax, table, TrainConfig(k=8, g=16, d_L=16, seed=1, attention_mode=mode))
