@@ -64,14 +64,11 @@ def _level_closure(leaves, tax: Taxonomy):
 
 def _token_list(val):
     """A pre-tokenized field without its empty and whitespace-only entries,
-    as tokenize drops them from a string; None unless val is a list of str.
-    str.strip refuses any other entry, so one pass over a list with no
-    blank entry checks the types too."""
+    as tokenize drops them from a string; None unless val is a list of str,
+    which str.strip checks, as it refuses any other entry."""
     if not isinstance(val, list):
         return None
     try:
-        if all(map(str.strip, val)):
-            return list(val)
         return [t for t in val if str.strip(t)]
     except TypeError:
         return None
@@ -191,40 +188,37 @@ def split(c: Corpus, ratios, seed: int):
     if len(c) < parts:
         raise TooFewDocumentsError(f"need at least {parts} documents, have {len(c)}")
 
-    groups: dict[str, list[Document]] = {}
-    for doc in c.documents:
-        groups.setdefault(doc.leaf_labels[0], []).append(doc)
+    groups: dict[str, list[int]] = {}        # corpus positions by first leaf
+    for i, doc in enumerate(c.documents):
+        groups.setdefault(doc.leaf_labels[0], []).append(i)
 
     rng = np.random.default_rng(seed)
-    pooled: list[Document] = []
+    pooled: list[int] = []
     train, val, test = [], [], []
 
-    def allocate(docs):
-        order = rng.permutation(len(docs))
-        n_val = len(docs) * r_val // parts
-        n_test = len(docs) * r_test // parts
+    def allocate(at):
+        order = rng.permutation(len(at))
+        n_val = len(at) * r_val // parts
+        n_test = len(at) * r_test // parts
         for pos, idx in enumerate(order):
             if pos < n_val:
-                val.append(docs[idx])
+                val.append(at[idx])
             elif pos < n_val + n_test:
-                test.append(docs[idx])
+                test.append(at[idx])
             else:
-                train.append(docs[idx])
+                train.append(at[idx])
 
     for leaf in sorted(groups):
-        docs = groups[leaf]
-        if len(docs) >= parts:
-            allocate(docs)
+        at = groups[leaf]
+        if len(at) >= parts:
+            allocate(at)
         else:
-            pooled.extend(docs)
+            pooled.extend(at)
     if pooled:
         allocate(pooled)
 
-    key = {d.id: i for i, d in enumerate(c.documents)}
-    mk = lambda docs: Corpus(
-        documents=tuple(sorted(docs, key=lambda d: key[d.id])),
-        taxonomy_hash=c.taxonomy_hash,
-    )
+    mk = lambda at: Corpus(documents=tuple(c.documents[i] for i in sorted(at)),
+                           taxonomy_hash=c.taxonomy_hash)
     return mk(train), mk(val), mk(test)
 
 
@@ -405,10 +399,11 @@ def generate_synthetic(spec: SynthSpec):
     The draws come from ``default_rng(spec.seed)``, token by token in corpus
     order (leaf, document, position): a noise flag, then an index into the
     vocabulary or the leaf's lexicon, both read from the raw PCG64 stream by
-    _draw_tokens; then the embedding table's ``standard_normal``.  Every
-    document passes make_document's checks.  A spec whose token draws or
-    float64 table NumPy cannot allocate is a SpecInvalidError, raised before
-    any list is built.
+    _draw_tokens; then the embedding table's ``standard_normal``.  Each
+    Document is built from its token tuples, its leaf and that leaf's level
+    closure, and equals what make_document parses from its save_corpus line.
+    A spec whose token draws or float64 table NumPy cannot allocate is a
+    SpecInvalidError, raised before any list is built.
     """
     count = spec.level_sizes[-1] * spec.docs_per_leaf * spec.doc_length    # leaves: the last level
     rows = sum(spec.level_sizes) * (spec.leaf_vocab_size + 1)
@@ -453,17 +448,13 @@ def generate_synthetic(spec: SynthSpec):
     docs = []
     n_title = min(5, spec.doc_length)
     for li, leaf in enumerate(leaves):
-        kws = vocab[first[leaf]:first[leaf] + lvs][:spec.keywords_per_doc]
+        kws = tuple(vocab[first[leaf]:first[leaf] + lvs][:spec.keywords_per_doc])
+        levels = _level_closure([leaf], tax)
         for d in range(spec.docs_per_leaf):
             at = (li * spec.docs_per_leaf + d) * spec.doc_length
-            toks = tokens[at:at + spec.doc_length]
-            docs.append(make_document({
-                "id": f"{leaf}_doc{d}",
-                "title": toks[:n_title],
-                "abstract": toks[n_title:],
-                "keywords": kws,
-                "labels": [leaf],
-            }, tax))
+            docs.append(Document(f"{leaf}_doc{d}", tuple(tokens[at:at + n_title]),
+                                 tuple(tokens[at + n_title:at + spec.doc_length]),
+                                 kws, (leaf,), levels))
     corpus = Corpus(documents=tuple(docs), taxonomy_hash=tax.content_hash())
 
     all_tokens = vocab + label_tokens

@@ -92,6 +92,7 @@ class Packing(NamedTuple):
 
 def _packing(lengths):
     B = len(lengths)
+    # kept for served queries: skipping the sort and scans saves ~40 us of a 0.8 ms predict
     if B == 1:                  # one document: identity, then reversed
         N = lengths[0]
         fwd = np.arange(-1, N)

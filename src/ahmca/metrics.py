@@ -26,11 +26,7 @@ class MetricsReport:
     n_classes: int
 
     def to_json(self) -> str:
-        d = {"macro_p": self.macro_p, "macro_r": self.macro_r,
-             "macro_f1": self.macro_f1,
-             "p_at_k": {str(k): v for k, v in self.p_at_k.items()},
-             "violation_rate": self.violation_rate,
-             "n_documents": self.n_documents, "n_classes": self.n_classes}
+        d = {**vars(self), "p_at_k": {str(k): v for k, v in self.p_at_k.items()}}
         return json.dumps(d, indent=2, sort_keys=True)
 
 

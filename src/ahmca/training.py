@@ -1,9 +1,9 @@
 """Training loop (mini-batch Adam), evaluation, prediction decoding, and
 the binary checkpoint container.
 
-Evaluation scores its corpus in length-ordered chunks of up to 64
-documents and 4096 token rows (Model.scoring) through the forward path
-training uses, reading each document's row through predict_scores;
+Evaluation scores its corpus in length-ordered chunks (Model.scoring
+states their bounds) through the forward path training uses, reading
+each document's row through predict_scores;
 predict decodes one document, a batch of one.  train() steps a fresh
 Model's parameters in place: like the gradients of Model.loss_and_grads,
 they are views of one float32 Arena of Model.shapes (model.init_params).
@@ -64,6 +64,7 @@ _FLUSH_EVERY, _FLUSH_BELOW = 64, 2.0**-100     # Adam's flush of vanishing first
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's b1, b2 and eps (Kingma & Ba 2015)
 # retired TrainConfig keys, each with the one value a model built here has
 _RETIRED = {"similarity": "dot", "use_x0_in_global": True}
+_F32_MAX = float(np.finfo(np.float32).max)     # training runs in float32
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,14 @@ class TrainConfig:
         check_field_types(self, ConfigTypeError)
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigRangeError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0 <= self.lambda_ < math.inf:         # NaN fails too
-            raise ConfigRangeError(f"lambda must be finite and >= 0, got {self.lambda_}")
+        if not 0 <= self.lambda_ <= _F32_MAX:         # NaN fails too
+            raise ConfigRangeError(f"lambda must be in [0, {_F32_MAX:.8g}] (float32), "
+                                   f"got {self.lambda_}")
         for name in ("k", "g", "d_L", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigRangeError(f"{name} must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigRangeError(f"learning_rate must be positive and finite, "
+        if not 0 < self.learning_rate <= _F32_MAX:
+            raise ConfigRangeError(f"learning_rate must be in (0, {_F32_MAX:.8g}] (float32), "
                                    f"got {self.learning_rate}")
         if self.early_stop_patience < 1:
             raise ConfigRangeError("early_stop_patience must be >= 1")
@@ -295,10 +297,8 @@ def evaluate_model(model: Model, data: Corpus, ks=(1, 3, 5),
                    threshold=0.5) -> MetricsReport:
     """Macro P/R/F1 of the top-1 leaf, P@k over the leaf scores and the
     hierarchy violation rate of the thresholded label sets.  The documents
-    are scored in chunks of up to 64 documents and 4096 token rows taken
-    in a stable longest-first length order, one batched forward per chunk
-    (Model.scoring), so the chunks do not depend on cfg.batch_size and
-    each chunk's time loop runs no longer than its longest document needs.
+    are scored in the chunks Model.scoring takes, one batched forward per
+    chunk, so the chunks do not depend on cfg.batch_size.
     Each document's scores are then read through Model.predict_scores in
     corpus order, as predict reads them, so whatever wraps or overrides
     it sees evaluation as it sees predict; they decode as

@@ -2,8 +2,10 @@ import errno
 import itertools
 import json
 import os
+import re
 import struct
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -389,12 +391,30 @@ def test_retired_config_key_in_checkpoint_exit_2(workspace, tmp_path, capsys):
 
 def test_diverging_config_exit_2(workspace, tmp_path, capsys):
     """A config that passes its checks but whose loss or gradients overflow
-    float32 on the data is an input error, and writes nothing."""
+    float32 on the data is an input error, said in one stderr line with no
+    NumPy warning before it, and writes nothing."""
     cfg = tmp_path / "cfg.json"
-    for extra in ({"lambda": 1e300}, {"learning_rate": 1e30}):
+    for extra, message in (({"lambda": 3e38}, r"gradient \S+ at epoch \d+ contains NaN/Inf"),
+                           ({"learning_rate": 1e30}, r"loss diverged at epoch \d+")):
         cfg.write_text(json.dumps({**CONFIG, "epochs": 2, **extra}))
-        assert main(_train_args(workspace, tmp_path, **{"--config": cfg})) == 2, extra
-        assert "input error: loss diverged at epoch" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(_train_args(workspace, tmp_path, **{"--config": cfg})) == 2, extra
+        assert [str(w.message) for w in caught] == []
+        assert re.fullmatch(f"input error: {message}\n", capsys.readouterr().err)
+        assert not (tmp_path / "m.bin").exists()
+
+
+def test_config_beyond_float32_exit_2(workspace, tmp_path, capsys):
+    """lambda or learning_rate above float32's largest value is refused
+    before the first epoch."""
+    cfg = tmp_path / "cfg.json"
+    for key in ("lambda", "learning_rate"):
+        cfg.write_text(json.dumps({**CONFIG, key: 1e39}))
+        assert main(_train_args(workspace, tmp_path, **{"--config": cfg})) == 2, key
+        out, err = capsys.readouterr()
+        assert "epoch" not in out
+        assert re.fullmatch(f"input error: {key} must be in .*float32.*\n", err)
         assert not (tmp_path / "m.bin").exists()
 
 
@@ -425,8 +445,6 @@ def test_negative_seed_exit_3(tmp_path, capsys):
     out = str(tmp_path / "out")
     spec.write_text(json.dumps({**SPEC, "seed": -1}))
     assert main(["gen-synth", "--spec", str(spec), "--out-dir", out]) == 3
-    spec.write_text(json.dumps(SPEC))
-    assert main(["gen-synth", "--spec", str(spec), "--out-dir", out, "--seed", "-1"]) == 3
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -177,6 +177,22 @@ def test_split_stratified(two_level_tax):
         assert sum(1 for d in tr if d.leaf_labels == ("A1",)) >= 3
 
 
+def test_split_keeps_corpus_order_of_shared_ids():
+    """A corpus built in code may repeat an id; split works on corpus
+    positions, so each part keeps corpus order and the parts are those of
+    the same corpus with distinct ids."""
+    spec = SynthSpec(level_sizes=(2, 4), docs_per_leaf=10, doc_length=6,
+                     keywords_per_doc=1, leaf_vocab_size=8, noise_rate=0.2,
+                     seed=1, embedding_dim=4)
+    _, corpus, _ = generate_synthetic(spec)
+    same = replace(corpus, documents=tuple(replace(d, id="same") for d in corpus))
+    at = {id(d): i for i, d in enumerate(same.documents)}
+    for part, want in zip(split(same, (3, 1, 1), seed=0), split(corpus, (3, 1, 1), seed=0)):
+        positions = [at[id(d)] for d in part]
+        assert positions == sorted(positions)
+        assert part.documents == tuple(replace(d, id="same") for d in want)
+
+
 def test_split_too_few(two_level_tax):
     with pytest.raises(TooFewDocumentsError):
         split(_n_docs(two_level_tax, 3), (3, 1, 1), seed=0)
@@ -279,7 +295,7 @@ def test_synthspec_invalid():
             SynthSpec.from_json(source)
     with pytest.raises(SpecInvalidError, match="not valid JSON"):
         SynthSpec.from_json("[")
-    with pytest.raises(SpecInvalidError):       # gen-synth --seed goes through replace
+    with pytest.raises(SpecInvalidError):       # replace runs the checks again
         replace(SynthSpec.from_json(json.dumps(good)), seed=-1)
 
 
@@ -402,6 +418,18 @@ def test_generated_data_is_pinned(name, monkeypatch):
     for artifact, got, want in zip(("taxonomy", "corpus", "embeddings"),
                                    _data_digests(spec), PINNED_DATA[name]):
         assert got == want, f"{name}: the generated {artifact} changed"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATA))
+def test_generated_corpus_round_trips(name, monkeypatch):
+    """generate_synthetic builds its Documents without make_document; at
+    the gate's and the benchmark's sizes each equals what make_document
+    parses from its save_corpus line."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    spec = BENCH_SPEC if name == "acceptance" else getattr(workloads, name)
+    tax, corpus, _ = generate_synthetic(spec)
+    assert load_corpus(save_corpus(corpus), tax) == corpus
 
 
 # SHA-256 of a fresh Model's parameters, its arrays' bytes concatenated in

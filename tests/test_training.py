@@ -90,6 +90,21 @@ def test_config_range_errors():
                 load_config(f'{{"{key}": {value}}}')
 
 
+def test_config_beyond_float32():
+    """Training runs in float32: lambda and learning_rate up to its largest
+    value load, a larger one is refused before any model is built."""
+    top = float(np.finfo(np.float32).max)
+    above = float(np.nextafter(top, math.inf))
+    cfg = TrainConfig(lambda_=top, learning_rate=top)
+    assert (cfg.lambda_, cfg.learning_rate) == (top, top)
+    for key, field in (("lambda", "lambda_"), ("learning_rate", "learning_rate")):
+        for value in (above, 1e39, 1e300):
+            with pytest.raises(ConfigRangeError, match=f"{key} must be in .*float32"):
+                TrainConfig(**{field: value})
+            with pytest.raises(ConfigRangeError, match=f"{key} must be in .*float32"):
+                load_config(json.dumps({key: value}))
+
+
 def test_config_unknown_key():
     with pytest.raises(UnknownConfigKeyError):
         load_config('{"betta": 0.5}')
