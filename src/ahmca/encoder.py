@@ -17,7 +17,10 @@ input projection X Wx^T + b covers every step of both, and each step adds
 h Wh^T for the (2, a_t, k) running states.  The i, f and o rows of the
 stacked Wx, Wh and b are halved, since sigmoid(z) = (tanh(z/2) + 1) / 2:
 one tanh over a step's pre-activations then serves all four gates,
-and the step writes (t + 1) / 2 for i, f and o into a step buffer.  The
+and the step writes (t + 1) / 2 for i, f and o into a step buffer.
+weight_stack builds that stack and the halved biases from the parameters
+alone; bilstm_encode builds it on every call unless given one, so a
+served model, whose weights never change, passes the one it keeps.  The
 step buffers (h Wh^T, the tanh, the gates, i * g) are allocated once per
 call and read through views built once per active count a_t, so a step
 is ten NumPy calls.  The cache is the packed input Xp (2, R, k), the
@@ -120,25 +123,13 @@ def _pair(params, name):
     return params[f"lstm_fwd.{name}"], params[f"lstm_bwd.{name}"]
 
 
-def bilstm_encode(X, lengths, params):
-    """Encode the sum N_b x k token rows X of documents of the given lengths,
-    in order; returns ((H_fwd, H_bwd), cache), per direction the hidden
-    states as one matrix aligned to X's rows."""
-    X = np.asarray(X)
-    if X.ndim != 2 or len(lengths) == 0 or min(lengths) < 1:
-        raise EmptyInputError("encoder input must be one or more non-empty documents")
-    Wx = params["lstm_fwd.Wx"]
-    k = Wx.shape[1]
-    if X.shape != (sum(lengths), k) or Wx.shape[0] != 4 * k:
-        raise DimMismatchError(f"encoder shapes: X {X.shape}, rows {sum(lengths)}, Wx {Wx.shape}")
-    # Wx^T and Wh^T of both directions copied into one C-order stack, the
-    # i, f and o rows halved, and never fewer than two rows per product
-    # (the front block gives the projection its second row; see the batch
-    # contract).  Both dtypes need two rows: a one-row (2, 1, k) @ (2, k, 4k)
-    # product differed from row 0 of the 2- to 40-row products in every
-    # trial at float64 (k = 8, 32, 64) and float32 k = 64, at 1 and 2 BLAS
-    # threads; only float32 with k <= 32 matched
+def weight_stack(params):
+    """The forward's weights, which depend on params alone: (WT, bias),
+    Wx^T and Wh^T of both directions copied into one C-order (4, k, 4k)
+    stack (fwd Wx, bwd Wx, fwd Wh, bwd Wh) and the (2, 4k) biases, the i, f
+    and o rows of both halved."""
     Ws = [W for name in ("Wx", "Wh") for W in _pair(params, name)]
+    k = Ws[0].shape[1]
     WT = np.empty((4, k, 4 * k), dtype=np.result_type(*Ws))
     for j, W in enumerate(Ws):
         WT[j] = W.T
@@ -147,6 +138,28 @@ def bilstm_encode(X, lengths, params):
     half[2 * k:3 * k] = 1
     WT *= half
     bias *= half
+    return WT, bias
+
+
+def bilstm_encode(X, lengths, params, stack=None):
+    """Encode the sum N_b x k token rows X of documents of the given lengths,
+    in order; returns ((H_fwd, H_bwd), cache), per direction the hidden
+    states as one matrix aligned to X's rows.  stack is weight_stack(params),
+    built here when not given."""
+    X = np.asarray(X)
+    if X.ndim != 2 or len(lengths) == 0 or min(lengths) < 1:
+        raise EmptyInputError("encoder input must be one or more non-empty documents")
+    Wx = params["lstm_fwd.Wx"]
+    k = Wx.shape[1]
+    if X.shape != (sum(lengths), k) or Wx.shape[0] != 4 * k:
+        raise DimMismatchError(f"encoder shapes: X {X.shape}, rows {sum(lengths)}, Wx {Wx.shape}")
+    # never fewer than two rows per product (the front block gives the
+    # projection its second row; see the batch contract).  Both dtypes need
+    # two rows: a one-row (2, 1, k) @ (2, k, 4k) product differed from row 0
+    # of the 2- to 40-row products in every trial at float64 (k = 8, 32, 64)
+    # and float32 k = 64, at 1 and 2 BLAS threads; only float32 with k <= 32
+    # matched
+    WT, bias = weight_stack(params) if stack is None else stack
     WxT, WhT = WT[:2], WT[2:]
     pack = _packing(lengths)
     B = len(lengths)

@@ -25,9 +25,13 @@ inside a scoring() block a document's row of the chunk that block scored it
 in: chunks of up to _SCORE_DOCS documents and _SCORE_ROWS token rows,
 longest first.
 
-forward takes its label matrices from _served_label_matrices(): built once
-for a served model's read-only embeddings, and on every call for writable
-ones (training, grad_check), so an in-place change is always seen.
+forward takes its label matrices and the encoder's weight stack (the
+transposed, gate-scaled LSTM weights, encoder.weight_stack) from
+_served_label_matrices(): built once for a served model's read-only
+parameters, and on every call for writable ones (training, grad_check),
+so an in-place change is always seen.  A batch of one shape group (every
+predict, a batch of one) takes that group's document embeddings as they
+are; only several groups are put back in batch order.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from .attention import attention_backward, attention_forward, splice_level
 from .corpus import Document
 from .embedding import EmbeddingTable
-from .encoder import bilstm_backward, bilstm_encode, lstm_param_shapes
+from .encoder import bilstm_backward, bilstm_encode, lstm_param_shapes, weight_stack
 from .errors import ConfigRangeError, EmptyInputError, EmptyTextError
 from .hmcn import (
     Prediction,
@@ -63,6 +67,10 @@ if TYPE_CHECKING:           # training imports model; annotation only
 # head and attention arrays grow with the documents, the encoder's with the rows.
 _SCORE_DOCS = 64
 _SCORE_ROWS = 4096
+# the parameters _served_label_matrices reads: the label matrices' and the
+# encoder weight stack's
+_SERVED_READS = ("embedding.table", "lstm_fwd.Wx", "lstm_bwd.Wx", "lstm_fwd.Wh",
+                 "lstm_bwd.Wh", "lstm_fwd.b", "lstm_bwd.b")
 
 
 def param_shapes(level_sizes, vocab_size, cfg: TrainConfig):
@@ -128,7 +136,8 @@ class Model:
             params["embedding.table"][-1] = table.unk_vector
         self.params = params
         self._scored = None         # document id -> (its chunk's Prediction, row) in scoring()
-        self._served_mats = None    # (table, label matrices) of a read-only table
+        # (arrays read, (label matrices, encoder weight stack)) of read-only params
+        self._served = None
 
         # label text in row-index form, per level: the label words' rows of
         # embedding.table, where each label's run starts, each word's label,
@@ -157,19 +166,21 @@ class Model:
                 for flat, starts, _, div in self._label_text]
 
     def _served_label_matrices(self):
-        """label_matrices(), built once while params["embedding.table"] is
-        read-only (as in a model from Checkpoint.build_model) and kept while
-        params holds that same array.  A writable table, which training and
-        grad_check change in place, rebuilds them on every call."""
-        table = self.params["embedding.table"]
-        if table.flags.writeable:
-            return self.label_matrices()
-        memo = self._served_mats
-        if memo is None or memo[0] is not table:
-            mats = self.label_matrices()
-            for T in mats:
-                T.setflags(write=False)
-            memo = self._served_mats = (table, mats)
+        """(label_matrices(), encoder weight_stack()), both read-only, built
+        once while every array they read (embedding.table and the LSTM
+        parameters) is read-only, as in a model from Checkpoint.build_model,
+        and kept while params holds those same arrays.  Writable params,
+        which training and grad_check change in place, rebuild both on every
+        call: the label matrices here, the stack (None) in bilstm_encode."""
+        arrays = [self.params[name] for name in _SERVED_READS]
+        if any(arr.flags.writeable for arr in arrays):
+            return self.label_matrices(), None
+        memo = self._served
+        if memo is None or any(a is not b for a, b in zip(memo[0], arrays)):
+            mats, stack = self.label_matrices(), weight_stack(self.params)
+            for arr in (*mats, *stack):
+                arr.setflags(write=False)
+            memo = self._served = (arrays, (mats, stack))
         return memo[1]
 
     def embed(self, tokens):
@@ -189,17 +200,18 @@ class Model:
         once, attention once per group, the head once."""
         if not docs:
             raise EmptyInputError("a mini-batch needs at least one document")
+        tokens = [doc.tokens for doc in docs]       # a property: a new list per read
         shapes = {}
-        for b, doc in enumerate(docs):
-            if not doc.tokens:
+        for b, (doc, toks) in enumerate(zip(docs, tokens)):
+            if not toks:
                 raise EmptyTextError(f"document {doc.id!r} has no tokens")
-            shapes.setdefault((len(doc.tokens), len(doc.keywords)), []).append(b)
-        lengths = [len(doc.tokens) for doc in docs]
+            shapes.setdefault((len(toks), len(doc.keywords)), []).append(b)
+        lengths = [len(toks) for toks in tokens]
         first = np.cumsum([0] + lengths[:-1])       # each document's first row
-        rows = self._rows([t for doc in docs for t in doc.tokens])
+        rows = self._rows([t for toks in tokens for t in toks])
         X = self.params["embedding.table"][rows]
-        (H_fwd, H_bwd), enc_cache = bilstm_encode(X, lengths, self.params)
-        label_mats = self._served_label_matrices()
+        label_mats, stack = self._served_label_matrices()
+        (H_fwd, H_bwd), enc_cache = bilstm_encode(X, lengths, self.params, stack)
         groups = []
         for (n, m), pos in shapes.items():
             idx = first[pos][:, None] + np.arange(n)
@@ -208,9 +220,11 @@ class Model:
                                               [splice_level(T, X[kw]) for T in label_mats],
                                               self.cfg.attention_mode)
             groups.append((np.array(pos), idx, kw, xs, att_cache))
-        # each level's group rows, put back in batch order
-        back = np.argsort(np.concatenate([g[0] for g in groups]))
-        xs = [np.concatenate(x)[back] for x in zip(*[g[3] for g in groups])]
+        if len(groups) == 1:        # one group holds the batch in order
+            xs = groups[0][3]
+        else:                       # each level's group rows, put back in batch order
+            back = np.argsort(np.concatenate([g[0] for g in groups]))
+            xs = [np.concatenate(x)[back] for x in zip(*[g[3] for g in groups])]
         head_cache = head_forward(xs, self.params, self.level_sizes)
         return head_cache, enc_cache, (rows, groups)
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CycleError,
@@ -95,6 +96,11 @@ class Taxonomy:
         return json.dumps({"labels": recs}, ensure_ascii=False)
 
     def content_hash(self) -> str:
+        """SHA-256 of serialize(), computed once per Taxonomy."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
 

@@ -8,11 +8,13 @@ predict decodes one document, a batch of one.  train() steps a fresh
 Model's parameters in place: like the gradients of Model.loss_and_grads,
 they are views of one float32 Arena of Model.shapes (model.init_params).
 One finite check covers a step's gradients before any parameter moves,
-then Adam steps the prefix Model.trainable of the buffer.
+then Adam steps the prefix Model.trainable of the buffer; after each
+epoch's last step, another covers Adam's moments.
 A checkpoint is magic, version, the metadata JSON's length and text, that
 buffer as little-endian float32 (Model.shapes follows from the metadata),
 and a CRC-32 of all of it.  Checkpoint.build_model cuts a read-only Arena
-from it, so a served model builds its label matrices once for all queries.
+from it, so a served model builds its label matrices and encoder weight
+stack once for all queries.
 
 Runs are fully deterministic given the config seed: shuffling uses one
 seeded generator, gradients are reduced in example order, and history /
@@ -40,6 +42,7 @@ from .errors import (
     ConfigRangeError,
     ConfigTypeError,
     CorruptPayloadError,
+    NonFiniteError,
     NonFiniteLossError,
     TaxonomyError,
     TaxonomyMismatchError,
@@ -141,11 +144,12 @@ class Checkpoint:
     def build_model(self) -> tuple[Model, Taxonomy]:
         """The model and taxonomy this checkpoint holds, after checking them.
         The model's parameters are an Arena of flat, read-only, so it builds
-        its label matrices once: it shares a read-only flat (load_checkpoint's)
-        and copies a writable one (a train() checkpoint's).  Its table's
-        vectors and unk vector are views of the model's embedding.table,
-        rows [:-1] and row -1, so the vocabulary is held once.  To train it
-        further, give a Model copies of them."""
+        its label matrices and encoder weight stack once: it shares a
+        read-only flat (load_checkpoint's) and copies a writable one (a
+        train() checkpoint's).  Its table's vectors and unk vector are views
+        of the model's embedding.table, rows [:-1] and row -1, so the
+        vocabulary is held once.  To train it further, give a Model copies
+        of them."""
         try:
             tax = load_taxonomy(self.taxonomy_json)
         except TaxonomyError as e:
@@ -413,6 +417,13 @@ def train(cfg: TrainConfig, train_c: Corpus, val_c: Corpus, tax: Taxonomy,
                 for name in model.shapes:
                     check_finite(grads[name], f"gradient {name} at epoch {epoch}")
             opt.step(g)
+        # a huge lambda can overflow v to inf while every loss and gradient
+        # stays finite; name the first group whose moments did, in layout order
+        bad = np.flatnonzero(~(np.isfinite(opt.m) & np.isfinite(opt.v)))
+        if len(bad):
+            ends = np.cumsum([math.prod(shape) for shape in model.shapes.values()])
+            name = list(model.shapes)[np.searchsorted(ends, bad[0], side="right")]
+            raise NonFiniteError(f"Adam's moments of {name} at epoch {epoch} contain NaN/Inf")
 
         report = evaluate_model(model, val_c, ks=(1,))
         train_loss = float(np.mean(losses))

@@ -390,11 +390,13 @@ def test_retired_config_key_in_checkpoint_exit_2(workspace, tmp_path, capsys):
 
 
 def test_diverging_config_exit_2(workspace, tmp_path, capsys):
-    """A config that passes its checks but whose loss or gradients overflow
-    float32 on the data is an input error, said in one stderr line with no
-    NumPy warning before it, and writes nothing."""
+    """A config that passes its checks but whose loss, gradients or Adam
+    moments overflow float32 on the data is an input error, said in one
+    stderr line with no NumPy warning before it, and writes nothing."""
     cfg = tmp_path / "cfg.json"
     for extra, message in (({"lambda": 3e38}, r"gradient \S+ at epoch \d+ contains NaN/Inf"),
+                           ({"lambda": 1e30},
+                            r"Adam's moments of \S+ at epoch \d+ contain NaN/Inf"),
                            ({"learning_rate": 1e30}, r"loss diverged at epoch \d+")):
         cfg.write_text(json.dumps({**CONFIG, "epochs": 2, **extra}))
         with warnings.catch_warnings(record=True) as caught:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from ahmca.errors import (
     TaxonomyError,
     UnknownLabelError,
 )
-from ahmca.taxonomy import load_taxonomy
+from ahmca.taxonomy import Taxonomy, load_taxonomy
 
 from conftest import TWO_LEVEL
 
@@ -156,3 +157,13 @@ def test_lone_surrogate_rejected(field):
     labels[2][field] += "\ud800"       # json.dumps writes it as the escape \ud800
     with pytest.raises(TaxonomyError, match="not valid UTF-8"):
         load_taxonomy(json.dumps({"labels": labels}))
+
+
+def test_content_hash_computed_once(monkeypatch):
+    tax = load_taxonomy(TWO_LEVEL)
+    calls = []
+    serialize = Taxonomy.serialize
+    monkeypatch.setattr(Taxonomy, "serialize", lambda self: calls.append(1) or serialize(self))
+    want = hashlib.sha256(serialize(tax).encode("utf-8")).hexdigest()
+    assert [tax.content_hash() for _ in range(3)] == [want] * 3
+    assert len(calls) == 1

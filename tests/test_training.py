@@ -22,6 +22,7 @@ from ahmca.errors import (
     UnknownConfigKeyError,
     VersionMismatchError,
 )
+from ahmca import encoder as encoder_module
 from ahmca import model as model_module
 from ahmca import training as training_module
 from ahmca.metrics import MetricsReport
@@ -463,6 +464,24 @@ def test_training_nonfinite_gradient(tiny_synth, monkeypatch):
     assert all(np.array_equal(model.params[k], v) for k, v in before.items())
 
 
+def test_training_stops_on_nonfinite_adam_moments(tiny_synth):
+    """A lambda inside float32's range can overflow Adam's second moments
+    to inf while every loss and gradient stays finite; training stops at
+    the end of that epoch, naming the first group in layout order."""
+    tax, corpus, table = tiny_synth
+    docs = corpus.documents
+    tr = Corpus(tuple(d for i, d in enumerate(docs) if i % 4), corpus.taxonomy_hash)
+    va = Corpus(docs[::4], corpus.taxonomy_hash)
+    evaluated = []
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training_module, "evaluate_model",
+                   lambda *a, **kw: evaluated.append(1) or evaluate_model(*a, **kw))
+        with pytest.raises(NonFiniteError, match=r"^Adam's moments of lstm_fwd\.Wx at epoch 1 "
+                                                 r"contain NaN/Inf$"):
+            train(_tiny_cfg(epochs=2, lambda_=1e30), tr, va, tax, table)
+    assert not evaluated        # before the first validation
+
+
 def test_training_taxonomy_mismatch(tiny_synth, small_synth):
     tax, corpus, table = tiny_synth
     other_tax = small_synth[0]
@@ -767,6 +786,15 @@ def _counting_label_matrices(monkeypatch):
     return calls
 
 
+def _counting_weight_stacks(monkeypatch):
+    """Counts encoder weight stack builds: by the served memo or in bilstm_encode."""
+    calls = []
+    fn = encoder_module.weight_stack
+    for module in (model_module, encoder_module):
+        monkeypatch.setattr(module, "weight_stack", lambda params: calls.append(1) or fn(params))
+    return calls
+
+
 def test_served_label_matrices_equal_fresh_build(tiny_run):
     tax, corpus, table, *_, cfg, ckpt, hist = tiny_run
     model, _ = ckpt.build_model()
@@ -778,8 +806,13 @@ def test_served_label_matrices_equal_fresh_build(tiny_run):
         assert got.global_scores.tobytes() == want.global_scores.tobytes()
     cached = model._served_label_matrices()
     assert cached is model._served_label_matrices()
-    for got, want in zip(cached, model.label_matrices(), strict=True):
+    mats, stack = cached
+    for got, want in zip(mats, model.label_matrices(), strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    for got, want in zip(stack, encoder_module.weight_stack(model.params), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
 
 
@@ -787,9 +820,11 @@ def test_served_label_matrices_built_once(tiny_run, monkeypatch):
     tax, corpus, *_, ckpt, hist = tiny_run
     model, _ = ckpt.build_model()
     calls = _counting_label_matrices(monkeypatch)
+    stacks = _counting_weight_stacks(monkeypatch)
     for i in range(20):
         predict(model, corpus.documents[i % len(corpus)])
     assert len(calls) == 1
+    assert len(stacks) == 1
 
 
 def test_built_model_params_are_read_only(tiny_run):
@@ -842,6 +877,14 @@ def test_writable_params_rebuild_label_matrices(tiny_run, monkeypatch):
     assert len(calls) == 1
     assert not np.array_equal(after, before)
     assert after.tobytes() == fresh.predict_scores(doc).fused_scores.tobytes()
+    # the encoder weight stack is rebuilt too
+    stacks = _counting_weight_stacks(monkeypatch)
+    model.params["lstm_fwd.Wh"][...] *= 2.0
+    changed = model.predict_scores(doc).fused_scores
+    fresh = Model(tax, table, cfg, params={k: v.copy() for k, v in model.params.items()})
+    assert len(stacks) == 1
+    assert not np.array_equal(changed, after)
+    assert changed.tobytes() == fresh.predict_scores(doc).fused_scores.tobytes()
 
 
 def test_new_params_rebuild_served_label_matrices(tiny_run, monkeypatch):
@@ -856,12 +899,26 @@ def test_new_params_rebuild_served_label_matrices(tiny_run, monkeypatch):
     for arr in params.values():
         arr.setflags(write=False)
     calls = _counting_label_matrices(monkeypatch)
+    stacks = _counting_weight_stacks(monkeypatch)
     model.params = params
     after = model.predict_scores(doc).fused_scores
     model.predict_scores(doc)
-    assert len(calls) == 1
+    assert len(calls) == len(stacks) == 1
     assert not np.array_equal(after, before)
     assert after.tobytes() == want.tobytes()
+    # the same table with a new lstm_fwd.Wh: served from its own stack, not the stale one
+    swapped = {**params, "lstm_fwd.Wh": params["lstm_fwd.Wh"] * 2.0}
+    want = Model(tax, table, cfg, params={k: v.copy() for k, v in swapped.items()}
+                 ).predict_scores(doc).fused_scores
+    swapped["lstm_fwd.Wh"].setflags(write=False)
+    calls.clear()
+    stacks.clear()
+    model.params = swapped
+    changed = model.predict_scores(doc).fused_scores
+    model.predict_scores(doc)
+    assert len(calls) == len(stacks) == 1
+    assert not np.array_equal(changed, after)
+    assert changed.tobytes() == want.tobytes()
 
 
 def test_predict_scores_batch_rows_match_single_documents(tiny_run):
